@@ -1,6 +1,7 @@
 #include "harvest/transducers.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -43,10 +44,27 @@ void PvPanel::do_set_conditions(const env::AmbientConditions& c) {
   photo_current_ = Amps{params_.isc_stc.value() * std::max(0.0, g) / 1000.0};
 }
 
+double PvPanel::diode_current(double v) const {
+  return saturation_current_.value() * std::expm1(v / thermal_voltage());
+}
+
+double PvPanel::shared_diode_current(double v) const {
+  PvCurveShare& s = *share_;
+  const auto key = std::bit_cast<std::uint64_t>(v);
+  for (std::size_t k = 0; k < s.filled; ++k)
+    if (s.v_bits[k] == key) return s.diode[k];
+  const double diode = diode_current(v);
+  s.v_bits[s.next] = key;
+  s.diode[s.next] = diode;
+  s.next = static_cast<std::uint8_t>((s.next + 1) % PvCurveShare::kVoltageSlots);
+  if (s.filled < PvCurveShare::kVoltageSlots) ++s.filled;
+  return diode;
+}
+
 Amps PvPanel::current_at(Volts v) const {
   if (v.value() < 0.0) return Amps{0.0};
-  const double diode =
-      saturation_current_.value() * std::expm1(v.value() / thermal_voltage());
+  const double diode = share_ != nullptr ? shared_diode_current(v.value())
+                                         : diode_current(v.value());
   return Amps{std::max(0.0, photo_current_.value() - diode)};
 }
 
@@ -59,6 +77,10 @@ Volts PvPanel::open_circuit_voltage() const {
 
 OperatingPoint PvPanel::compute_mpp() const {
   if (photo_current_.value() <= 0.0) return OperatingPoint{};
+  // A twin with the same photo current bits solved this exact curve.
+  const auto key = std::bit_cast<std::uint64_t>(photo_current_.value());
+  if (share_ != nullptr && share_->mpp_set && share_->mpp_photo_bits == key)
+    return share_->mpp;
   // dP/dV = 0 on the single-diode curve gives e^x (1+x) = K with x = V/Vt
   // and K = (Iph + I0)/I0; in log form g(x) = x + log1p(x) - ln K = 0,
   // monotone in x. Newton from x0 = ln K (= Voc/Vt) reaches machine
@@ -80,6 +102,11 @@ OperatingPoint PvPanel::compute_mpp() const {
   mpp.v = Volts{vt * x};
   mpp.i = current_at(mpp.v);
   mpp.p = mpp.v * mpp.i;
+  if (share_ != nullptr) {
+    share_->mpp_set = true;
+    share_->mpp_photo_bits = key;
+    share_->mpp = mpp;
+  }
   return mpp;
 }
 

@@ -6,13 +6,43 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <string>
 
 #include "harvest/harvester.hpp"
 
 namespace msehsim::harvest {
+
+/// Curve answers shared by PvPanels with equal Params.
+///
+/// A panel's I-V curve is a function of its Params (through I0 and Vt) and
+/// its latched photo current alone, so twin panels — the same panel model
+/// on several lanes of one systems::BatchRunner block, stepped one after
+/// another on the same ambient slot — ask the same questions. The first
+/// asker pays for the Newton solve or the expm1 and stores the answer; the
+/// others reuse it when their keys have the same bits, which returns
+/// exactly the bits a fresh solve would. Keys:
+///  - the MPP is keyed on the bits of the photo current it was solved for;
+///  - the diode term I0 * expm1(v / Vt) is keyed on the bits of v only
+///    (it does not depend on the photo current), in a few round-robin slots
+///    sized for the MPP voltage plus the trackers' operating points.
+/// Not thread-safe: every panel attached to one share must be stepped on
+/// one thread (a lane block is).
+struct PvCurveShare {
+  static constexpr std::size_t kVoltageSlots = 2;
+
+  bool mpp_set{false};
+  std::uint64_t mpp_photo_bits{0};
+  OperatingPoint mpp;
+
+  std::array<std::uint64_t, kVoltageSlots> v_bits{};
+  std::array<double, kVoltageSlots> diode{};
+  std::uint8_t filled{0};  ///< slots holding an answer
+  std::uint8_t next{0};    ///< slot the next miss overwrites
+};
 
 /// Photovoltaic panel — single-diode model.
 ///
@@ -29,6 +59,11 @@ class PvPanel final : public Harvester {
     bool indoor{false};           ///< read illuminance instead of irradiance
     double lux_per_wm2{120.0};    ///< daylight-equivalent conversion
     double indoor_derating{0.6};  ///< indoor cells are less efficient
+
+    /// Equal Params give bit-equal I0 and Vt: the constructor rejects NaN
+    /// and non-positive curve parameters, so no +0/-0 or NaN pair can
+    /// compare equal with different bits.
+    friend bool operator==(const Params&, const Params&) = default;
   };
 
   PvPanel(std::string name, Params params);
@@ -48,13 +83,24 @@ class PvPanel final : public Harvester {
  public:
   [[nodiscard]] const Params& params() const { return params_; }
 
+  /// Attaches @p share (or detaches, with nullptr). Every panel attached to
+  /// one share must have equal Params. The share must outlive the
+  /// attachment; a panel without one solves every question itself.
+  void set_curve_share(PvCurveShare* share) { share_ = share; }
+  [[nodiscard]] const PvCurveShare* curve_share() const { return share_; }
+
  private:
   [[nodiscard]] double thermal_voltage() const;
+  /// I0 * expm1(v / Vt): the diode term of the curve.
+  [[nodiscard]] double diode_current(double v) const;
+  /// diode_current through the attached share's voltage slots.
+  [[nodiscard]] double shared_diode_current(double v) const;
 
   std::string name_;
   Params params_;
   Amps photo_current_{0.0};
   Amps saturation_current_{0.0};
+  PvCurveShare* share_{nullptr};
 };
 
 /// Micro wind turbine (Carli et al. [7] class): swept-area power with a

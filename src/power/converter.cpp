@@ -34,19 +34,24 @@ Converter::Converter(std::string name, Params params)
 }
 
 Watts Converter::required_input(Watts output, Volts vin, Volts vout) const {
-  if (!can_convert(vin, vout)) return Watts{0.0};
-  const Watts floor = quiescent_power(vin);
-  if (output.value() <= 0.0) return floor;
-  // transfer() is monotone increasing in input; invert by fixed point.
-  double input = output.value() / params_.peak_efficiency + floor.value();
-  for (int i = 0; i < 24; ++i) {
-    const double got = transfer(Watts{input}, vin, vout).value();
-    const double error = output.value() - got;
-    if (std::fabs(error) < 1e-12) break;
-    input += error / std::max(0.1, params_.peak_efficiency);
-    input = std::max(input, 0.0);
+  const detail::CvtCoef c = lane_coef();
+  const double o = output.value();
+  const double vi = vin.value();
+  const double vo = vout.value();
+  switch (params_.topology) {
+    case Topology::kDiode:
+      return Watts{detail::required_input_raw<Topology::kDiode>(c, o, vi, vo)};
+    case Topology::kLdo:
+      return Watts{detail::required_input_raw<Topology::kLdo>(c, o, vi, vo)};
+    case Topology::kBuck:
+      return Watts{detail::required_input_raw<Topology::kBuck>(c, o, vi, vo)};
+    case Topology::kBoost:
+      return Watts{detail::required_input_raw<Topology::kBoost>(c, o, vi, vo)};
+    case Topology::kBuckBoost:
+      return Watts{
+          detail::required_input_raw<Topology::kBuckBoost>(c, o, vi, vo)};
   }
-  return Watts{input};
+  return Watts{0.0};
 }
 
 double Converter::efficiency(Watts input, Volts vin, Volts vout) const {

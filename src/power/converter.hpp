@@ -14,6 +14,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <string_view>
 
@@ -94,6 +95,32 @@ MSEHSIM_ALWAYS_INLINE double transfer_raw(const CvtCoef& c, double input,
     const double out = c.peak_efficiency * input - pq - conduction;
     return std::max(0.0, out);
   }
+}
+
+/// Inverse transfer with the topology branch resolved at compile time; the
+/// body of Converter::required_input. transfer_raw is monotone increasing in
+/// input, so the fixed point converges. With a unit gain the divisions are
+/// skipped: x / 1.0 == x bit for bit, which covers the unit-efficiency
+/// nano LDO and Schottky stages.
+template <Topology T>
+MSEHSIM_ALWAYS_INLINE double required_input_raw(const CvtCoef& c,
+                                                double output, double vin,
+                                                double vout) {
+  if (!can_convert_raw<T>(c, vin, vout)) return 0.0;
+  const double floor = vin * c.quiescent_current;
+  if (output <= 0.0) return floor;
+  const double gain = std::max(0.1, c.peak_efficiency);
+  const bool unit_gain = gain == 1.0;
+  double input =
+      (unit_gain ? output : output / c.peak_efficiency) + floor;
+  for (int i = 0; i < 24; ++i) {
+    const double got = transfer_raw<T>(c, input, vin, vout);
+    const double error = output - got;
+    if (std::fabs(error) < 1e-12) break;
+    input += unit_gain ? error : error / gain;
+    input = std::max(input, 0.0);
+  }
+  return input;
 }
 
 MSEHSIM_ALWAYS_INLINE bool can_convert_dispatch(Topology t, const CvtCoef& c,

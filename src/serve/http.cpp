@@ -323,7 +323,7 @@ void HttpServer::start() {
       if (fd >= 0) ::fcntl(fd, F_SETFD, FD_CLOEXEC);
       if (fd < 0) {
         if (errno == EINTR) continue;
-        // stop() closed the listener (EBADF/EINVAL) — or the kernel is out
+        // stop() shut the listener down (EINVAL) — or the kernel is out
         // of descriptors, in which case accepting again immediately would
         // spin; either way, bail if stopping, retry otherwise.
         if (impl_->stopping.load()) return;
@@ -361,19 +361,26 @@ void HttpServer::stop() {
     }
     return;
   }
-  if (impl_->stopping.exchange(true)) return;
+  {
+    // Set under the mutex: a worker that has just found the queue empty
+    // and not stopping holds it until it sleeps, so the notify below cannot
+    // fall between its predicate check and its wait.
+    const std::lock_guard<std::mutex> lock(impl_->mu);
+    if (impl_->stopping.exchange(true)) return;
+  }
 
-  // Closing the listener wakes accept() with an error; the stopping flag
-  // tells it (and the workers, once the queue drains) to exit. In-flight
-  // and already-queued requests still complete — that is the graceful
-  // drain contract SIGTERM relies on.
+  // Shutting the listener down wakes accept() with an error; the stopping
+  // flag tells it (and the workers, once the queue drains) to exit.
+  // In-flight and already-queued requests still complete — that is the
+  // graceful drain contract SIGTERM relies on. The descriptor is closed
+  // only once the acceptor has exited: it reads listen_fd on every
+  // accept(), and a closed number could be reused by another socket.
   ::shutdown(impl_->listen_fd, SHUT_RDWR);
-  ::close(impl_->listen_fd);
-  impl_->listen_fd = -1;
   impl_->cv.notify_all();
 
   if (impl_->acceptor.joinable()) impl_->acceptor.join();
-  impl_->cv.notify_all();
+  ::close(impl_->listen_fd);
+  impl_->listen_fd = -1;
   for (auto& w : impl_->workers)
     if (w.joinable()) w.join();
   impl_->workers.clear();

@@ -7,6 +7,7 @@
 #include "core/random.hpp"
 #include "core/simulation.hpp"
 #include "core/stats.hpp"
+#include "fault/faulty_harvester.hpp"
 #include "obs/trace.hpp"
 #include "storage/fuel_cell.hpp"
 #include "systems/lane_dispatch.hpp"
@@ -60,7 +61,27 @@ BatchRunner::BatchRunner(std::shared_ptr<const env::CompiledTrace> trace,
                "BatchRunner: pass per-lane injectors to add_lane, not options");
 }
 
-BatchRunner::~BatchRunner() = default;
+BatchRunner::~BatchRunner() { detach_pv_shares(); }
+
+void BatchRunner::share_pv_curve(harvest::Harvester& h) {
+  harvest::Harvester* inner = &h;
+  while (auto* faulty = dynamic_cast<fault::FaultyHarvester*>(inner))
+    inner = &faulty->inner();
+  auto* panel = dynamic_cast<harvest::PvPanel*>(inner);
+  if (panel == nullptr) return;
+  auto it = std::find_if(pv_shares_.begin(), pv_shares_.end(),
+                         [&](const auto& s) { return s.first == panel->params(); });
+  if (it == pv_shares_.end())
+    it = pv_shares_.emplace(pv_shares_.end(), panel->params(),
+                            std::make_unique<harvest::PvCurveShare>());
+  panel->set_curve_share(it->second.get());
+  shared_panels_.push_back(panel);
+}
+
+void BatchRunner::detach_pv_shares() {
+  for (harvest::PvPanel* panel : shared_panels_) panel->set_curve_share(nullptr);
+  shared_panels_.clear();
+}
 
 std::size_t BatchRunner::add_lane(Platform& platform,
                                   fault::FaultInjector* injector) {
@@ -117,6 +138,9 @@ std::size_t BatchRunner::add_lane(Platform& platform,
     lane->ops.store_kind.push_back(d.kind());
     lane->ops.cells.push_back(dynamic_cast<storage::FuelCell*>(&d));
   }
+
+  for (std::size_t i = 0; i < platform.input_count(); ++i)
+    share_pv_curve(platform.input(i).harvester());
 
   lanes_.push_back(std::move(lane));
   return lanes_.size() - 1;
@@ -250,6 +274,7 @@ std::vector<RunResult> BatchRunner::run() {
   }
   soa.scatter_all();
   soa_counters_ = soa.counters();
+  detach_pv_shares();
 
   std::vector<RunResult> out;
   out.reserve(n);

@@ -34,6 +34,13 @@
 //  - Results are assembled by systems::detail::assemble_run_result — the
 //    same code run_platform ends with — so exports, the energy ledger,
 //    metrics, and the survivability report cannot drift.
+//  - Twin PV panels share their curve solves: add_lane attaches one
+//    harvest::PvCurveShare per distinct PvPanel::Params to every panel of
+//    the block with those Params (a FaultyHarvester's inner panel too). The
+//    lanes step the same ambient slot one after another, so only the first
+//    twin runs the MPP Newton solve and the expm1 of a step; the others get
+//    the stored answer, which is bit-equal to a fresh solve because the
+//    share's keys are the exact bits the curve depends on.
 //
 // Eligible lanes (see systems/soa_state.hpp) additionally run their storage
 // and chain inner loops as width-strided SoA kernels over per-group
@@ -56,11 +63,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/units.hpp"
 #include "env/compiled_trace.hpp"
 #include "fault/injector.hpp"
+#include "harvest/transducers.hpp"
 #include "systems/platform.hpp"
 #include "systems/runner.hpp"
 #include "systems/soa_state.hpp"
@@ -78,7 +87,9 @@ class BatchRunner {
   BatchRunner(const BatchRunner&) = delete;
   BatchRunner& operator=(const BatchRunner&) = delete;
 
-  /// Adds a lane. @p platform must outlive run(); @p injector (optional)
+  /// Adds a lane. @p platform must outlive run() (or the runner, if run()
+  /// is never called: the destructor detaches the curve shares add_lane
+  /// attached to its PV panels); @p injector (optional)
   /// must already be fully built against this platform and is armed on the
   /// lane's event engine exactly as run_platform would arm it. Returns the
   /// lane index (result slot in run()'s return).
@@ -106,6 +117,11 @@ class BatchRunner {
  private:
   struct Lane;  // per-lane engine state + dispatch tags (batch_runner.cpp)
 
+  /// Attaches the block's curve share for @p h's PvPanel::Params, when @p h
+  /// is a PvPanel or a fault wrapper around one.
+  void share_pv_curve(harvest::Harvester& h);
+  void detach_pv_shares();
+
   std::shared_ptr<const env::CompiledTrace> trace_;
   Seconds duration_;
   RunOptions options_;
@@ -113,6 +129,11 @@ class BatchRunner {
   bool ran_{false};
   std::size_t soa_lane_count_{0};
   soa::SoaCounters soa_counters_;
+  /// One curve share per distinct panel Params, and every panel attached.
+  std::vector<std::pair<harvest::PvPanel::Params,
+                        std::unique_ptr<harvest::PvCurveShare>>>
+      pv_shares_;
+  std::vector<harvest::PvPanel*> shared_panels_;
 };
 
 /// One lane's inputs for the convenience wrapper below.

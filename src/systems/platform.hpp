@@ -12,6 +12,8 @@
 // deficit latches a brownout that drops the rail on the next step.
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -206,16 +208,23 @@ class Platform {
       Watts supply_cap = p_in;
       for (const auto& slot : stores_)
         supply_cap += ops.max_discharge_power(slot.index, *slot.device);
+      const Watts avg_rail =
+          rail_feasible ? node_->average_power(output_->rail_voltage())
+                        : Watts{0.0};
       const Watts demand_estimate =
-          rail_feasible ? output_->required_bus_power(
-                              node_->average_power(output_->rail_voltage()),
-                              bus_v)
+          rail_feasible ? output_->required_bus_power(avg_rail, bus_v)
                         : Watts{0.0};
       const bool rail_on = rail_feasible && demand_estimate.value() > 0.0 &&
                            demand_estimate + p_q <= supply_cap;
       const Watts p_rail = node_->step(rail_on, output_->rail_voltage(), dt);
       if (rail_on) {
-        p_bus_load = output_->required_bus_power(p_rail, bus_v);
+        // A node that is steadily up draws exactly its average power, so
+        // the converter inversion already solved for the estimate applies
+        // (required_bus_power is a pure function of its arguments).
+        p_bus_load = std::bit_cast<std::uint64_t>(p_rail.value()) ==
+                             std::bit_cast<std::uint64_t>(avg_rail.value())
+                         ? demand_estimate
+                         : output_->required_bus_power(p_rail, bus_v);
         load_energy_ += p_rail * dt;
         bus_load_energy_ += p_bus_load * dt;
       }

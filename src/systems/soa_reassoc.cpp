@@ -10,6 +10,7 @@
 #include "systems/soa_state.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #define MSEHSIM_SOA_STEP_FN soa_step_range_reassoc_impl

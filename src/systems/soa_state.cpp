@@ -5,6 +5,7 @@
 #include "systems/soa_state.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 

@@ -16,9 +16,12 @@
 #include "campaign/campaign.hpp"
 #include "env/compiled_trace.hpp"
 #include "env/environment.hpp"
+#include "fault/faulty_harvester.hpp"
 #include "fault/injector.hpp"
+#include "fault/schedule.hpp"
 #include "harvest/transducers.hpp"
 #include "manager/backup_chain.hpp"
+#include "node/sensor_node.hpp"
 #include "power/chain.hpp"
 #include "power/converter.hpp"
 #include "power/mppt.hpp"
@@ -608,6 +611,152 @@ TEST(LeakDetector, WarningsAgreeAcrossLaneWidths) {
     return c.leak_warnings().size();
   };
   EXPECT_EQ(warnings_at(1), warnings_at(8));
+}
+
+// ---------------------------------------------------------------------------
+// Twin-panel curve share
+// ---------------------------------------------------------------------------
+
+/// A campaign over the midnight-to-noon half of an outdoor day, so the
+/// panels see both dark steps and a full morning of lit ones.
+CampaignSpec twin_grid(std::vector<PlatformVariant> platforms,
+                       std::vector<std::uint64_t> seeds) {
+  CampaignSpec spec;
+  spec.platforms = std::move(platforms);
+  Scenario sc;
+  sc.name = "outdoor-morning";
+  sc.environment = outdoor_factory();
+  sc.duration = Seconds{43200.0};
+  sc.options.dt = Seconds{5.0};
+  spec.scenarios.push_back(std::move(sc));
+  spec.seeds = std::move(seeds);
+  spec.compile_traces = true;
+  return spec;
+}
+
+/// The E5 buffer-sizing shape: one outdoor panel behind an oracle tracker
+/// into a supercap of @p farads, feeding a node through a buck-boost rail.
+std::unique_ptr<systems::Platform> buffer_variant(double farads) {
+  systems::PlatformSpec spec;
+  spec.name = "buffer";
+  spec.quiescent_current = Amps{2e-6};
+  auto p = std::make_unique<systems::Platform>(spec);
+  p->add_input(std::make_unique<power::InputChain>(
+      std::make_unique<harvest::PvPanel>("pv", harvest::PvPanel::Params{}),
+      std::make_unique<power::OracleMppt>(),
+      power::Converter::smart_buck_boost("fe"), Seconds{5.0}));
+  storage::Supercapacitor::Params sp;
+  sp.main_capacitance = Farads{farads};
+  sp.slow_capacitance = Farads{0.0};
+  sp.initial_voltage = Volts{3.0};
+  p->add_storage(std::make_unique<storage::Supercapacitor>("buf", sp), 0);
+  p->set_output(
+      power::OutputChain(power::Converter::smart_buck_boost("out"), Volts{3.0}));
+  p->set_node(std::make_unique<node::SensorNode>(
+      "node", node::McuParams{}, node::RadioParams{}, node::WorkloadParams{}));
+  return p;
+}
+
+PlatformVariant catalog_variant(const std::string& name,
+                                std::unique_ptr<systems::Platform> (*make)(
+                                    std::uint64_t)) {
+  return {name, [make](std::uint64_t s) { return make(s); }};
+}
+
+TEST(TwinPanelShare, BufferSweepBlocksMatchRunPlatform) {
+  std::vector<PlatformVariant> variants;
+  for (const double f : {0.5, 1.0, 2.2, 4.7, 10.0, 22.0, 47.0, 100.0})
+    variants.push_back({"buf-" + std::to_string(f),
+                        [f](std::uint64_t) { return buffer_variant(f); }});
+  expect_width_invariant(twin_grid(std::move(variants), {3, 17}));
+}
+
+TEST(TwinPanelShare, SystemATwinPanelsMatchRunPlatform) {
+  expect_width_invariant(twin_grid(
+      {catalog_variant("system-a", systems::build_system_a)}, {3, 17}));
+}
+
+TEST(TwinPanelShare, SystemAAndSystemCInOneBlockMatchRunPlatform) {
+  expect_width_invariant(
+      twin_grid({catalog_variant("system-a", systems::build_system_a),
+                 catalog_variant("system-c", systems::build_system_c)},
+                {3, 17}));
+}
+
+/// System A under the example fault schedule, plus one lane whose PV1 is
+/// degraded from the start and one whose PV2 tracker sees drifted sensing:
+/// the drift feeds scaled conditions through the panel, so the twins' photo
+/// currents diverge and the share keeps missing.
+TEST(TwinPanelShare, DivergentTwinsUnderTheFaultScheduleMatchRunPlatform) {
+  auto schedule = std::make_shared<const fault::Schedule>(fault::Schedule::load(
+      std::string(MSEHSIM_SOURCE_DIR) + "/examples/schedules/system_a_faults.csv"));
+  std::vector<PlatformVariant> variants;
+  variants.push_back(catalog_variant("system-a", systems::build_system_a));
+  variants.push_back({"system-a-degraded", [](std::uint64_t s) {
+                        auto a = systems::build_system_a(s);
+                        power::InputChain& chain = a->input(0);
+                        auto panel = chain.replace_harvester(
+                            std::make_unique<harvest::PvPanel>(
+                                "placeholder", harvest::PvPanel::Params{}));
+                        auto faulty = std::make_unique<fault::FaultyHarvester>(
+                            std::move(panel), s);
+                        faulty->degrade(0.5);
+                        chain.replace_harvester(std::move(faulty));
+                        return a;
+                      }});
+  variants.push_back({"system-a-drift", [](std::uint64_t s) {
+                        auto a = systems::build_system_a(s);
+                        a->input(1).set_sense_gain(1.3);
+                        return a;
+                      }});
+  CampaignSpec spec = twin_grid(std::move(variants), {5, 9});
+  spec.scenarios[0].duration = Seconds{86400.0};
+  spec.scenarios[0].injector = schedule_injector(schedule);
+  expect_width_invariant(spec);
+}
+
+/// add_lane attaches one share per distinct panel Params to every panel of
+/// the block (System A's and System C's outdoor panels are the same model;
+/// System B's indoor panel is not), and run() leaves no panel attached.
+TEST(TwinPanelShare, RunnerAttachesOneSharePerPanelModelAndDetaches) {
+  const Seconds dt{5.0};
+  const Seconds duration{3600.0};
+  systems::RunOptions options;
+  options.dt = dt;
+  auto model = env::Environment::outdoor(7);
+  const auto trace = env::CompiledTrace::compile(model, dt, duration);
+
+  auto a = systems::build_system_a(7);
+  auto b = systems::build_system_b(7);
+  auto c = systems::build_system_c(7);
+  const auto share_of = [](systems::Platform& p, std::size_t input) {
+    return dynamic_cast<const harvest::PvPanel&>(p.input(input).harvester())
+        .curve_share();
+  };
+  {
+    systems::BatchRunner runner(trace, duration, options);
+    runner.add_lane(*a);
+    runner.add_lane(*b);
+    runner.add_lane(*c);
+    const harvest::PvCurveShare* outdoor = share_of(*a, 0);
+    ASSERT_NE(outdoor, nullptr);
+    EXPECT_EQ(share_of(*a, 1), outdoor);
+    EXPECT_EQ(share_of(*c, 0), outdoor);
+    EXPECT_EQ(share_of(*c, 1), outdoor);
+    ASSERT_NE(share_of(*b, 0), nullptr);
+    EXPECT_NE(share_of(*b, 0), outdoor);
+    (void)runner.run();
+    EXPECT_EQ(share_of(*a, 0), nullptr);
+    EXPECT_EQ(share_of(*b, 0), nullptr);
+    EXPECT_EQ(share_of(*c, 1), nullptr);
+  }
+  {
+    // A runner that never runs detaches in its destructor.
+    systems::BatchRunner runner(trace, duration, options);
+    runner.add_lane(*a);
+    EXPECT_NE(share_of(*a, 0), nullptr);
+  }
+  EXPECT_EQ(share_of(*a, 0), nullptr);
 }
 
 }  // namespace

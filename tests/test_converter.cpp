@@ -1,7 +1,13 @@
 // Converter models: topology feasibility, loss accounting, inverse transfer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "core/error.hpp"
+#include "core/random.hpp"
 #include "power/converter.hpp"
 
 namespace msehsim::power {
@@ -103,6 +109,49 @@ TEST(Converter, RequiredInputInvertsTransfer) {
     const Watts in = c.required_input(Watts{out}, Volts{3.3}, Volts{3.0});
     const Watts got = c.transfer(in, Volts{3.3}, Volts{3.0});
     EXPECT_NEAR(got.value(), out, out * 1e-6 + 1e-12);
+  }
+}
+
+/// The fixed-point inversion as written against the public transfer(), with
+/// the divisions always taken: the reference the topology-resolved kernel
+/// (and its unit-gain shortcut) must reproduce bit for bit.
+double reference_required_input(const Converter& c, double output, double vin,
+                                double vout) {
+  if (!c.can_convert(Volts{vin}, Volts{vout})) return 0.0;
+  const double floor = c.quiescent_power(Volts{vin}).value();
+  if (output <= 0.0) return floor;
+  const double eff = c.params().peak_efficiency;
+  double input = output / eff + floor;
+  for (int i = 0; i < 24; ++i) {
+    const double error =
+        output - c.transfer(Watts{input}, Volts{vin}, Volts{vout}).value();
+    if (std::fabs(error) < 1e-12) break;
+    input += error / std::max(0.1, eff);
+    input = std::max(input, 0.0);
+  }
+  return input;
+}
+
+TEST(Converter, RequiredInputMatchesTheReferenceInversionBitForBit) {
+  Converter::Params buck;
+  buck.topology = Topology::kBuck;
+  const Converter presets[] = {
+      Converter::smart_buck_boost("bb"), Converter::nano_ldo("ldo"),
+      Converter::schottky_diode("d"), Converter::boost_frontend("boost"),
+      Converter("buck", buck)};
+  Pcg32 rng(2013, 11);
+  for (const Converter& c : presets) {
+    for (int i = 0; i < 500; ++i) {
+      const double out = i % 50 == 0 ? 0.0 : rng.uniform(1e-6, 40e-3);
+      const double vin = rng.uniform(0.0, 6.0);
+      const double vout = rng.uniform(1.0, 4.0);
+      const double got =
+          c.required_input(Watts{out}, Volts{vin}, Volts{vout}).value();
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(
+                    reference_required_input(c, out, vin, vout)))
+          << c.name() << " out=" << out << " vin=" << vin << " vout=" << vout;
+    }
   }
 }
 

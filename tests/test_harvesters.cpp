@@ -2,13 +2,16 @@
 // physical-invariant sweeps.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/random.hpp"
 #include "core/solve.hpp"
 #include "harvest/transducers.hpp"
 
@@ -148,6 +151,76 @@ TEST(PvPanel, MppNearFractionOfVoc) {
   EXPECT_GT(k, 0.65);
   EXPECT_LT(k, 0.92);
   EXPECT_GT(mpp.p.value(), 0.0);
+}
+
+// Twin panels attached to one curve share must answer every question with
+// the bits an unshared panel computes, whether the share hits (equal photo
+// current or voltage bits) or misses (the twins' photo currents diverge).
+TEST(PvPanel, CurveShareAnswersAreBitIdenticalToUnsharedSolves) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto same_point = [&](const OperatingPoint& a, const OperatingPoint& b) {
+    return bits(a.v.value()) == bits(b.v.value()) &&
+           bits(a.i.value()) == bits(b.i.value()) &&
+           bits(a.p.value()) == bits(b.p.value());
+  };
+  PvCurveShare share;
+  PvPanel twin_a("a", {});
+  PvPanel twin_b("b", {});
+  PvPanel ref_a("ra", {});
+  PvPanel ref_b("rb", {});
+  twin_a.set_curve_share(&share);
+  twin_b.set_curve_share(&share);
+  ASSERT_EQ(twin_a.curve_share(), &share);
+  ASSERT_EQ(ref_a.curve_share(), nullptr);
+
+  // Few distinct irradiances and voltages, so keys repeat across twins and
+  // across iterations; b sometimes sees its own irradiance (a miss).
+  const double irradiance[] = {0.0, 120.0, 430.5, 800.0, 1000.0};
+  const double volts[] = {-0.1, 0.0, 1.5, 3.1, 3.3, 4.0, 9.0};
+  Pcg32 rng(2013, 7);
+  const auto pick = [&](const auto& values) {
+    return values[rng.next_below(static_cast<std::uint32_t>(std::size(values)))];
+  };
+  for (int step = 0; step < 4000; ++step) {
+    const double ga = pick(irradiance);
+    const double gb = rng.bernoulli(0.3)
+                          ? pick(irradiance)
+                          : ga;
+    twin_a.set_conditions(sunny(ga));
+    ref_a.set_conditions(sunny(ga));
+    twin_b.set_conditions(sunny(gb));
+    ref_b.set_conditions(sunny(gb));
+    ASSERT_TRUE(same_point(twin_a.maximum_power_point(),
+                           ref_a.maximum_power_point()))
+        << "step " << step;
+    ASSERT_TRUE(same_point(twin_b.maximum_power_point(),
+                           ref_b.maximum_power_point()))
+        << "step " << step;
+    for (int q = 0; q < 3; ++q) {
+      const double v = rng.bernoulli(0.5)
+                           ? pick(volts)
+                           : rng.uniform(0.0, 4.5);
+      ASSERT_EQ(bits(twin_a.current_at(Volts{v}).value()),
+                bits(ref_a.current_at(Volts{v}).value()))
+          << "step " << step << " v " << v;
+      ASSERT_EQ(bits(twin_b.current_at(Volts{v}).value()),
+                bits(ref_b.current_at(Volts{v}).value()))
+          << "step " << step << " v " << v;
+    }
+    for (const double shift : {0.0, 0.3}) {
+      ASSERT_TRUE(same_point(twin_a.shifted_mpp(Volts{shift}),
+                             ref_a.shifted_mpp(Volts{shift})))
+          << "step " << step << " shift " << shift;
+      ASSERT_TRUE(same_point(twin_b.shifted_mpp(Volts{shift}),
+                             ref_b.shifted_mpp(Volts{shift})))
+          << "step " << step << " shift " << shift;
+    }
+  }
+  EXPECT_TRUE(share.mpp_set);
+  EXPECT_EQ(share.filled, PvCurveShare::kVoltageSlots);
+
+  twin_a.set_curve_share(nullptr);
+  EXPECT_EQ(twin_a.curve_share(), nullptr);
 }
 
 TEST(PvPanel, IndoorModeReadsIlluminance) {

@@ -12,9 +12,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +27,7 @@
 #include "core/error.hpp"
 #include "obs/prometheus.hpp"
 #include "serve/daemon.hpp"
+#include "serve/http.hpp"
 #include "serve/json.hpp"
 #include "serve/result_cache.hpp"
 #include "serve/spec.hpp"
@@ -568,6 +574,36 @@ TEST(DaemonLifecycle, StopDrainsAndRestartRebinds) {
   reborn.start();
   EXPECT_EQ(http_get(port, "/healthz").status, 200);
   reborn.stop();
+}
+
+// stop() racing idle workers into their wait: with the stopping flag set
+// outside the queue mutex, a worker caught between its predicate check and
+// its wait missed the wake-up and stop() hung joining it. The watchdog turns
+// a hang into a failure instead of a stuck test binary.
+TEST(HttpServerLifecycle, StartStopLoopNeverHangs) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!cv.wait_for(lock, std::chrono::seconds(60), [&] { return done; })) {
+      std::fprintf(stderr, "HttpServer::stop() hung: lost worker wake-up\n");
+      std::abort();
+    }
+  });
+  HttpServerOptions options;
+  options.workers = 4;
+  for (int i = 0; i < 2000; ++i) {
+    HttpServer server(options, [](const HttpRequest&) { return HttpResponse{}; });
+    server.start();
+    server.stop();
+  }
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    done = true;
+  }
+  cv.notify_one();
+  watchdog.join();
 }
 
 }  // namespace
