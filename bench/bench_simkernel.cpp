@@ -235,7 +235,7 @@ env::Environment full_site(std::uint64_t seed) {
 /// campaign shape where every variant replays the same (scenario, seed)
 /// ambient timeline, so the trace cache compiles each timeline once and
 /// shares it across all 12 platforms.
-campaign::CampaignSpec probe_grid(bool optimized) {
+campaign::CampaignSpec probe_grid() {
   campaign::CampaignSpec spec;
   for (std::size_t variant = 0; variant < 12; ++variant)
     spec.platforms.push_back({"probe-" + std::to_string(variant),
@@ -252,8 +252,6 @@ campaign::CampaignSpec probe_grid(bool optimized) {
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {1, 2};
   spec.threads = 1;  // measure the single-core kernel, not the thread pool
-  spec.compile_traces = optimized;
-  spec.longest_first = optimized;
   return spec;
 }
 
@@ -261,7 +259,7 @@ void BM_Campaign_Grid(benchmark::State& state) {
   // The headline campaign kernel: compiled shared traces + LPT scheduling.
   std::uint64_t jobs = 0;
   for (auto _ : state) {
-    campaign::Campaign c(probe_grid(true));
+    campaign::Campaign c(probe_grid());
     jobs += c.run().size();
     benchmark::DoNotOptimize(c.results().data());
   }
@@ -269,40 +267,26 @@ void BM_Campaign_Grid(benchmark::State& state) {
 }
 BENCHMARK(BM_Campaign_Grid)->Unit(benchmark::kMillisecond);
 
-void BM_Campaign_Grid_Resynth(benchmark::State& state) {
-  // Control: identical grid with the trace cache and LPT ordering disabled,
-  // so every job re-synthesizes its ambient timeline live. The ratio to
-  // BM_Campaign_Grid is the whole-campaign win from trace sharing.
-  std::uint64_t jobs = 0;
-  for (auto _ : state) {
-    campaign::Campaign c(probe_grid(false));
-    jobs += c.run().size();
-    benchmark::DoNotOptimize(c.results().data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(jobs) * 3600);
-}
-BENCHMARK(BM_Campaign_Grid_Resynth)->Unit(benchmark::kMillisecond);
-
 void BM_Campaign_Batched(benchmark::State& state) {
   // The batched lane kernel: the same probe grid with the platform-variant
   // axis advanced in lockstep blocks of lane_width (state.range(0)) lanes.
-  // lane_width=1 runs the exact legacy one-job-at-a-time path, so the ratio
-  // of the width-8 row to the width-1 row is the kernel's speedup — on
-  // byte-identical results (the batched correctness gate). Timelines are
+  // lane_width=1 runs one-lane blocks, so the ratio of the width-8 row to
+  // the width-1 row is the lockstep-batching speedup — on byte-identical
+  // results (the batched correctness gate). Timelines are
   // served from a pre-warmed on-disk cache so the ratio compares the step
   // kernels, not the (width-independent) trace synthesis cost.
   const auto width = static_cast<unsigned>(state.range(0));
   const std::string dir =
       std::filesystem::temp_directory_path() / "msehsim_bench_batched_cache";
   {
-    auto warmup = probe_grid(true);
+    auto warmup = probe_grid();
     warmup.trace_cache_dir = dir;
     campaign::Campaign cold(warmup);
     cold.run();
   }
   std::uint64_t jobs = 0;
   for (auto _ : state) {
-    auto spec = probe_grid(true);
+    auto spec = probe_grid();
     spec.trace_cache_dir = dir;
     spec.lane_width = width;
     campaign::Campaign c(spec);
@@ -330,7 +314,7 @@ void BM_Campaign_Grid_WarmCache(benchmark::State& state) {
       std::filesystem::temp_directory_path() / "msehsim_bench_trace_cache";
   std::filesystem::remove_all(dir);
   {
-    auto warmup = probe_grid(true);
+    auto warmup = probe_grid();
     warmup.trace_cache_dir = dir;
     campaign::Campaign cold(warmup);
     cold.run();
@@ -338,7 +322,7 @@ void BM_Campaign_Grid_WarmCache(benchmark::State& state) {
   std::uint64_t jobs = 0;
   std::uint64_t hits = 0;
   for (auto _ : state) {
-    auto spec = probe_grid(true);
+    auto spec = probe_grid();
     spec.trace_cache_dir = dir;
     campaign::Campaign c(spec);
     jobs += c.run().size();

@@ -5,7 +5,7 @@
 #
 # The file keeps two parts:
 #   - "history": one compact record per labelled run of BM_SystemA_DayRun
-#     and (when present) the BM_Campaign_Grid pair, appended on every
+#     and (when present) the BM_Campaign_Grid rows, appended on every
 #     invocation, so the throughput trends survive rebaselines;
 #   - "current": the full google-benchmark JSON of the latest run.
 #
@@ -54,19 +54,12 @@ record = {
         "steps_per_second": day["items_per_second"],
     },
 }
-grid, resynth = find("BM_Campaign_Grid"), find("BM_Campaign_Grid_Resynth")
+grid = find("BM_Campaign_Grid")
 if grid is not None:
     record["BM_Campaign_Grid"] = {
         "real_time_ms": grid["real_time"],
         "steps_per_second": grid["items_per_second"],
     }
-    if resynth is not None:
-        record["BM_Campaign_Grid_Resynth"] = {
-            "real_time_ms": resynth["real_time"],
-            "steps_per_second": resynth["items_per_second"],
-        }
-        record["campaign_trace_speedup"] = (
-            resynth["real_time"] / grid["real_time"])
     warm = find("BM_Campaign_Grid_WarmCache")
     if warm is not None:
         record["BM_Campaign_Grid_WarmCache"] = {
@@ -96,9 +89,10 @@ if batched:
         record["campaign_lane_kernel_speedup"] = (
             batched[1]["real_time"] / batched[8]["real_time"])
         # Same ratio, recorded under its own key from the SoA lane-state
-        # rework onward: width 1 runs the scalar per-lane body, width 8 runs
-        # the column-packed strided body, so this is the SoA win proper.
-        # (History rows without this key predate the SoA path.)
+        # rework onward. Width 1 now runs one-lane blocks, which take the
+        # SoA body too, so newer rows measure lockstep batching over SoA
+        # rather than the SoA win proper. (History rows without this key
+        # predate the SoA path.)
         record["campaign_soa_speedup"] = (
             batched[1]["real_time"] / batched[8]["real_time"])
 # Run-health timeline overhead: the default-cadence sampled day against its
@@ -122,10 +116,8 @@ history.append(record)
 json.dump({"history": history, "current": run}, open(out_path, "w"), indent=1)
 print(f"BENCH_kernels.json: {label}: "
       f"{day['items_per_second']:.3g} steps/s ({day['real_time']:.1f} ms/day)")
-if grid is not None and resynth is not None:
-    print(f"  BM_Campaign_Grid: {grid['real_time']:.1f} ms vs "
-          f"{resynth['real_time']:.1f} ms resynth "
-          f"({resynth['real_time'] / grid['real_time']:.2f}x)")
+if grid is not None:
+    print(f"  BM_Campaign_Grid: {grid['real_time']:.1f} ms")
 if grid is not None and warm is not None:
     print(f"  BM_Campaign_Grid_WarmCache: {warm['real_time']:.1f} ms "
           f"({grid['real_time'] / warm['real_time']:.2f}x vs in-memory compile)")

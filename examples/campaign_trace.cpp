@@ -4,9 +4,9 @@
 // enabled and writes:
 //   1. campaign_trace.json — a Chrome trace_event document. Open it at
 //      https://ui.perfetto.dev (or chrome://tracing): one track per worker,
-//      one "campaign.job" span per grid point with its coordinates in the
-//      args, "campaign.job_wait" showing queue time, and sampled
-//      "platform.step" / "harvest.mpp_solve" spans inside each job.
+//      one "campaign.block" span per lane block with its scenario, seed and
+//      lane count in the args, "campaign.job_wait" showing queue time, and
+//      sampled "platform.step" / "harvest.mpp_solve" spans inside each block.
 //   2. campaign_metrics.csv — every job's metrics snapshot merged in grid
 //      order plus campaign-level counters, via Campaign::metrics().
 //

@@ -72,13 +72,11 @@ Campaign::Campaign(CampaignSpec spec) : spec_(std::move(spec)) {
   for (const auto& p : spec_.platforms)
     require_spec(static_cast<bool>(p.make),
                  "Campaign platform variant '" + p.name + "' has no factory");
-  if (spec_.compile_traces) {
-    if (spec_.shared_trace_cache) {
-      trace_cache_ = spec_.shared_trace_cache;
-    } else if (!spec_.trace_cache_dir.empty()) {
-      trace_cache_ = std::make_shared<env::TraceCache>(
-          spec_.trace_cache_dir, spec_.trace_cache_max_bytes);
-    }
+  if (spec_.shared_trace_cache) {
+    trace_cache_ = spec_.shared_trace_cache;
+  } else if (!spec_.trace_cache_dir.empty()) {
+    trace_cache_ = std::make_shared<env::TraceCache>(
+        spec_.trace_cache_dir, spec_.trace_cache_max_bytes);
   }
   for (const auto& s : spec_.scenarios) {
     require_spec(static_cast<bool>(s.environment),
@@ -137,42 +135,6 @@ std::shared_ptr<const env::CompiledTrace> Campaign::compiled_trace(
   return slot.trace;
 }
 
-void Campaign::run_job(JobResult& job) {
-  const auto& variant = spec_.platforms[job.platform_index];
-  const auto& scenario = spec_.scenarios[job.scenario_index];
-
-  // Coarse span, one per job: always recorded while tracing is on. The
-  // args identify the grid point so a Perfetto timeline reads directly as
-  // the schedule. Wall-clock only — never feeds any result byte.
-  obs::Span job_span{"campaign.job", "campaign",
-                     "\"platform\": \"" + variant.name + "\", \"scenario\": \"" +
-                         scenario.name +
-                         "\", \"seed\": " + std::to_string(job.seed)};
-
-  auto platform = variant.make(job.seed);
-  require_spec(platform != nullptr,
-               "Campaign platform factory '" + variant.name + "' returned null");
-  std::unique_ptr<env::EnvironmentModel> environment;
-  if (spec_.compile_traces) {
-    environment = std::make_unique<env::CompiledEnvironment>(
-        compiled_trace(job.scenario_index, job.seed_index));
-  } else {
-    environment = scenario.environment(job.seed);
-    require_spec(environment != nullptr,
-                 "Campaign environment factory '" + scenario.name +
-                     "' returned null");
-  }
-
-  systems::RunOptions options = scenario.options;
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (scenario.injector) {
-    injector = scenario.injector(job.seed, *platform);
-    options.injector = injector.get();
-  }
-  job.result =
-      systems::run_platform(*platform, *environment, scenario.duration, options);
-}
-
 void Campaign::run_block(const LaneBlock& block,
                          std::vector<std::string>& errors) {
   const auto& scenario = spec_.scenarios[block.scenario_index];
@@ -198,9 +160,7 @@ void Campaign::run_block(const LaneBlock& block,
   std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
   platforms.reserve(block.grid_indices.size());
   injectors.reserve(block.grid_indices.size());
-  systems::RunOptions block_options = scenario.options;
-  if (spec_.allow_reassociation) block_options.allow_reassociation = true;
-  systems::BatchRunner runner(trace, scenario.duration, block_options);
+  systems::BatchRunner runner(trace, scenario.duration, scenario.options);
   for (std::size_t i : block.grid_indices) {
     const auto& job = results_[i];
     const auto& variant = spec_.platforms[job.platform_index];
@@ -283,43 +243,30 @@ const std::vector<JobResult>& Campaign::run() {
         job.seed = spec_.seeds[k];
       }
 
-  if (spec_.compile_traces && !trace_slots_) {
+  if (!trace_slots_) {
     trace_slots_ = std::make_unique<TraceSlot[]>(spec_.scenarios.size() *
                                                  spec_.seeds.size());
   }
 
-  // The schedulable unit. Legacy mode (lane_width <= 1, or no compiled
-  // trace to share): one unit per job, in grid order. Batched mode: the
-  // platform-variant axis of each (scenario, seed) pair — every job that
-  // replays the same compiled trace — is chunked into LaneBlocks of up to
-  // lane_width lanes, each advanced in lockstep by one BatchRunner. The
-  // kernel's byte-identity contract is what makes the mode (and the width)
-  // a pure scheduling decision: results land in the same grid slots with
-  // the same bytes either way.
-  const bool batched = spec_.compile_traces && spec_.lane_width > 1;
+  // The schedulable unit: the platform-variant axis of each (scenario,
+  // seed) pair — every job that replays the same compiled trace — is
+  // chunked into LaneBlocks of up to lane_width lanes, each advanced in
+  // lockstep by one BatchRunner. The kernel's byte-identity contract is
+  // what makes the width a pure scheduling decision: results land in the
+  // same grid slots with the same bytes at any width.
+  const std::size_t width = std::max(spec_.lane_width, 1u);
   std::vector<LaneBlock> units;
-  if (batched) {
-    const std::size_t width = spec_.lane_width;
-    for (std::size_t s = 0; s < spec_.scenarios.size(); ++s)
-      for (std::size_t k = 0; k < spec_.seeds.size(); ++k)
-        for (std::size_t p0 = 0; p0 < spec_.platforms.size(); p0 += width) {
-          LaneBlock block;
-          block.scenario_index = s;
-          block.seed_index = k;
-          const std::size_t end =
-              std::min(p0 + width, spec_.platforms.size());
-          for (std::size_t p = p0; p < end; ++p)
-            block.grid_indices.push_back(flat_index(p, s, k));
-          units.push_back(std::move(block));
-        }
-  } else {
-    units.resize(total);
-    for (std::size_t i = 0; i < total; ++i) {
-      units[i].scenario_index = results_[i].scenario_index;
-      units[i].seed_index = results_[i].seed_index;
-      units[i].grid_indices.push_back(i);
-    }
-  }
+  for (std::size_t s = 0; s < spec_.scenarios.size(); ++s)
+    for (std::size_t k = 0; k < spec_.seeds.size(); ++k)
+      for (std::size_t p0 = 0; p0 < spec_.platforms.size(); p0 += width) {
+        LaneBlock block;
+        block.scenario_index = s;
+        block.seed_index = k;
+        const std::size_t end = std::min(p0 + width, spec_.platforms.size());
+        for (std::size_t p = p0; p < end; ++p)
+          block.grid_indices.push_back(flat_index(p, s, k));
+        units.push_back(std::move(block));
+      }
 
   // Workers pop units through a fixed permutation. With longest_first the
   // permutation sorts by expected step count (duration / dt, the dominant
@@ -346,8 +293,8 @@ const std::vector<JobResult>& Campaign::run() {
   std::atomic<std::size_t> next{0};
   auto& collector = obs::TraceCollector::instance();
   const double pool_start_us = collector.enabled() ? collector.now_us() : 0.0;
-  const auto worker = [this, batched, &units, &next, &errors, &order,
-                       &collector, pool_start_us](unsigned worker_index) {
+  const auto worker = [this, &units, &next, &errors, &order, &collector,
+                       pool_start_us](unsigned worker_index) {
     if (collector.enabled())
       collector.set_thread_name("worker-" + std::to_string(worker_index));
     for (;;) {
@@ -368,18 +315,7 @@ const std::vector<JobResult>& Campaign::run() {
             ", \"lanes\": " + std::to_string(unit.grid_indices.size());
         collector.record(std::move(wait));
       }
-      if (batched) {
-        run_block(unit, errors);
-      } else {
-        const std::size_t i = unit.grid_indices.front();
-        try {
-          run_job(results_[i]);
-        } catch (const std::exception& e) {
-          errors[i] = e.what();
-        } catch (...) {
-          errors[i] = "unknown error";
-        }
-      }
+      run_block(unit, errors);
     }
   };
 
@@ -449,9 +385,9 @@ obs::MetricsSnapshot Campaign::metrics() const {
     worst_excess =
         std::max(worst_excess, w.second_half_loss_j - w.first_half_loss_j);
   campaign_level.gauge("campaign.leak_excess_max_j").set(worst_excess);
-  // SoA kernel residency (batched blocks only; all zero in legacy mode).
-  // Run-variant like the trace-cache rows below — lane width and thread
-  // count change them — which is why they live here and not in any result.
+  // SoA kernel residency. Run-variant like the trace-cache rows below —
+  // lane width and thread count change them — which is why they live here
+  // and not in any result.
   const std::uint64_t soa_steps = soa_steps_.load(std::memory_order_relaxed);
   const std::uint64_t soa_lane_steps =
       soa_lane_steps_.load(std::memory_order_relaxed);

@@ -1,20 +1,20 @@
 // Parallel campaign engine for year-scale, multi-seed studies.
 //
 // A Campaign fans the full (platform-variant x scenario x seed) grid of
-// independent run_platform jobs across a std::thread pool. Every job builds
-// its OWN platform, environment, and (optional) fault injector through the
-// factories in the spec — no mutable state is shared between workers, which
-// is the entire thread-safety model: Platform, Harvester (and its MPP
-// cache), and the seeded RNG streams are all plain single-threaded state, so
-// isolation by construction beats locking on every hot-path access. The one
-// shared object is immutable: with compile_traces on, the (scenario, seed)
-// ambient timeline is compiled once into an env::CompiledTrace and every
-// platform variant's job replays it through its own CompiledEnvironment
-// cursor. Results land in a preallocated slot per grid point, so their order
-// is the deterministic grid order (platform-major, then scenario, then seed)
-// regardless of how the pool schedules the jobs — to_string(RunResult) of
-// every job is byte-identical whether the campaign ran on 1 thread or N,
-// with trace compilation on or off.
+// independent jobs across a std::thread pool. Every job builds its OWN
+// platform and (optional) fault injector through the factories in the spec
+// — no mutable state is shared between workers, which is the entire
+// thread-safety model: Platform, Harvester (and its MPP cache), and the
+// seeded RNG streams are all plain single-threaded state, so isolation by
+// construction beats locking on every hot-path access. The one shared object
+// is immutable: the (scenario, seed) ambient timeline is compiled once into
+// an env::CompiledTrace, and the jobs of every platform variant replay it in
+// lane blocks of a systems::BatchRunner. Results land in a preallocated slot
+// per grid point, so their order is the deterministic grid order
+// (platform-major, then scenario, then seed) regardless of how the pool
+// schedules the blocks — to_string(RunResult) of every job is byte-identical
+// to run_platform over the scenario's live environment, whether the campaign
+// ran on 1 thread or N, at any lane width.
 #pragma once
 
 #include <atomic>
@@ -103,13 +103,6 @@ struct CampaignSpec {
   /// Worker threads; 0 picks std::thread::hardware_concurrency(). The
   /// thread count never changes any result byte, only the wall clock.
   unsigned threads{0};
-  /// Compile each (scenario, seed) ambient timeline once into an immutable
-  /// structure-of-arrays env::CompiledTrace and replay it through a per-job
-  /// CompiledEnvironment cursor, instead of re-synthesizing the channel
-  /// stack in every job. Every platform variant on the same (scenario, seed)
-  /// shares one snapshot. Kill switch for determinism audits: results are
-  /// byte-identical either way.
-  bool compile_traces{true};
   /// Directory for the persistent env::TraceCache. Empty (the default)
   /// keeps today's in-memory-only behavior. Non-empty: each (scenario,
   /// seed) snapshot is probed on disk first — a valid entry is
@@ -117,8 +110,7 @@ struct CampaignSpec {
   /// written back for the next run. Results are byte-identical either way;
   /// the cache can only trade disk for compile time. Keyed by scenario
   /// *name* (plus seed/dt/duration/library version), so scenarios whose
-  /// generator recipe changes must change name or directory. Only consulted
-  /// when compile_traces is on.
+  /// generator recipe changes must change name or directory.
   std::string trace_cache_dir;
   /// Byte cap for trace_cache_dir (oldest entries evicted after each
   /// store); 0 means unbounded.
@@ -126,36 +118,23 @@ struct CampaignSpec {
   /// A caller-owned persistent trace cache shared across campaigns (the
   /// daemon's: one warm cache for every request). When set it wins over
   /// trace_cache_dir, and its hit/miss/eviction counters accumulate over
-  /// the cache's lifetime, not one campaign's. Only consulted when
-  /// compile_traces is on.
+  /// the cache's lifetime, not one campaign's.
   std::shared_ptr<env::TraceCache> shared_trace_cache;
   /// Pop jobs longest-expected-duration-first (expected steps =
   /// duration / dt) so a long scenario cannot strand the pool tail on one
   /// worker. Results stay in grid order; this flag never changes a byte.
   bool longest_first{true};
-  /// Lanes per batched work unit. Jobs that share a (scenario, seed)
-  /// compiled trace — i.e. the platform-variant axis — are grouped into
-  /// blocks of up to this many lanes and advanced in lockstep by
-  /// systems::BatchRunner: the ambient slot is decoded once per step for
-  /// the whole block and every component call dispatches through
-  /// pre-resolved concrete-type tags. 1 runs the exact legacy one-job-at-a-
-  /// time path; any width produces byte-identical results (the batched
-  /// kernel's contract), so this knob only trades scheduling granularity
-  /// for per-step cost. Requires compile_traces; with it off, the legacy
-  /// path is used regardless. The default honors the MSEHSIM_LANE_WIDTH
-  /// environment variable (CI runs the whole suite at widths 1 and 8 to
-  /// prove the byte contract under sanitizers); explicit assignment always
-  /// wins.
+  /// Lanes per work unit. Jobs that share a (scenario, seed) compiled trace
+  /// — i.e. the platform-variant axis — are grouped into blocks of up to
+  /// this many lanes and advanced in lockstep by systems::BatchRunner: the
+  /// ambient slot is decoded once per step for the whole block and every
+  /// component call dispatches through pre-resolved concrete-type tags. 1
+  /// (or 0) runs one-lane blocks; any width produces byte-identical results
+  /// (the kernel's contract), so this knob only trades scheduling
+  /// granularity for per-step cost. The default honors the
+  /// MSEHSIM_LANE_WIDTH environment variable (CI runs the whole suite at
+  /// widths 1, 2 and 8 under sanitizers); explicit assignment always wins.
   unsigned lane_width{default_lane_width()};
-  /// Escape hatch: let the batched SoA fast path use FMA contraction and
-  /// reassociated reductions in its strided step body (see
-  /// systems::RunOptions::allow_reassociation). Off by default — the
-  /// default path is byte-identical at every lane_width and thread count;
-  /// turning this on surrenders bit-exactness for extra vectorization
-  /// headroom, with the energy ledger's <1e-9 relative-residual gate still
-  /// bounding the drift. Also settable per scenario via Scenario::options;
-  /// this campaign-wide flag ORs into every block.
-  bool allow_reassociation{false};
 };
 
 /// One grid point's outcome, tagged with its coordinates.
@@ -235,11 +214,11 @@ class Campaign {
   [[nodiscard]] std::vector<FieldStats> seed_stats(std::size_t platform,
                                                    std::size_t scenario) const;
 
-  /// Ambient timelines actually compiled (0 with compile_traces off). Every
-  /// platform variant shares the same (scenario, seed) snapshot, so after a
-  /// full run this equals scenarios x seeds however many variants ran —
-  /// minus the slots served from the persistent cache, which count under
-  /// trace_cache_stats().hits instead.
+  /// Ambient timelines actually compiled. Every platform variant shares the
+  /// same (scenario, seed) snapshot, so after a full run this equals
+  /// scenarios x seeds however many variants ran — minus the slots served
+  /// from the persistent cache, which count under trace_cache_stats().hits
+  /// instead.
   [[nodiscard]] std::uint64_t trace_compiles() const {
     return trace_compiles_.load(std::memory_order_relaxed);
   }
@@ -247,8 +226,7 @@ class Campaign {
   /// Persistent-cache counters (all zero when trace_cache_dir is empty).
   [[nodiscard]] env::TraceCacheStats trace_cache_stats() const;
 
-  /// Batched lane blocks executed (0 when lane_width <= 1 or compile_traces
-  /// is off). With batching on, after a full run this is the grid's
+  /// Lane blocks executed. After a full run this is the grid's
   /// (scenario x seed) pairs times ceil(platforms / lane_width).
   [[nodiscard]] std::uint64_t lane_blocks() const {
     return lane_blocks_.load(std::memory_order_relaxed);
@@ -281,11 +259,10 @@ class Campaign {
   /// a captured compile failure for every job that needed the slot.
   [[nodiscard]] std::shared_ptr<const env::CompiledTrace> compiled_trace(
       std::size_t scenario_index, std::size_t seed_index);
-  void run_job(JobResult& job);
 
-  /// One schedulable work unit in batched mode: up to lane_width jobs that
-  /// share a (scenario, seed) compiled trace, identified by their flat
-  /// result indices.
+  /// The schedulable work unit: up to lane_width jobs that share a
+  /// (scenario, seed) compiled trace, identified by their flat result
+  /// indices.
   struct LaneBlock {
     std::size_t scenario_index{0};
     std::size_t seed_index{0};

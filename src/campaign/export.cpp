@@ -129,13 +129,15 @@ std::string results_json(const Campaign& campaign) {
     if (k) out += ", ";
     out += num(static_cast<double>(spec.seeds[k]));
   }
-  // Timelines materialized, regardless of provenance: live compiles plus
-  // persistent-cache hits. Counting hits in keeps this document
-  // byte-identical between a cold run (all compiles) and a warm one (all
-  // hits) — the export byte-identity contract must not see cache state.
-  out += "],\n  \"trace_compiles\": " +
-         num(static_cast<double>(campaign.trace_compiles() +
-                                 campaign.trace_cache_stats().hits));
+  // Timelines this campaign materialized, regardless of provenance: one per
+  // (scenario, seed) slot whenever any platform replays them, whether
+  // compiled or loaded from the persistent cache. A function of the spec
+  // alone, so the document is byte-identical between a cold run and a warm
+  // one, and does not depend on earlier campaigns sharing the cache — the
+  // export byte-identity contract must not see cache state.
+  const std::size_t slots =
+      spec.platforms.empty() ? 0 : spec.scenarios.size() * spec.seeds.size();
+  out += "],\n  \"trace_compiles\": " + num(static_cast<double>(slots));
   out += ",\n  \"jobs\": [";
   bool first_job = true;
   for (const auto& job : campaign.results()) {

@@ -25,10 +25,10 @@ namespace msehsim::campaign {
 [[nodiscard]] std::string seed_stats_csv(const Campaign& campaign);
 
 /// The whole campaign as one JSON document: platform/scenario/seed axes by
-/// name, the count of materialized timelines (live compiles plus persistent
-/// trace-cache hits, so the document is byte-identical across cache
-/// states), every job's fields plus its per-source ledger rows, and the
-/// per-cell seed statistics.
+/// name, the count of (scenario, seed) timelines the campaign materialized
+/// (compiled or cache-loaded alike, so the document is byte-identical across
+/// cache states), every job's fields plus its per-source ledger rows, and
+/// the per-cell seed statistics.
 [[nodiscard]] std::string results_json(const Campaign& campaign);
 
 /// Campaign::metrics() as two-column `metric,value` CSV — every job's

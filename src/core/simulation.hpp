@@ -70,8 +70,8 @@ class Simulation {
   // The batched lane kernel drives many platforms in lockstep with its own
   // inner loop, but each lane keeps a Simulation purely as its event engine
   // so periodic management ticks and one-shot fault injections fire with
-  // exactly the semantics of run_platform. The kernel syncs the clock,
-  // dispatches whatever is due, and does the per-step work itself.
+  // exactly the semantics of step(). The kernel syncs the clock, dispatches
+  // whatever is due, and does the per-step work itself.
 
   /// Fires every periodic and one-shot event due within [now(), now() + dt)
   /// — the dispatch half of step(), without the per-step callbacks and

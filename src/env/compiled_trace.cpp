@@ -37,7 +37,7 @@ CompiledTrace::CompiledTrace(EnvironmentModel& source, Seconds dt,
   const auto reserve =
       static_cast<std::size_t>(duration.value() / dt.value()) + 1;
   for (auto& v : owned_) v.reserve(reserve);
-  // Exactly core::Simulation's stepping scheme (run_platform starts at
+  // Exactly systems::BatchRunner::run's stepping scheme (starting at
   // now = 0): repeated accumulation, half-step end tolerance. Any deviation
   // here would desynchronize playback from a live run.
   for (Seconds now{0.0}; now + dt * 0.5 < duration; now += dt) {

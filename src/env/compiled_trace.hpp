@@ -8,7 +8,7 @@
 // the EnHANTs-style answer — an immutable, structure-of-arrays snapshot of
 // the full timeline, compiled once per (scenario, env-seed, dt, duration)
 // and shared read-only across every platform variant's job, with a
-// per-job CompiledEnvironment cursor for playback that is O(1) per step
+// per-block CompiledEnvironment cursor for playback that is O(1) per step
 // and dispatches through zero virtual channels.
 //
 // A trace owns its channel arrays when freshly compiled, or views them
@@ -17,8 +17,8 @@
 // way, because both paths hold the exact doubles the source produced.
 //
 // Determinism contract: compilation replays exactly the stepping scheme of
-// systems::run_platform (now accumulated from zero by repeated += dt, one
-// advance(now, dt) per step), and playback returns the stored doubles
+// systems::BatchRunner::run (now accumulated from zero by repeated += dt,
+// one advance(now, dt) per step), and playback returns the stored doubles
 // verbatim, so a run over a CompiledEnvironment is byte-identical to a run
 // over the freshly synthesized source environment.
 #pragma once
@@ -109,9 +109,9 @@ class CompiledTrace {
   std::size_t mapped_bytes_{0};
 };
 
-/// Lightweight playback cursor over a shared CompiledTrace. Each campaign
-/// job owns its own cursor, so read-only sharing of the snapshot keeps the
-/// isolation-by-construction model intact. Playback wraps modulo the
+/// Lightweight playback cursor over a shared CompiledTrace. Each
+/// systems::BatchRunner owns its own cursor, so read-only sharing of the
+/// snapshot keeps the isolation-by-construction model intact. Playback wraps modulo the
 /// compiled duration (like TraceEnvironment), so a trace compiled for one
 /// loop can also drive longer exploratory runs.
 class CompiledEnvironment final : public EnvironmentModel {

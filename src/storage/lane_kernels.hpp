@@ -28,9 +28,7 @@
 #include "core/solve.hpp"
 
 // The kernels must collapse into their callers: the strided SoA loops need
-// the bodies inlined to auto-vectorize, and forcing inlining keeps any
-// out-of-line copy (with TU-specific FP flags — see soa_reassoc.cpp) from
-// being chosen across translation units by the linker.
+// the bodies inlined to auto-vectorize.
 #if !defined(MSEHSIM_ALWAYS_INLINE)
 #if defined(__GNUC__) || defined(__clang__)
 #define MSEHSIM_ALWAYS_INLINE inline __attribute__((always_inline))

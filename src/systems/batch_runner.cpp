@@ -1,7 +1,6 @@
 #include "systems/batch_runner.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/error.hpp"
 #include "core/random.hpp"
@@ -29,6 +28,14 @@ struct LaneState {
   std::vector<std::uint8_t> queries;    ///< lane delivers query traffic
 };
 
+RunOptions block_options(RunOptions options) {
+  require_spec(options.recorder == nullptr,
+               "BatchRunner: pass per-lane recorders to add_lane, not options");
+  require_spec(options.injector == nullptr,
+               "BatchRunner: pass per-lane injectors to add_lane, not options");
+  return options;
+}
+
 }  // namespace
 
 /// Cold per-lane block: the event engine and everything touched only at
@@ -49,16 +56,22 @@ struct BatchRunner::Lane {
       : sim(dt), query_rng(query_seed, stream_key("queries")) {}
 };
 
+BatchRunner::BatchRunner(env::EnvironmentModel& environment, Seconds duration,
+                         RunOptions options)
+    : environment_(&environment),
+      duration_(duration),
+      options_(block_options(options)) {}
+
 BatchRunner::BatchRunner(std::shared_ptr<const env::CompiledTrace> trace,
                          Seconds duration, RunOptions options)
-    : trace_(std::move(trace)), duration_(duration), options_(options) {
-  require_spec(trace_ != nullptr, "BatchRunner: null trace");
-  require_spec(options_.dt.value() == trace_->dt().value(),
+    : owned_environment_(
+          std::make_unique<env::CompiledEnvironment>(std::move(trace))),
+      environment_(owned_environment_.get()),
+      duration_(duration),
+      options_(block_options(options)) {
+  require_spec(options_.dt.value() ==
+                   owned_environment_->trace().dt().value(),
                "BatchRunner: options.dt does not match the compiled dt");
-  require_spec(options_.recorder == nullptr,
-               "BatchRunner: a TraceRecorder cannot be shared across lanes");
-  require_spec(options_.injector == nullptr,
-               "BatchRunner: pass per-lane injectors to add_lane, not options");
 }
 
 BatchRunner::~BatchRunner() { detach_pv_shares(); }
@@ -84,7 +97,8 @@ void BatchRunner::detach_pv_shares() {
 }
 
 std::size_t BatchRunner::add_lane(Platform& platform,
-                                  fault::FaultInjector* injector) {
+                                  fault::FaultInjector* injector,
+                                  TraceRecorder* recorder) {
   require_spec(!ran_, "BatchRunner::add_lane after run()");
   auto lane = std::make_unique<Lane>(options_.dt, options_.query_seed);
   lane->platform = &platform;
@@ -93,10 +107,10 @@ std::size_t BatchRunner::add_lane(Platform& platform,
   lane->deliver_queries = options_.mean_query_interval.value() > 0.0 &&
                           platform.node() != nullptr;
 
-  // Event registrations in run_platform's exact order, so periodics fire in
-  // the same sequence within a dispatch and one-shots get the same FIFO
-  // sequence numbers (the same-time tiebreak): management periodic, mid-run
-  // probe, then the injector's schedule.
+  // Event registrations in one fixed order, so periodics fire in the same
+  // sequence within a dispatch and one-shots get the same FIFO sequence
+  // numbers (the same-time tiebreak) in every lane: management periodic,
+  // mid-run probe, the injector's schedule, the recorder, then the timeline.
   Platform* p = &platform;
   lane->sim.every(options_.management_period,
                   [p](Seconds now) { p->management_tick(now); });
@@ -108,12 +122,21 @@ std::size_t BatchRunner::add_lane(Platform& platform,
     probe->sampled = true;
   });
   if (injector != nullptr) injector->arm(lane->sim);
-  // Run-health timeline: registered LAST, exactly as in run_platform, so
-  // the sample reads the platform after every other callback of the same
-  // dispatch. every() consumes no one-shot sequence number, so injector
-  // events keep their FIFO tiebreaks. A lane with a due sample leaves the
-  // SoA fast path for that step (begin_step's event-due test) — a perf
-  // effect only, since the scalar and strided bodies are byte-identical.
+  if (recorder != nullptr) {
+    recorder->reserve_for(duration_);
+    lane->sim.every(recorder->period, [p, recorder](Seconds now) {
+      recorder->soc.push(now, p->ambient_soc());
+      recorder->input_power.push(now, p->last_input_power().value());
+      recorder->bus_voltage.push(now, p->bus_voltage().value());
+      recorder->stored.push(now, p->total_stored().value());
+    });
+  }
+  // Run-health timeline: registered LAST, so the sample reads the platform
+  // after every other callback of the same dispatch. every() consumes no
+  // one-shot sequence number, so injector events keep their FIFO
+  // tiebreaks. A lane with a due sample leaves the SoA fast path for that
+  // step (begin_step's event-due test) — a perf effect only, since the
+  // scalar and strided bodies are byte-identical.
   if (options_.timeline_dt.value() > 0.0) {
     lane->sampler.init(platform, options_.timeline_dt, duration_);
     detail::TimelineSampler* sampler = &lane->sampler;
@@ -155,8 +178,7 @@ std::vector<RunResult> BatchRunner::run() {
   const Seconds dt = options_.dt;
   const bool timeline_on = options_.timeline_dt.value() > 0.0;
   const bool query_traffic = options_.mean_query_interval.value() > 0.0;
-  // Poisson arrivals discretized per step — the same constant run_platform
-  // recomputes in its query callback.
+  // Poisson arrivals discretized per step.
   const double p_arrival =
       query_traffic
           ? std::min(1.0, dt.value() / options_.mean_query_interval.value())
@@ -189,21 +211,16 @@ std::vector<RunResult> BatchRunner::run() {
   for (std::size_t l = 0; l < n; ++l)
     if (in_soa[l] != 0) p_in_col[l] = soa.input_power_ptr(l);
 
-  const env::CompiledTrace& trace = *trace_;
-  const std::size_t slot_count = trace.step_count();
-
   // The clock is advanced exactly as core::Simulation advances it — the
   // k-fold accumulated sum of dt from zero — and mirrored into each lane's
-  // event engine before any dispatch, so event timing is bit-equal to the
-  // scalar path's.
+  // event engine before any dispatch, so events fire on the step
+  // core::Simulation::step would fire them on.
   Seconds now{0.0};
   std::uint64_t steps = 0;
   while (now + dt * 0.5 < duration_) {
-    // Decode the shared ambient slot once per step for the whole batch
-    // (CompiledEnvironment::advance's index computation, verbatim).
-    const auto raw_idx =
-        static_cast<std::size_t>(std::llround(now.value() / dt.value()));
-    const env::AmbientConditions conditions = trace.at(raw_idx % slot_count);
+    // One environment step for the whole batch. These (now, dt) pairs are
+    // the anchor env::CompiledTrace compiles against.
+    const env::AmbientConditions conditions = environment_->advance(now, dt);
     const Seconds horizon = now + dt;
 
     // Timeline residency column: lanes with any event due this step capture
@@ -286,17 +303,6 @@ std::vector<RunResult> BatchRunner::run() {
         lane->input_stats, lane->probe, std::move(lane->sampler.timeline)));
   }
   return out;
-}
-
-std::vector<RunResult> run_batch(const std::vector<BatchLane>& lanes,
-                                 std::shared_ptr<const env::CompiledTrace> trace,
-                                 Seconds duration, const RunOptions& options) {
-  BatchRunner runner(std::move(trace), duration, options);
-  for (const auto& lane : lanes) {
-    require_spec(lane.platform != nullptr, "run_batch: null platform");
-    runner.add_lane(*lane.platform, lane.injector);
-  }
-  return runner.run();
 }
 
 }  // namespace msehsim::systems

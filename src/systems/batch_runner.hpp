@@ -1,39 +1,39 @@
-// Batched multi-lane simulation kernel.
+// The step engine: every simulated run, one platform or many.
 //
-// run_platform advances one (platform, seed) run at a time; every fleet-,
-// daemon-, and population-scale workload on the ROADMAP wants many. A
-// BatchRunner advances N lanes — the same scenario's shared
-// env::CompiledTrace, different platform configs and/or fault seeds — in
-// lockstep with one inner loop: the ambient slot is decoded once per step
-// and fed to every lane, and each lane's component calls dispatch through
-// per-lane concrete-type tags resolved once up front, so the hot loop runs
+// A BatchRunner advances N lanes — platforms (and optional per-lane fault
+// injectors) sharing one ambient timeline — in lockstep with one inner
+// loop: the environment is advanced once per step and its conditions fed to
+// every lane, and each lane's component calls dispatch through per-lane
+// concrete-type tags resolved once up front, so the hot loop runs
 // devirtualized, dynamic_cast-free code instead of N independent virtual
-// step() stacks.
+// step() stacks. run_platform is a one-lane BatchRunner over a live
+// environment; campaign::Campaign runs blocks of lanes over a shared
+// env::CompiledTrace.
 //
-// Byte-identity contract (the ROADMAP's correctness gate): a lane's
-// RunResult is byte-identical to run_platform on the same platform /
-// injector / options over the same trace. The kernel guarantees this by
-// construction rather than by re-derivation:
+// Byte-identity contract: a lane's RunResult does not depend on which other
+// lanes share its block, the block width, or the campaign's thread count,
+// and a run over a CompiledTrace equals the run over the environment it was
+// compiled from. The kernel guarantees this by construction:
 //
 //  - Platform::step_with and power::InputChain::step_typed are the SAME
-//    single-source bodies run_platform executes — only the dispatch
+//    single-source bodies Platform::step executes — only the dispatch
 //    mechanics (virtual vs direct) differ per instantiation, never the
 //    statement sequence, iteration order, or any floating-point operation.
 //  - Each lane keeps its own core::Simulation purely as an event engine, so
-//    management periodics and one-shot fault injections fire with exactly
-//    run_platform's semantics (same dispatch window, same FIFO sequence
-//    tiebreak — the mid-run probe and injector registrations happen in the
-//    same order as in run_platform). On steps where nothing is due —
-//    the common case — the kernel skips dispatch entirely, which is legal
-//    because "due" is a pure function of the event queue and the clock.
+//    management periodics, recorder samples and one-shot fault injections
+//    fire with core::Simulation's semantics (same dispatch window, same FIFO
+//    sequence tiebreak, registrations in one fixed order — see add_lane).
+//    On steps where nothing is due — the common case — the kernel skips
+//    dispatch entirely, which is legal because "due" is a pure function of
+//    the event queue and the clock.
 //  - Divergent per-lane behaviour (fault onsets, BackupChain switches, load
 //    shed) lives inside the components a lane already owns; a lane whose
 //    component has no concrete tag (an unanticipated subclass) simply takes
 //    the generic slow path for that component while the rest of the batch
 //    stays on the fast path.
-//  - Results are assembled by systems::detail::assemble_run_result — the
-//    same code run_platform ends with — so exports, the energy ledger,
-//    metrics, and the survivability report cannot drift.
+//  - Results are assembled by systems::detail::assemble_run_result, so
+//    exports, the energy ledger, metrics, and the survivability report
+//    cannot drift between lanes.
 //  - Twin PV panels share their curve solves: add_lane attaches one
 //    harvest::PvCurveShare per distinct PvPanel::Params to every panel of
 //    the block with those Params (a FaultyHarvester's inner panel too). The
@@ -46,19 +46,16 @@
 // and chain inner loops as width-strided SoA kernels over per-group
 // contiguous columns, exiting to the scalar body around events and
 // re-entering after — the same single-source per-element kernels either
-// way, so the contract holds at every lane width and thread count. By
-// default no reduction is reassociated: every accumulator is advanced
-// lane-locally in the same order as the scalar path, so there is nothing
-// for the ledger residual to gate beyond its usual <1e-9 bound.
-// RunOptions::allow_reassociation trades that bit-exactness for FMA and
-// reordered reductions in the strided loops, still under the ledger gate.
+// way, so the contract holds at every lane width and thread count. No
+// reduction is reassociated: every accumulator is advanced lane-locally in
+// the same order as the scalar body.
 //
 // Constraints: options.recorder and options.injector must be null (per-lane
-// injectors are passed to add_lane), options.dt must equal the trace's
-// compiled dt, and lanes must not hot-swap components mid-run (fault events
-// mutate components in place; campaign jobs never swap). Injectors must be
-// fully built before run() — fault::Schedule wraps harvesters at build
-// time, which is what makes the per-lane type tags stable.
+// injectors and recorders are passed to add_lane), a CompiledTrace's dt must
+// equal options.dt, and lanes must not hot-swap components mid-run (fault
+// events mutate components in place). Injectors must be fully built before
+// add_lane — fault::Schedule wraps harvesters at build time, which is what
+// makes the per-lane type tags stable.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +65,7 @@
 
 #include "core/units.hpp"
 #include "env/compiled_trace.hpp"
+#include "env/environment.hpp"
 #include "fault/injector.hpp"
 #include "harvest/transducers.hpp"
 #include "systems/platform.hpp"
@@ -78,8 +76,13 @@ namespace msehsim::systems {
 
 class BatchRunner {
  public:
-  /// @p trace the shared ambient timeline every lane replays; @p duration
-  /// and @p options exactly as they would be passed to run_platform.
+  /// @p environment is advanced once per step (now accumulated from zero by
+  /// repeated += dt) and must outlive run(); @p duration and @p options as
+  /// for run_platform.
+  BatchRunner(env::EnvironmentModel& environment, Seconds duration,
+              RunOptions options);
+  /// Replays @p trace, the shared ambient timeline, through an owned
+  /// env::CompiledEnvironment cursor.
   BatchRunner(std::shared_ptr<const env::CompiledTrace> trace,
               Seconds duration, RunOptions options);
   ~BatchRunner();
@@ -89,12 +92,14 @@ class BatchRunner {
 
   /// Adds a lane. @p platform must outlive run() (or the runner, if run()
   /// is never called: the destructor detaches the curve shares add_lane
-  /// attached to its PV panels); @p injector (optional)
-  /// must already be fully built against this platform and is armed on the
-  /// lane's event engine exactly as run_platform would arm it. Returns the
-  /// lane index (result slot in run()'s return).
+  /// attached to its PV panels); @p injector (optional) must already be
+  /// fully built against this platform and is armed on the lane's event
+  /// engine; @p recorder (optional) samples the lane every recorder->period
+  /// and must outlive run(). Returns the lane index (result slot in run()'s
+  /// return).
   std::size_t add_lane(Platform& platform,
-                       fault::FaultInjector* injector = nullptr);
+                       fault::FaultInjector* injector = nullptr,
+                       TraceRecorder* recorder = nullptr);
 
   [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
 
@@ -122,7 +127,9 @@ class BatchRunner {
   void share_pv_curve(harvest::Harvester& h);
   void detach_pv_shares();
 
-  std::shared_ptr<const env::CompiledTrace> trace_;
+  /// Set by the trace constructor; environment_ then points at it.
+  std::unique_ptr<env::CompiledEnvironment> owned_environment_;
+  env::EnvironmentModel* environment_;
   Seconds duration_;
   RunOptions options_;
   std::vector<std::unique_ptr<Lane>> lanes_;
@@ -135,17 +142,5 @@ class BatchRunner {
       pv_shares_;
   std::vector<harvest::PvPanel*> shared_panels_;
 };
-
-/// One lane's inputs for the convenience wrapper below.
-struct BatchLane {
-  Platform* platform{nullptr};
-  fault::FaultInjector* injector{nullptr};  ///< optional, pre-built
-};
-
-/// Builds a BatchRunner over @p lanes and runs it: batched drop-in for a
-/// loop of run_platform calls over one shared trace.
-std::vector<RunResult> run_batch(const std::vector<BatchLane>& lanes,
-                                 std::shared_ptr<const env::CompiledTrace> trace,
-                                 Seconds duration, const RunOptions& options);
 
 }  // namespace msehsim::systems

@@ -3,9 +3,9 @@
 #include <algorithm>
 
 #include "core/fmt.hpp"
-#include "core/random.hpp"
 #include "fault/faulty_harvester.hpp"
 #include "obs/trace.hpp"
+#include "systems/batch_runner.hpp"
 
 namespace msehsim::systems {
 
@@ -275,70 +275,12 @@ void TraceRecorder::reserve_for(Seconds duration) {
 RunResult run_platform(Platform& platform, env::EnvironmentModel& environment,
                        Seconds duration, const RunOptions& options) {
   OBS_SPAN("run_platform", "systems");
-  Simulation sim(options.dt);
-  const Joules initial_stored = platform.total_stored();
-
-  RunningStats input_stats;
-  // The (now, dt) pairs handed to the environment here are the anchor for
-  // env::CompiledTrace: now is always the k-fold accumulated sum of dt
-  // starting from zero, one advance() per step, before the platform steps.
-  // A compiled snapshot replays this sequence slot for slot, so any change
-  // to the stepping scheme must be mirrored in CompiledTrace's compile loop
-  // or compiled campaigns lose byte-identity with live synthesis.
-  sim.on_step([&](Seconds now, Seconds dt) {
-    const auto conditions = environment.advance(now, dt);
-    platform.step(conditions, now, dt);
-    input_stats.add(platform.last_input_power().value(), dt);
-  });
-  sim.every(options.management_period,
-            [&](Seconds now) { platform.management_tick(now); });
-  Pcg32 query_rng(options.query_seed, stream_key("queries"));
-  if (options.mean_query_interval.value() > 0.0 && platform.node() != nullptr) {
-    sim.on_step([&](Seconds, Seconds dt) {
-      // Poisson arrivals discretized per step.
-      const double p_arrival =
-          std::min(1.0, dt.value() / options.mean_query_interval.value());
-      if (query_rng.bernoulli(p_arrival))
-        platform.node()->deliver_query(platform.rail_voltage());
-    });
-  }
-  // Mid-run storage snapshot for the superlinear-leak probe. Registered
-  // right before the injector arms so every injector one-shot keeps a
-  // sequence number exactly one higher than before this probe existed —
-  // and, more importantly, the same number in the scalar and batched paths.
-  detail::MidRunProbe probe;
-  sim.at(Seconds{duration.value() * 0.5}, [&](Seconds) {
-    probe.charged_j = platform.storage_charged_energy().value();
-    probe.discharged_j = platform.storage_discharged_energy().value();
-    probe.stored_j = platform.total_stored().value();
-    probe.sampled = true;
-  });
-  if (options.injector != nullptr) options.injector->arm(sim);
-  if (options.recorder != nullptr) {
-    auto* rec = options.recorder;
-    rec->reserve_for(duration);
-    sim.every(rec->period, [&platform, rec](Seconds now) {
-      rec->soc.push(now, platform.ambient_soc());
-      rec->input_power.push(now, platform.last_input_power().value());
-      rec->bus_voltage.push(now, platform.bus_voltage().value());
-      rec->stored.push(now, platform.total_stored().value());
-    });
-  }
-  // Run-health timeline: registered LAST, after every other periodic, so a
-  // sample reads the platform with the same dispatch ordering the batched
-  // kernel reproduces in BatchRunner::add_lane.
-  detail::TimelineSampler sampler;
-  if (options.timeline_dt.value() > 0.0) {
-    sampler.init(platform, options.timeline_dt, duration);
-    sim.every(options.timeline_dt,
-              [&sampler](Seconds now) { sampler.sample(now); });
-  }
-
-  sim.run_for(duration);
-
-  return detail::assemble_run_result(platform, duration, options,
-                                     initial_stored, input_stats, probe,
-                                     std::move(sampler.timeline));
+  RunOptions shared = options;  // the injector and recorder are per lane
+  shared.injector = nullptr;
+  shared.recorder = nullptr;
+  BatchRunner runner(environment, duration, shared);
+  runner.add_lane(platform, options.injector, options.recorder);
+  return std::move(runner.run().front());
 }
 
 void detail::TimelineSampler::init(Platform& p, Seconds cadence,

@@ -1,8 +1,8 @@
 // Convenience harness: drive one Platform in one Environment.
 //
-// Wires the environment, platform power flow, and management ticks into a
-// core::Simulation and runs it, returning the summary numbers every bench
-// and example reports.
+// run_platform is a one-lane systems::BatchRunner (batch_runner.hpp), the
+// project's only step engine; this header holds the run's options and the
+// summary numbers every bench and example reports.
 #pragma once
 
 #include <array>
@@ -166,7 +166,7 @@ struct TraceRecorder {
 
   /// Pre-reserves every series for a run of @p duration (one sample per
   /// period), avoiding growth reallocations during year-scale traces.
-  /// run_platform calls this automatically.
+  /// BatchRunner::add_lane calls this automatically.
   void reserve_for(Seconds duration);
 };
 
@@ -183,13 +183,6 @@ struct RunOptions {
   /// its counters land in RunResult::faults. Must outlive the run. A given
   /// injector can be armed only once (one injector per run).
   fault::FaultInjector* injector{nullptr};
-  /// Batched lanes only (systems::BatchRunner): permit the SoA fast path to
-  /// use FMA contraction and reassociated reductions in its strided step
-  /// body. Off by default — the default path is byte-identical to the
-  /// scalar runner at every lane width; turning this on surrenders
-  /// bit-exactness for extra vectorization headroom, bounded by the energy
-  /// ledger's <1e-9 relative-residual gate. Ignored by run_platform.
-  bool allow_reassociation{false};
   /// When positive, a fixed-cadence run-health timeline (SoC, stored energy,
   /// unserved energy, backup-chain stage, per-source harvested/delivered
   /// power) is sampled every timeline_dt of simulated time and attached as
@@ -207,9 +200,9 @@ RunResult run_platform(Platform& platform, env::EnvironmentModel& environment,
 namespace detail {
 
 /// Mid-run snapshot of the storage-boundary accumulators, taken by a
-/// one-shot event at duration/2 in both run_platform and the batched lane
-/// kernel (registered at the same point in both, so one-shot sequence
-/// numbers — the same-time FIFO tiebreak — stay identical). Feeds
+/// one-shot event at duration/2 (registered right before the injector arms,
+/// so one-shot sequence numbers — the same-time FIFO tiebreak — are the
+/// same in every lane). Feeds
 /// obs::EnergyLedger::storage_loss_first_half_j, the superlinear-leak
 /// detector's probe.
 struct MidRunProbe {
@@ -219,18 +212,17 @@ struct MidRunProbe {
   bool sampled{false};
 };
 
-/// Fixed-cadence run-health sampler shared by run_platform and the batched
-/// lane kernel. Registered as the LAST sim.every() periodic in both paths,
-/// so a sample reads the platform at the start of the step it falls in —
-/// after every management/recorder callback of the same dispatch, before
-/// the step itself — identically in the scalar and batched kernels.
-/// Strictly read-only over the platform: enabling it cannot change results.
+/// Fixed-cadence run-health sampler of one lane. Registered as the LAST
+/// sim.every() periodic, so a sample reads the platform at the start of the
+/// step it falls in — after every management/recorder callback of the same
+/// dispatch, before the step itself. Strictly read-only over the platform:
+/// enabling it cannot change results.
 struct TimelineSampler {
   std::shared_ptr<obs::Timeline> timeline;
   Platform* platform{nullptr};
-  /// SoA residency of this sampler's lane at the sampled step (batched path
-  /// writes it just before dispatch; run_platform leaves it 0). The one
-  /// width-dependent column, excluded from cross-width comparisons.
+  /// SoA residency of this sampler's lane at the sampled step, written by
+  /// BatchRunner just before dispatch. The one width-dependent column,
+  /// excluded from cross-width comparisons.
   double soa_resident{0.0};
 
   /// Builds the column table for @p p (5 scalar columns + 2 per source)
@@ -249,10 +241,9 @@ struct TimelineSampler {
   std::vector<double> row_;
 };
 
-/// Summarizes a finished run into a RunResult — the shared tail of
-/// run_platform and systems::BatchRunner, so every lane's result is
-/// assembled by literally the same code (exports, ledger, metrics,
-/// survivability identical by construction).
+/// Summarizes a finished lane into a RunResult — the tail of
+/// systems::BatchRunner::run, so exports, ledger, metrics, and
+/// survivability are assembled by one piece of code.
 RunResult assemble_run_result(Platform& platform, Seconds duration,
                               const RunOptions& options, Joules initial_stored,
                               const RunningStats& input_stats,

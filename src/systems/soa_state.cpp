@@ -1,7 +1,6 @@
 // SoaBatch: eligibility, grouping, gather/scatter, and the residency
-// protocol (see soa_state.hpp). The strict-FP compilation of the strided
-// step body is included at the bottom of this TU; the reassociation-flagged
-// twin lives in soa_reassoc.cpp.
+// protocol (see soa_state.hpp). The strided step body is included at the
+// bottom of this TU.
 #include "systems/soa_state.hpp"
 
 #include <algorithm>
@@ -63,9 +62,7 @@ void append_chain_lane(ChainCol& cc, power::InputChain& chain,
 
 }  // namespace
 
-SoaBatch::SoaBatch(const RunOptions& options)
-    : dt_s_(options.dt.value()),
-      allow_reassociation_(options.allow_reassociation) {}
+SoaBatch::SoaBatch(const RunOptions& options) : dt_s_(options.dt.value()) {}
 
 bool SoaBatch::add_lane(std::size_t lane_id, Platform& platform,
                         const lanedispatch::LaneOps& ops) {
@@ -387,8 +384,6 @@ void SoaBatch::begin_step(const std::vector<double>& next_event_s,
 
 void SoaBatch::step_clean(const env::AmbientConditions& conditions, Seconds now,
                           Seconds dt) {
-  auto* fn = allow_reassociation_ ? &soa_step_range_reassoc_impl
-                                  : &soa_step_range_exact_impl;
   for (Group& g : groups_) {
     const std::size_t n = g.lane.size();
     std::size_t j = 0;
@@ -399,7 +394,7 @@ void SoaBatch::step_clean(const env::AmbientConditions& conditions, Seconds now,
       }
       std::size_t e = j + 1;
       while (e < n && g.resident[e] != 0) ++e;
-      fn(g, j, e, conditions, now, dt);
+      soa_step_range(g, j, e, conditions, now, dt);
       j = e;
     }
   }
@@ -465,8 +460,4 @@ void SoaBatch::scatter_all() {
 
 }  // namespace msehsim::systems::soa
 
-// Strict-FP compilation of the strided step body: this TU builds under the
-// project's default flags, so this instance is the byte-exact one.
-#define MSEHSIM_SOA_STEP_FN soa_step_range_exact_impl
 #include "systems/soa_step_body.inc"
-#undef MSEHSIM_SOA_STEP_FN

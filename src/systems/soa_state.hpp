@@ -35,18 +35,10 @@
 // capacitance is what lets the exp() decay factors hoist into per-lane
 // constants bit-equal to the objects' transparent ExpMemo results — or a
 // Battery. Fuel cells, switched reserves, and generic test doubles make the
-// whole lane take the legacy scalar path (System A and BackupChain platforms
-// do this today); everything else, including every harvester type and
-// fault-wrapped chains, stays eligible. Ineligible lanes lose nothing: they
-// run exactly the PR 7 path.
-//
-// Reassociation escape hatch: step_clean dispatches through a function
-// pointer to one of two compilations of the identical step body —
-// soa_state.cpp under the project's default (strict) FP flags, or
-// soa_reassoc.cpp under -ffp-contract=fast -fassociative-math. The default
-// is the strict one; RunOptions::allow_reassociation opts into the other,
-// surrendering byte-exactness for FMA/reordered reductions while the energy
-// ledger's <1e-9 relative-residual gate still bounds the drift.
+// whole lane take BatchRunner's per-lane scalar body (System A and
+// BackupChain platforms do this today); everything else, including every
+// harvester type and fault-wrapped chains, stays eligible. Ineligible lanes
+// lose nothing: the scalar body is the same devirtualized step.
 #pragma once
 
 #include <array>
@@ -185,17 +177,12 @@ MSEHSIM_ALWAYS_INLINE power::detail::CvtCoef cvt_coef_at(const ChainCol& c,
           c.max_in[j], c.drop[j],  c.cond_frac[j]};
 }
 
-// The step body over one contiguous resident range [b, e) of a group,
-// compiled twice from systems/soa_step_body.inc: once under the project's
-// strict FP flags (bit-exact transcription of the scalar step), once under
-// reassociation-friendly flags (see soa_reassoc.cpp). Same source, distinct
-// symbols, selected at runtime by SoaBatch::step_clean.
-void soa_step_range_exact_impl(Group& g, std::size_t b, std::size_t e,
-                               const env::AmbientConditions& conditions,
-                               Seconds now, Seconds dt);
-void soa_step_range_reassoc_impl(Group& g, std::size_t b, std::size_t e,
-                                 const env::AmbientConditions& conditions,
-                                 Seconds now, Seconds dt);
+// The step body over one contiguous resident range [b, e) of a group: a
+// bit-exact transcription of the scalar step (systems/soa_step_body.inc,
+// compiled into soa_state.cpp), called by SoaBatch::step_clean.
+void soa_step_range(Group& g, std::size_t b, std::size_t e,
+                    const env::AmbientConditions& conditions, Seconds now,
+                    Seconds dt);
 
 /// SoA kernel execution counters — how the fast path actually behaved over
 /// a run: quiet-step hit rate, resident-lane fraction, and why lanes left
@@ -282,7 +269,6 @@ class SoaBatch {
   void scatter(Group& g, std::size_t j);
 
   double dt_s_;
-  bool allow_reassociation_;
   bool finalized_{false};
   // Quiet-step invariants (see begin_step doc). min_valid_ false forces the
   // next begin_step to take the scanning path and re-establish them.

@@ -1,11 +1,13 @@
 // Batched lane kernel (systems::BatchRunner) correctness gate.
 //
 // The whole contract is byte-identity: a campaign run at any lane width and
-// any thread count must report exactly the bytes the legacy one-job-at-a-time
-// path reports. The grids below cover the divergence machinery the kernel
-// must mask per lane — fault-schedule onsets, backup-chain failovers, query
-// traffic — on the survey's reference platforms (Systems A and B), plus the
-// energy-ledger leak detector that rides on the campaign aggregation.
+// any thread count must report exactly the bytes the independent reference
+// harness (tests/reference_run.hpp: one Simulation per job, virtual
+// Platform::step, live environment synthesis) reports. The grids below
+// cover the divergence machinery the kernel must mask per lane —
+// fault-schedule onsets, backup-chain failovers, query traffic — on the
+// survey's reference platforms (Systems A and B), plus the energy-ledger
+// leak detector that rides on the campaign aggregation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -32,6 +34,7 @@
 #include "systems/catalog.hpp"
 #include "systems/platform.hpp"
 #include "systems/runner.hpp"
+#include "reference_run.hpp"
 
 namespace msehsim::campaign {
 namespace {
@@ -49,22 +52,22 @@ std::vector<std::string> reports(Campaign& c) {
   return out;
 }
 
+std::vector<std::string> reference_reports(const CampaignSpec& spec) {
+  return reference::live_grid_reports(spec, reference::reference_run);
+}
+
 /// Runs @p spec at every (lane_width, threads) combination and asserts each
-/// one reproduces the width-1 single-thread reference byte for byte.
+/// one reproduces the reference harness byte for byte.
 void expect_width_invariant(const CampaignSpec& base) {
-  auto at = [&](unsigned width, unsigned threads) {
-    CampaignSpec spec = base;
-    spec.lane_width = width;
-    spec.threads = threads;
-    Campaign c(spec);
-    return reports(c);
-  };
-  const auto reference = at(1, 1);
+  const auto reference = reference_reports(base);
   ASSERT_FALSE(reference.empty());
   for (const unsigned width : {1u, 2u, 8u})
     for (const unsigned threads : {1u, 3u}) {
-      if (width == 1 && threads == 1) continue;
-      EXPECT_EQ(reference, at(width, threads))
+      CampaignSpec spec = base;
+      spec.lane_width = width;
+      spec.threads = threads;
+      Campaign c(spec);
+      EXPECT_EQ(reference, reports(c))
           << "diverged at lane_width=" << width << " threads=" << threads;
     }
 }
@@ -85,7 +88,6 @@ CampaignSpec systems_grid() {
   sc.options.mean_query_interval = Seconds{120.0};
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {3, 17, 29};
-  spec.compile_traces = true;
   return spec;
 }
 
@@ -111,7 +113,6 @@ TEST(BatchRunner, ByteIdenticalUnderFaultSchedules) {
   };
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {5, 9, 13};
-  spec.compile_traces = true;
   expect_width_invariant(spec);
 }
 
@@ -149,7 +150,6 @@ CampaignSpec backup_chain_grid() {
   };
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {11, 23};
-  spec.compile_traces = true;
   return spec;
 }
 
@@ -168,33 +168,19 @@ TEST(BatchRunner, ByteIdenticalThroughBackupChainFailover) {
   expect_width_invariant(base);
 }
 
-TEST(BatchRunner, LaneWidthOneRunsTheLegacyPath) {
-  CampaignSpec spec = systems_grid();
+TEST(BatchRunner, LaneWidthOneRunsOneLaneBlocks) {
+  CampaignSpec spec = systems_grid();  // 2 platforms x 1 scenario x 3 seeds
   spec.lane_width = 1;
-  Campaign legacy(spec);
-  const auto legacy_reports = reports(legacy);
-  EXPECT_EQ(legacy.lane_blocks(), 0u)
-      << "lane_width=1 must route through the per-job runner";
+  Campaign single(spec);
+  const auto single_reports = reports(single);
+  EXPECT_EQ(single.lane_blocks(), 6u) << "one block per job at lane_width=1";
 
   spec.lane_width = 8;
   Campaign batched(spec);
   const auto batched_reports = reports(batched);
-  EXPECT_GT(batched.lane_blocks(), 0u);
-  EXPECT_EQ(legacy_reports, batched_reports);
-}
-
-TEST(BatchRunner, DisabledTraceCompilationFallsBackToLegacy) {
-  CampaignSpec spec = systems_grid();
-  spec.compile_traces = false;  // batching requires a shared compiled trace
-  spec.lane_width = 8;
-  Campaign c(spec);
-  const auto got = reports(c);
-  EXPECT_EQ(c.lane_blocks(), 0u);
-
-  CampaignSpec ref = systems_grid();
-  ref.lane_width = 1;
-  Campaign r(ref);
-  EXPECT_EQ(reports(r), got);
+  EXPECT_EQ(batched.lane_blocks(), 3u) << "one block per (scenario, seed)";
+  EXPECT_EQ(single_reports, batched_reports);
+  EXPECT_EQ(reference_reports(spec), batched_reports);
 }
 
 /// A probe platform whose supercapacitor leaks heavily: as harvest charges
@@ -243,8 +229,8 @@ std::unique_ptr<systems::Platform> steady_platform() {
 /// Drives BatchRunner directly (no campaign wrapper) so the test can see
 /// which lanes the SoA layer actually enrolled: System B (supercap + NiMH,
 /// both column-packable) must ride the fast path, System A (fuel-cell slot)
-/// must stay on the legacy scalar body — and both must reproduce
-/// run_platform byte for byte.
+/// must stay on the per-lane scalar body — and both must reproduce the
+/// reference harness byte for byte.
 TEST(SoaPath, EnrollsEligibleLanesAndMatchesTheScalarRunner) {
   const Seconds dt{5.0};
   const Seconds duration{1800.0};
@@ -268,10 +254,63 @@ TEST(SoaPath, EnrollsEligibleLanesAndMatchesTheScalarRunner) {
   auto scalar = [&](std::unique_ptr<systems::Platform> p) {
     env::CompiledEnvironment environment(trace);
     return to_string(
-        systems::run_platform(*p, environment, duration, options));
+        reference::reference_run(*p, environment, duration, options));
   };
   EXPECT_EQ(scalar(systems::build_system_a(7)), to_string(batched[0]));
   EXPECT_EQ(scalar(systems::build_system_b(7)), to_string(batched[1]));
+}
+
+/// run_platform is a one-lane BatchRunner over a live environment: with a
+/// recorder, a fault injector, query traffic and the timeline all on, its
+/// result, recorder series and timeline must equal the reference harness's
+/// — System A on the per-lane scalar body, System B on the SoA columns.
+TEST(RunPlatform, OneLaneRunMatchesTheReferenceHarness) {
+  const Seconds duration{7200.0};
+  systems::RunOptions options;
+  options.dt = Seconds{5.0};
+  options.mean_query_interval = Seconds{120.0};
+  options.timeline_dt = Seconds{300.0};
+  using Build = std::unique_ptr<systems::Platform> (*)(std::uint64_t);
+  for (const Build build : {Build{systems::build_system_a},
+                            Build{systems::build_system_b}}) {
+    const auto run = [&](auto runner, systems::TraceRecorder& rec) {
+      auto p = build(9);
+      auto environment = env::Environment::outdoor(9);
+      fault::FaultInjector inj(9);
+      inj.harvester_intermittent(Seconds{600.0}, p->input(0), 0.5);
+      inj.harvester_heal(Seconds{3000.0}, p->input(0));
+      inj.storage_leakage_spike(Seconds{1800.0}, p->store(0), 25.0,
+                                Seconds{1200.0});
+      systems::RunOptions o = options;
+      o.injector = &inj;
+      o.recorder = &rec;
+      return runner(*p, environment, duration, o);
+    };
+    systems::TraceRecorder got_rec(Seconds{60.0});
+    systems::TraceRecorder want_rec(Seconds{60.0});
+    const auto got = run(systems::run_platform, got_rec);
+    const auto want = run(reference::reference_run, want_rec);
+    EXPECT_EQ(to_string(got), to_string(want));
+    EXPECT_GE(got.faults.injected.harvester, 1u);
+    for (const auto& [g, w] : {std::pair{&got_rec.soc, &want_rec.soc},
+                               std::pair{&got_rec.input_power,
+                                         &want_rec.input_power},
+                               std::pair{&got_rec.bus_voltage,
+                                         &want_rec.bus_voltage},
+                               std::pair{&got_rec.stored, &want_rec.stored}}) {
+      EXPECT_EQ(g->times(), w->times()) << g->name();
+      EXPECT_EQ(g->values(), w->values()) << g->name();
+    }
+    EXPECT_EQ(got_rec.soc.values().size(), 120u);  // 7200 s / 60 s
+    ASSERT_NE(got.timeline, nullptr);
+    ASSERT_NE(want.timeline, nullptr);
+    const auto residency = got.timeline->find_column("soa_resident");
+    for (std::size_t col = 0; col < got.timeline->column_count(); ++col) {
+      if (col == residency) continue;
+      EXPECT_EQ(got.timeline->column(col), want.timeline->column(col))
+          << got.timeline->columns()[col];
+    }
+  }
 }
 
 /// Fault schedule aimed at a SoA-eligible platform: every onset bounces the
@@ -302,7 +341,6 @@ TEST(BatchRunner, ByteIdenticalUnderFaultsOnSoaEligibleLanes) {
   };
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {5, 9, 13};
-  spec.compile_traces = true;
   expect_width_invariant(spec);
 }
 
@@ -360,23 +398,7 @@ TEST(BatchRunner, ByteIdenticalAcrossHeterogeneousStorageVariants) {
   sc.options.dt = Seconds{5.0};
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {4, 21};
-  spec.compile_traces = true;
   expect_width_invariant(spec);
-}
-
-/// The allow_reassociation escape hatch surrenders bit-exactness, not
-/// correctness: every job's energy ledger must still close inside the same
-/// <1e-9 relative-residual gate the exact path is held to.
-TEST(SoaPath, ReassociationKeepsLedgerResidualBounded) {
-  CampaignSpec spec = systems_grid();
-  spec.lane_width = 8;
-  spec.allow_reassociation = true;
-  Campaign c(spec);
-  c.run();
-  EXPECT_GT(c.lane_blocks(), 0u);
-  ASSERT_FALSE(c.results().empty());
-  for (const auto& job : c.results())
-    EXPECT_LT(std::abs(job.result.ledger.relative_residual()), 1e-9);
 }
 
 // ---------------------------------------------------------------------------
@@ -402,7 +424,6 @@ CampaignSpec leak_grid(bool leaky) {
   sc.options.dt = Seconds{5.0};
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {2};
-  spec.compile_traces = true;
   return spec;
 }
 
@@ -469,7 +490,6 @@ TEST(RunTimeline, FaultedSoaGridByteIdenticalWithSamplingOn) {
   };
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {5, 9};
-  spec.compile_traces = true;
   expect_width_invariant(spec);
 }
 
@@ -514,7 +534,7 @@ TEST(RunTimeline, BatchedSamplesMatchScalarExceptResidencyColumn) {
 
   auto scalar = [&](std::unique_ptr<systems::Platform> p) {
     env::CompiledEnvironment environment(trace);
-    return systems::run_platform(*p, environment, duration, options);
+    return reference::reference_run(*p, environment, duration, options);
   };
   const auto ref_a = scalar(systems::build_system_a(7));
   const auto ref_b = scalar(systems::build_system_b(7));
@@ -529,16 +549,16 @@ TEST(RunTimeline, BatchedSamplesMatchScalarExceptResidencyColumn) {
     ASSERT_EQ(gt.sample_count(), wt.sample_count());
     EXPECT_EQ(gt.time(), wt.time());
     for (std::size_t col = 0; col < gt.column_count(); ++col) {
-      // soa_resident is width-dependent by design: the scalar runner never
-      // has a resident lane, the batched one usually does. Everything else
-      // must agree to the bit.
+      // soa_resident is width-dependent by design: the reference harness
+      // never has a resident lane, the batched one usually does. Everything
+      // else must agree to the bit.
       if (gt.columns()[col] == "soa_resident") continue;
       EXPECT_EQ(gt.column(col), wt.column(col)) << gt.columns()[col];
     }
     const auto residency = gt.find_column("soa_resident");
     ASSERT_NE(residency, obs::Timeline::npos);
     for (const double v : wt.column(residency))
-      EXPECT_DOUBLE_EQ(v, 0.0);  // scalar runner: nothing is ever resident
+      EXPECT_DOUBLE_EQ(v, 0.0);  // reference harness: nothing is resident
   }
   // System B rides the SoA columns, so its batched residency column must
   // actually light up somewhere mid-run.
@@ -630,7 +650,6 @@ CampaignSpec twin_grid(std::vector<PlatformVariant> platforms,
   sc.options.dt = Seconds{5.0};
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = std::move(seeds);
-  spec.compile_traces = true;
   return spec;
 }
 

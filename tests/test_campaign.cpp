@@ -32,8 +32,10 @@
 #include "power/converter.hpp"
 #include "power/mppt.hpp"
 #include "storage/supercapacitor.hpp"
+#include "systems/catalog.hpp"
 #include "systems/platform.hpp"
 #include "systems/runner.hpp"
+#include "reference_run.hpp"
 
 namespace msehsim::campaign {
 namespace {
@@ -293,38 +295,32 @@ TEST(Campaign, AccessorsRejectUseBeforeRun) {
   EXPECT_THROW((void)c.seed_stats(0, 0), SpecError);
 }
 
+/// Every job of @p spec run alone by run_platform over a freshly built live
+/// scenario.environment(seed) — live synthesis, no compiled trace.
+std::vector<std::string> live_reports(const CampaignSpec& spec) {
+  return reference::live_grid_reports(spec, systems::run_platform);
+}
+
 TEST(Campaign, CompiledTracesOnVsOffByteIdentical) {
-  // The trace cache is a pure replay optimization: every reported byte must
-  // be identical to live per-job synthesis, at any thread count.
-  std::vector<std::vector<std::string>> all;
-  for (const bool compiled : {true, false}) {
-    for (const unsigned threads : {1u, 4u}) {
-      auto spec = small_grid(threads);
-      spec.compile_traces = compiled;
-      Campaign c(std::move(spec));
-      c.run();
-      // One compile per (scenario, seed) — platforms share — or none at all.
-      EXPECT_EQ(c.trace_compiles(), compiled ? 4u : 0u);
-      all.push_back(reports(c));
-    }
+  // The compiled trace is a pure replay optimization: every reported byte
+  // must be identical to live per-job synthesis, at any thread count.
+  const auto live = live_reports(small_grid(1));
+  for (const unsigned threads : {1u, 4u}) {
+    Campaign c(small_grid(threads));
+    c.run();
+    // One compile per (scenario, seed) — platforms share.
+    EXPECT_EQ(c.trace_compiles(), 4u);
+    EXPECT_EQ(reports(c), live) << "threads=" << threads;
   }
-  for (std::size_t i = 1; i < all.size(); ++i) EXPECT_EQ(all[0], all[i]);
 }
 
 TEST(Campaign, FaultedCompiledOnVsOffByteIdentical) {
   // Fault injection perturbs the platform, never the environment, so a
   // compiled ambient trace must not change a single byte of a faulted run.
-  auto compiled_spec = faulted_grid(2);
-  compiled_spec.compile_traces = true;
-  Campaign compiled(std::move(compiled_spec));
+  Campaign compiled(faulted_grid(2));
   compiled.run();
   EXPECT_EQ(compiled.trace_compiles(), 3u);  // one scenario x three seeds
-
-  auto live_spec = faulted_grid(2);
-  live_spec.compile_traces = false;
-  Campaign live(std::move(live_spec));
-  live.run();
-  EXPECT_EQ(reports(compiled), reports(live));
+  EXPECT_EQ(reports(compiled), live_reports(faulted_grid(2)));
 }
 
 TEST(Campaign, LongestFirstOrderingNeverChangesBytes) {
@@ -450,21 +446,21 @@ TEST(Campaign, SpanTracingNeverChangesBytes) {
   traced_spec.lane_width = 8;  // pin: the block-span assertion needs batching
   Campaign traced(traced_spec);
   traced.run();
-  auto legacy_spec = faulted_grid(2);
-  legacy_spec.lane_width = 1;  // exact legacy per-job path
-  Campaign legacy(legacy_spec);
-  legacy.run();
+  auto single_spec = faulted_grid(2);
+  single_spec.lane_width = 1;  // one-lane blocks: one block span per job
+  Campaign single(single_spec);
+  single.run();
   const auto events = collector.event_count();
   const auto json = collector.chrome_trace_json();
   collector.disable();
 
   EXPECT_EQ(reports(quiet), reports(traced));
-  EXPECT_EQ(reports(quiet), reports(legacy));  // lane_width is byte-inert
+  EXPECT_EQ(reports(quiet), reports(single));  // lane_width is byte-inert
 #if MSEHSIM_OBS_ENABLED
-  // >= one job span per legacy job plus >= one block span.
-  EXPECT_GE(events, legacy.results().size() + 1);
+  // >= one block span per one-lane block plus the width-8 block span.
+  EXPECT_EQ(single.lane_blocks(), single.results().size());
+  EXPECT_GE(events, single.results().size() + 1);
   EXPECT_NE(json.find("\"campaign.block\""), std::string::npos);
-  EXPECT_NE(json.find("\"campaign.job\""), std::string::npos);
   EXPECT_NE(json.find("\"campaign.job_wait\""), std::string::npos);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
 #else
@@ -804,16 +800,28 @@ TEST(CampaignMetrics, SoaCountersSurfaceOnBatchedRuns) {
   EXPECT_LE(quiet->value, 1.0);
 }
 
-TEST(CampaignMetrics, SoaCounterRowsStayZeroOnTheLegacyPath) {
+TEST(CampaignMetrics, SoaLaneRowsStayZeroOnFuelCellOnlyGrids) {
+  // System A's fuel-cell slot keeps every lane off the SoA columns: the
+  // blocks still step (campaign.soa.steps counts them), but no lane-step is
+  // ever spent on the strided body.
   auto spec = small_grid(1);
+  spec.platforms = {{"system-a", [](std::uint64_t s) {
+                       return systems::build_system_a(s);
+                     }}};
   spec.lane_width = 1;  // pin: the default honors MSEHSIM_LANE_WIDTH
   Campaign c(std::move(spec));
   c.run();
-  EXPECT_EQ(c.lane_blocks(), 0u);
+  EXPECT_EQ(c.lane_blocks(), c.results().size());
   const auto snap = c.metrics();
   const auto* steps = snap.find("campaign.soa.steps");
   ASSERT_NE(steps, nullptr);
-  EXPECT_EQ(steps->count, 0u);
+  EXPECT_GT(steps->count, 0u);
+  const auto* lane_steps = snap.find("campaign.soa.lane_steps");
+  const auto* resident = snap.find("campaign.soa.resident_lane_steps");
+  ASSERT_NE(lane_steps, nullptr);
+  ASSERT_NE(resident, nullptr);
+  EXPECT_EQ(lane_steps->count, 0u);
+  EXPECT_EQ(resident->count, 0u);
   EXPECT_DOUBLE_EQ(snap.find("campaign.soa.resident_fraction")->value, 0.0);
 }
 

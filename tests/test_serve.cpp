@@ -546,6 +546,36 @@ TEST_F(DaemonFixture, SharedTraceCacheServesWarmRequests) {
   EXPECT_NE(value, "0") << line;
 }
 
+TEST_F(DaemonFixture, RerunAfterResultEvictionIsByteIdentical) {
+  // A one-entry result cache evicts A when its relabelled twin lands, so
+  // the third POST recomputes A over a trace cache the relabelled request
+  // already warmed. The body must still be A's first body: the document's
+  // "trace_compiles" counts this campaign's slots, not the shared cache's
+  // lifetime hits.
+  DaemonOptions options = test_options("rerun_after_eviction");
+  options.result_cache_entries = 1;
+  Start(std::move(options));
+  const char* body_a = R"({"platforms": ["system-b"],
+      "scenarios": [{"name": "a", "kind": "outdoor",
+                     "duration_s": 600, "dt_s": 5}],
+      "seeds": [7, 8]})";
+  const char* body_relabelled = R"({"platforms": ["system-b"],
+      "scenarios": [{"name": "relabelled", "kind": "outdoor",
+                     "duration_s": 600, "dt_s": 5}],
+      "seeds": [7, 8]})";
+  const auto first = http_post(daemon_->port(), "/v1/campaign", body_a);
+  ASSERT_EQ(first.status, 200) << first.body;
+  EXPECT_NE(first.body.find("\"trace_compiles\": 2,"), std::string::npos)
+      << first.body;
+  const auto relabelled =
+      http_post(daemon_->port(), "/v1/campaign", body_relabelled);
+  ASSERT_EQ(relabelled.status, 200) << relabelled.body;
+  const auto third = http_post(daemon_->port(), "/v1/campaign", body_a);
+  ASSERT_EQ(third.status, 200) << third.body;
+  EXPECT_EQ(third.headers.at("x-msehsim-result-cache"), "miss");
+  EXPECT_EQ(first.body, third.body);
+}
+
 TEST_F(DaemonFixture, ScrapeHelperMatchesTheEndpointAndLintsClean) {
   Start(test_options("scrape"));
   (void)http_post(daemon_->port(), "/v1/campaign", kSmallBody);
