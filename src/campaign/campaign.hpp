@@ -127,9 +127,9 @@ struct CampaignSpec {
   /// Lanes per work unit. Jobs that share a (scenario, seed) compiled trace
   /// — i.e. the platform-variant axis — are grouped into blocks of up to
   /// this many lanes and advanced in lockstep by systems::BatchRunner: the
-  /// ambient slot is decoded once per step for the whole block and every
-  /// component call dispatches through pre-resolved concrete-type tags. 1
-  /// (or 0) runs one-lane blocks; any width produces byte-identical results
+  /// ambient slot is decoded once per step for the whole block, and
+  /// SoA-eligible lanes step together in strided columns. 1 (or 0) runs
+  /// one-lane blocks; any width produces byte-identical results
   /// (the kernel's contract), so this knob only trades scheduling
   /// granularity for per-step cost. The default honors the
   /// MSEHSIM_LANE_WIDTH environment variable (CI runs the whole suite at

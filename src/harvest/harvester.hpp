@@ -77,10 +77,6 @@ class Harvester {
   /// normalizes NaN channels to +0.0 (a NaN key never equals itself, so it
   /// would defeat the memo and poison the curve — see env::sanitized),
   /// manages the MPP cache key, then dispatches to do_set_conditions().
-  ///
-  /// Defined inline (batch-friendly query path): when called through a
-  /// pointer to a final subclass — as the batched lane kernel's typed chain
-  /// step does — the do_set_conditions dispatch devirtualizes.
   void set_conditions(const env::AmbientConditions& c) {
     const env::AmbientConditions clean = env::sanitized(c);
     if (!mpp_key_set_ || !(clean == mpp_key_)) {
@@ -107,9 +103,8 @@ class Harvester {
   /// applied conditions; the cached point is byte-identical to a fresh
   /// compute_mpp() because identical conditions define an identical curve.
   ///
-  /// Defined inline (batch-friendly query path): the memo probe costs a
-  /// flag check instead of a function call, and through a final-subclass
-  /// pointer the compute_mpp miss path becomes a direct call.
+  /// Defined inline: the memo probe costs a flag check instead of a
+  /// function call.
   [[nodiscard]] OperatingPoint maximum_power_point() const {
     if (mpp_cache_enabled() && mpp_valid_) {
       ++mpp_hits_;
@@ -178,9 +173,8 @@ class Harvester {
 
  private:
   /// Cold half of maximum_power_point(): span-sampled solve + cache fill.
-  /// Inline: conditions change every step in trace-driven runs, so this IS
-  /// the per-lane-per-step path, and inlining it at a final-subclass call
-  /// site devirtualizes (and typically inlines) the compute_mpp solve too.
+  /// Conditions change every step in trace-driven runs, so this is the
+  /// per-lane-per-step path.
   [[nodiscard]] OperatingPoint recompute_mpp() const {
     OBS_SPAN_SAMPLED("harvest.mpp_solve", "harvest");
     const OperatingPoint mpp = compute_mpp();

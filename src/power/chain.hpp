@@ -35,7 +35,7 @@ struct TrackerState {
 };
 
 /// Cold-start gate: returns whether the converter runs this step, updating
-/// the latched @p started flag exactly as InputChain::step_typed did.
+/// the latched @p started flag exactly as InputChain::step does.
 MSEHSIM_ALWAYS_INLINE bool converter_gate(double startup_v, double min_input_v,
                                           double vin_v, bool& started) {
   if (startup_v > 0.0) {
@@ -82,24 +82,12 @@ class InputChain {
 
   /// Advances one step: latches @p conditions, runs the tracker if due, and
   /// returns the power delivered into the storage bus at @p bus_voltage
-  /// (net of converter losses and amortized tracker overhead).
+  /// (net of converter losses and amortized tracker overhead). Every lane
+  /// the SoA columns do not hold runs this body; the columns transcribe it
+  /// (systems/soa_step_body.inc).
   Watts step(const env::AmbientConditions& conditions, Volts bus_voltage,
              Seconds now, Seconds dt) {
-    return step_typed(*harvester_, conditions, bus_voltage, now, dt);
-  }
-
-  /// Single-source body of step(), parameterized on the harvester's static
-  /// type. step() instantiates it at the abstract base (exactly the historic
-  /// virtual-dispatch behaviour); the batched lane kernel
-  /// (systems::BatchRunner) instantiates it at the pre-resolved `final`
-  /// subclass so set_conditions / power_at / maximum_power_point devirtualize
-  /// in the hot loop. @p h MUST be the chain's own harvester (the object
-  /// harvester() returns) viewed through a more-derived reference — both
-  /// instantiations run the identical statement sequence on the identical
-  /// object, which is what makes batched and scalar runs byte-identical.
-  template <typename H>
-  Watts step_typed(H& h, const env::AmbientConditions& conditions,
-                   Volts bus_voltage, Seconds now, Seconds dt) {
+    harvest::Harvester& h = *harvester_;
     h.set_conditions(conditions);
 
     if (thermal_shutdown_) {
@@ -156,15 +144,16 @@ class InputChain {
     return Watts{net};
   }
 
-  /// Tracker block of step_typed, operating on @p s instead of the members
+  /// Tracker block of step(), operating on @p s instead of the members
   /// (exact statement sequence; the members round-trip through the struct on
   /// the scalar path). Public so the batched SoA layer can run the tracker
-  /// per lane against its own columns; it reads only coefficient members
-  /// (sense gain, controller, period), which mutate solely through fault
-  /// events — and those force the lane scalar first.
-  template <typename H>
-  void tracker_update(H& h, const env::AmbientConditions& conditions,
-                      Seconds now, detail::TrackerState& s) {
+  /// per lane against its own columns; @p h must be this chain's
+  /// harvester(). It reads only coefficient members (sense gain, controller,
+  /// period), which mutate solely through fault events — and those force
+  /// the lane scalar first.
+  void tracker_update(harvest::Harvester& h,
+                      const env::AmbientConditions& conditions, Seconds now,
+                      detail::TrackerState& s) {
     s.interruption_s = 0.0;
     if (now.value() >= s.next_update_s) {
       Volts opv{s.operating_voltage_v};

@@ -26,8 +26,10 @@ Volts PerturbObserve::update(const harvest::Harvester& harvester, Volts present)
   if (power <= last_power_) direction_ = -direction_;
   last_power_ = power;
   Volts next = present + params_.step * direction_;
-  // Stay on the physically meaningful part of the curve.
-  next = std::clamp(next, params_.min_voltage, voc * 0.98);
+  // Stay on the physically meaningful part of the curve. Spelled as min/max
+  // because voc * 0.98 can fall below min_voltage (std::clamp's lo > hi is
+  // undefined); the upper bound wins then.
+  next = std::min(std::max(next, params_.min_voltage), voc * 0.98);
   return next;
 }
 
@@ -84,7 +86,8 @@ Volts IncrementalConductance::update(const harvest::Harvester& harvester,
   }
   last_v_ = v;
   last_i_ = i;
-  return std::clamp(next, params_.min_voltage, voc * 0.98);
+  // Same bounds as P&O, upper bound winning when they cross.
+  return std::min(std::max(next, params_.min_voltage), voc * 0.98);
 }
 
 FixedPoint::FixedPoint(Volts setpoint) : setpoint_(setpoint) {

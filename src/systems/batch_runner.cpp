@@ -8,17 +8,11 @@
 #include "core/stats.hpp"
 #include "fault/faulty_harvester.hpp"
 #include "obs/trace.hpp"
-#include "storage/fuel_cell.hpp"
-#include "systems/lane_dispatch.hpp"
 #include "systems/soa_state.hpp"
 
 namespace msehsim::systems {
 
 namespace {
-
-using lanedispatch::LaneOps;
-using lanedispatch::classify_harvester;
-using lanedispatch::classify_store;
 
 /// Hot per-lane kernel state as parallel arrays (SoA): the inner loop walks
 /// these contiguously instead of chasing into each lane's cold block.
@@ -48,7 +42,6 @@ struct BatchRunner::Lane {
   Pcg32 query_rng;
   detail::MidRunProbe probe;
   detail::TimelineSampler sampler;
-  LaneOps ops;
   Joules initial_stored{0.0};
   bool deliver_queries{false};
 
@@ -144,24 +137,6 @@ std::size_t BatchRunner::add_lane(Platform& platform,
                     [sampler](Seconds now) { sampler->sample(now); });
   }
 
-  // Resolve the dispatch tags AFTER the injector exists: fault schedules
-  // wrap harvesters in fault::FaultyHarvester at build time, so the types
-  // seen here are the types the whole run will execute.
-  lane->ops.chain_tag.reserve(platform.input_count());
-  for (std::size_t i = 0; i < platform.input_count(); ++i)
-    lane->ops.chain_tag.push_back(
-        classify_harvester(platform.input(i).harvester()));
-  const std::size_t slots = platform.storage_count();
-  lane->ops.store_tag.reserve(slots);
-  lane->ops.store_kind.reserve(slots);
-  lane->ops.cells.reserve(slots);
-  for (std::size_t i = 0; i < slots; ++i) {
-    storage::StorageDevice& d = platform.store(i);
-    lane->ops.store_tag.push_back(classify_store(d));
-    lane->ops.store_kind.push_back(d.kind());
-    lane->ops.cells.push_back(dynamic_cast<storage::FuelCell*>(&d));
-  }
-
   for (std::size_t i = 0; i < platform.input_count(); ++i)
     share_pv_curve(platform.input(i).harvester());
 
@@ -200,7 +175,7 @@ std::vector<RunResult> BatchRunner::run() {
   soa::SoaBatch soa(options_);
   std::vector<std::uint8_t> in_soa(n, 0);
   for (std::size_t l = 0; l < n; ++l)
-    in_soa[l] = soa.add_lane(l, *lanes_[l]->platform, lanes_[l]->ops) ? 1 : 0;
+    in_soa[l] = soa.add_lane(l, *lanes_[l]->platform) ? 1 : 0;
   soa.finalize();
   soa_lane_count_ = soa.lane_count();
   std::vector<std::uint8_t> run_scalar(n, 0);
@@ -259,7 +234,7 @@ std::vector<RunResult> BatchRunner::run() {
           state.next_event_s[l] = lane.sim.next_scheduled().value();
         }
         Platform& platform = *state.platform[l];
-        platform.step_with(lanes_[l]->ops, conditions, now, dt);
+        platform.step(conditions, now, dt);
         lanes_[l]->input_stats.add(platform.last_input_power().value(), dt);
         if (state.queries[l] != 0 &&
             lanes_[l]->query_rng.bernoulli(p_arrival)) {

@@ -3,22 +3,19 @@
 // A BatchRunner advances N lanes — platforms (and optional per-lane fault
 // injectors) sharing one ambient timeline — in lockstep with one inner
 // loop: the environment is advanced once per step and its conditions fed to
-// every lane, and each lane's component calls dispatch through per-lane
-// concrete-type tags resolved once up front, so the hot loop runs
-// devirtualized, dynamic_cast-free code instead of N independent virtual
-// step() stacks. run_platform is a one-lane BatchRunner over a live
-// environment; campaign::Campaign runs blocks of lanes over a shared
-// env::CompiledTrace.
+// every lane. Lanes the SoA layer holds (systems/soa_state.hpp) advance
+// through its width-strided body; every other lane, and every lane on a
+// step with an event due, runs Platform::step. run_platform is a one-lane
+// BatchRunner over a live environment; campaign::Campaign runs blocks of
+// lanes over a shared env::CompiledTrace.
 //
 // Byte-identity contract: a lane's RunResult does not depend on which other
 // lanes share its block, the block width, or the campaign's thread count,
 // and a run over a CompiledTrace equals the run over the environment it was
 // compiled from. The kernel guarantees this by construction:
 //
-//  - Platform::step_with and power::InputChain::step_typed are the SAME
-//    single-source bodies Platform::step executes — only the dispatch
-//    mechanics (virtual vs direct) differ per instantiation, never the
-//    statement sequence, iteration order, or any floating-point operation.
+//  - The scalar body is Platform::step itself, the body the reference
+//    harness (tests/reference_run.hpp) and every component test run.
 //  - Each lane keeps its own core::Simulation purely as an event engine, so
 //    management periodics, recorder samples and one-shot fault injections
 //    fire with core::Simulation's semantics (same dispatch window, same FIFO
@@ -27,10 +24,7 @@
 //    dispatch entirely, which is legal because "due" is a pure function of
 //    the event queue and the clock.
 //  - Divergent per-lane behaviour (fault onsets, BackupChain switches, load
-//    shed) lives inside the components a lane already owns; a lane whose
-//    component has no concrete tag (an unanticipated subclass) simply takes
-//    the generic slow path for that component while the rest of the batch
-//    stays on the fast path.
+//    shed) lives inside the components a lane already owns.
 //  - Results are assembled by systems::detail::assemble_run_result, so
 //    exports, the energy ledger, metrics, and the survivability report
 //    cannot drift between lanes.
@@ -42,20 +36,20 @@
 //    the stored answer, which is bit-equal to a fresh solve because the
 //    share's keys are the exact bits the curve depends on.
 //
-// Eligible lanes (see systems/soa_state.hpp) additionally run their storage
-// and chain inner loops as width-strided SoA kernels over per-group
-// contiguous columns, exiting to the scalar body around events and
-// re-entering after — the same single-source per-element kernels either
-// way, so the contract holds at every lane width and thread count. No
-// reduction is reassociated: every accumulator is advanced lane-locally in
-// the same order as the scalar body.
+// Eligible lanes (see systems/soa_state.hpp) run their storage and chain
+// inner loops as width-strided SoA kernels over per-group contiguous
+// columns, exiting to Platform::step around events and re-entering after —
+// the same single-source per-element kernels either way, so the contract
+// holds at every lane width and thread count. No reduction is reassociated:
+// every accumulator is advanced lane-locally in the same order as the
+// scalar body.
 //
 // Constraints: options.recorder and options.injector must be null (per-lane
 // injectors and recorders are passed to add_lane), a CompiledTrace's dt must
 // equal options.dt, and lanes must not hot-swap components mid-run (fault
 // events mutate components in place). Injectors must be fully built before
-// add_lane — fault::Schedule wraps harvesters at build time, which is what
-// makes the per-lane type tags stable.
+// add_lane — fault::Schedule wraps harvesters at build time, and add_lane
+// attaches PV curve shares to the harvesters it sees then.
 #pragma once
 
 #include <cstdint>
@@ -120,7 +114,7 @@ class BatchRunner {
   std::vector<RunResult> run();
 
  private:
-  struct Lane;  // per-lane engine state + dispatch tags (batch_runner.cpp)
+  struct Lane;  // per-lane engine state (batch_runner.cpp)
 
   /// Attaches the block's curve share for @p h's PvPanel::Params, when @p h
   /// is a PvPanel or a fault wrapper around one.

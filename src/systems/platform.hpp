@@ -62,18 +62,10 @@ struct PlatformSpec {
   bool quiescent_is_bound{false};
 };
 
-/// Dispatch policy for Platform::step_with — the generic policy, which
-/// reproduces the historic virtual-dispatch behaviour exactly: every
-/// component call goes through the abstract interface, and the fuel-cell
-/// refill pass probes each slot with dynamic_cast, as step() always has.
-///
-/// The batched lane kernel (systems::BatchRunner) substitutes a policy that
-/// resolves each component's concrete `final` type once per lane, so the same
-/// statement sequence runs with direct (devirtualized, inlinable) calls and
-/// precomputed fuel-cell pointers. The slot/chain index parameter exists for
-/// such policies to look up their per-component tags; the generic policy
-/// ignores it. Both policies execute identical statements on identical
-/// objects, which is what keeps batched and scalar runs byte-identical.
+/// Dispatch policy for Platform::step_with, and the one step() runs: every
+/// component call goes through the abstract interface. The per-call slot or
+/// chain index is there for derived policies that observe the step (a
+/// recorder logging the storage flows, say); this policy ignores it.
 struct GenericStepOps {
   Watts chain_step(std::size_t /*chain*/, power::InputChain& chain,
                    const env::AmbientConditions& c, Volts bus_v, Seconds now,
@@ -103,8 +95,11 @@ struct GenericStepOps {
                      Seconds dt) const {
     d.apply_leakage(dt);
   }
+  /// The refill pass asks every slot every step; the kind() test keeps the
+  /// dynamic_cast off the slots that cannot be a cell.
   storage::FuelCell* fuel_cell(std::size_t /*slot*/,
                                storage::StorageDevice& d) const {
+    if (d.kind() != storage::StorageKind::kFuelCell) return nullptr;
     return dynamic_cast<storage::FuelCell*>(&d);
   }
 };
@@ -179,10 +174,10 @@ class Platform {
     step_with(GenericStepOps{}, conditions, now, dt);
   }
 
-  /// Single-source body of step(), parameterized on the component-dispatch
-  /// policy (see GenericStepOps). The policy decides HOW each component call
-  /// dispatches; WHAT happens — the statement sequence, iteration order, and
-  /// every floating-point operation — is identical for all policies.
+  /// Body of step(), parameterized on the component-dispatch policy (see
+  /// GenericStepOps). A policy may observe each component call; the
+  /// statement sequence, iteration order, and every floating-point operation
+  /// are the same for all policies.
   template <typename Ops>
   void step_with(const Ops& ops, const env::AmbientConditions& conditions,
                  Seconds now, Seconds dt) {

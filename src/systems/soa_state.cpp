@@ -41,11 +41,9 @@ void append_slot_lane(SlotCol& sl, storage::StorageDevice& d) {
   }
 }
 
-void append_chain_lane(ChainCol& cc, power::InputChain& chain,
-                       lanedispatch::HTag tag) {
+void append_chain_lane(ChainCol& cc, power::InputChain& chain) {
   cc.chain.push_back(&chain);
   cc.harv.push_back(&chain.harvester());
-  cc.htag.push_back(tag);
   for (auto* col :
        {&cc.next_update, &cc.opv, &cc.tp, &cc.delivered, &cc.overhead,
         &cc.conv_loss, &cc.oh_paid, &cc.harv_sp, &cc.harv_mpp, &cc.intr,
@@ -64,8 +62,7 @@ void append_chain_lane(ChainCol& cc, power::InputChain& chain,
 
 SoaBatch::SoaBatch(const RunOptions& options) : dt_s_(options.dt.value()) {}
 
-bool SoaBatch::add_lane(std::size_t lane_id, Platform& platform,
-                        const lanedispatch::LaneOps& ops) {
+bool SoaBatch::add_lane(std::size_t lane_id, Platform& platform) {
   if (lane_slot_.size() <= lane_id) lane_slot_.resize(lane_id + 1, {0, 0});
   const std::size_t slot_count = platform.storage_count();
   if (slot_count == 0) return false;
@@ -73,19 +70,14 @@ bool SoaBatch::add_lane(std::size_t lane_id, Platform& platform,
   // Eligibility: every slot a constant-capacitance supercap or a battery.
   std::vector<SlotCol::Class> cls(slot_count);
   for (std::size_t i = 0; i < slot_count; ++i) {
-    switch (ops.store_tag[i]) {
-      case lanedispatch::STag::kSupercap: {
-        const auto& sc =
-            static_cast<const storage::Supercapacitor&>(platform.store(i));
-        if (sc.params().voltage_capacitance_slope != 0.0) return false;
-        cls[i] = SlotCol::Class::kSupercap;
-        break;
-      }
-      case lanedispatch::STag::kBattery:
-        cls[i] = SlotCol::Class::kBattery;
-        break;
-      default:
-        return false;  // fuel cell / switched reserve / test double
+    const storage::StorageDevice& d = platform.store(i);
+    if (const auto* sc = dynamic_cast<const storage::Supercapacitor*>(&d)) {
+      if (sc->params().voltage_capacitance_slope != 0.0) return false;
+      cls[i] = SlotCol::Class::kSupercap;
+    } else if (dynamic_cast<const storage::Battery*>(&d) != nullptr) {
+      cls[i] = SlotCol::Class::kBattery;
+    } else {
+      return false;  // fuel cell / switched reserve / any other device
     }
   }
 
@@ -140,7 +132,7 @@ bool SoaBatch::add_lane(std::size_t lane_id, Platform& platform,
   for (std::size_t i = 0; i < slot_count; ++i)
     append_slot_lane(g.slots[i], platform.store(i));
   for (std::size_t c = 0; c < chain_count; ++c)
-    append_chain_lane(g.chains[c], platform.input(c), ops.chain_tag[c]);
+    append_chain_lane(g.chains[c], platform.input(c));
 
   lane_index_.emplace_back(gi, pos);
   lane_slot_[lane_id] = {gi + 1, pos};

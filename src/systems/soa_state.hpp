@@ -1,9 +1,8 @@
 // SoA lane state for the batched kernel (systems::BatchRunner).
 //
-// PR 7's lane-block dispatch devirtualized the per-lane step but still walked
-// every lane's component objects; the storage + chain inner loops (~82% of
-// the physics share) were Amdahl-bound on pointer-chasing scalar code. This
-// layer packs the hot state of *eligible* lanes into per-group contiguous
+// Stepping each lane through Platform::step walks its component objects;
+// the storage + chain inner loops (~82% of the physics share) are then
+// Amdahl-bound on pointer-chasing scalar code. This layer packs the hot state of *eligible* lanes into per-group contiguous
 // columns — supercap branch voltages, battery SoC, leakage-decay factors,
 // RC-redistribution coefficients, converter operating points, MPP powers,
 // tracker overheads, and every platform accumulator the step mutates — and
@@ -30,15 +29,16 @@
 //    thermal shutdown, in which case the lane stays non-resident (scalar)
 //    until the cut-out heals, avoiding per-step scatter/gather churn.
 //
-// Eligibility (decided once per lane at add_lane): every storage slot is a
-// Supercapacitor (incl. LIC) with voltage_capacitance_slope == 0 — constant
-// capacitance is what lets the exp() decay factors hoist into per-lane
-// constants bit-equal to the objects' transparent ExpMemo results — or a
-// Battery. Fuel cells, switched reserves, and generic test doubles make the
-// whole lane take BatchRunner's per-lane scalar body (System A and
-// BackupChain platforms do this today); everything else, including every
-// harvester type and fault-wrapped chains, stays eligible. Ineligible lanes
-// lose nothing: the scalar body is the same devirtualized step.
+// Eligibility (decided once per lane at add_lane, by dynamic_cast on each
+// slot): every storage slot is a Supercapacitor (incl. LIC) with
+// voltage_capacitance_slope == 0 — constant capacitance is what lets the
+// exp() decay factors hoist into per-lane constants bit-equal to the
+// objects' transparent ExpMemo results — or a Battery. Fuel cells, switched
+// reserves, and any other StorageDevice make the whole lane take
+// BatchRunner's per-lane Platform::step (System A and BackupChain platforms
+// do this today). The chains impose nothing: the pre-stage calls the
+// harvester through its virtual interface, so every Harvester subclass,
+// fault-wrapped or not, stays eligible.
 #pragma once
 
 #include <array>
@@ -52,7 +52,6 @@
 #include "power/converter.hpp"
 #include "storage/battery.hpp"
 #include "storage/supercapacitor.hpp"
-#include "systems/lane_dispatch.hpp"
 #include "systems/platform.hpp"
 #include "systems/runner.hpp"
 
@@ -87,7 +86,6 @@ struct SlotCol {
 struct ChainCol {
   std::vector<power::InputChain*> chain;
   std::vector<harvest::Harvester*> harv;
-  std::vector<lanedispatch::HTag> htag;
 
   // Hot state (power::InputChain::HotState fields).
   std::vector<double> next_update, opv, tp;
@@ -207,8 +205,7 @@ class SoaBatch {
   /// Registers @p platform as lane @p lane_id if eligible (see file header);
   /// returns whether it joined the SoA path. Call once per lane, then
   /// finalize().
-  bool add_lane(std::size_t lane_id, Platform& platform,
-                const lanedispatch::LaneOps& ops);
+  bool add_lane(std::size_t lane_id, Platform& platform);
 
   /// Builds the columns and gathers every registered lane. No add_lane after.
   void finalize();

@@ -10,6 +10,7 @@
 // leak detector that rides on the campaign aggregation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -28,7 +29,9 @@
 #include "power/converter.hpp"
 #include "power/mppt.hpp"
 #include "storage/battery.hpp"
+#include "storage/fuel_cell.hpp"
 #include "storage/supercapacitor.hpp"
+#include "storage/switched.hpp"
 #include "obs/timeline.hpp"
 #include "systems/batch_runner.hpp"
 #include "systems/catalog.hpp"
@@ -226,38 +229,249 @@ std::unique_ptr<systems::Platform> steady_platform() {
 // SoA fast path
 // ---------------------------------------------------------------------------
 
+/// A StorageDevice that reports the fuel-cell kind without being a
+/// storage::FuelCell: an inert 3.6 V cell that never moves energy.
+/// Platform::step's refill pass must skip it (the kind() prefilter passes,
+/// the dynamic_cast does not), and the SoA layer must refuse it.
+class FuelCellLookalike final : public storage::StorageDevice {
+ public:
+  [[nodiscard]] std::string_view name() const override { return "lookalike"; }
+  [[nodiscard]] storage::StorageKind kind() const override {
+    return storage::StorageKind::kFuelCell;
+  }
+  [[nodiscard]] bool rechargeable() const override { return false; }
+  [[nodiscard]] Volts voltage() const override { return Volts{3.6}; }
+  [[nodiscard]] Joules stored_energy() const override { return Joules{0.0}; }
+  [[nodiscard]] Joules capacity() const override { return Joules{1.0}; }
+  Watts charge(Watts, Seconds) override { return Watts{0.0}; }
+  Watts discharge(Watts, Seconds) override { return Watts{0.0}; }
+  void apply_leakage(Seconds) override {}
+  [[nodiscard]] Watts max_discharge_power() const override {
+    return Watts{0.0};
+  }
+};
+
+/// A PV front end over @p stores, in slot order with priorities 0, 1, ...
+std::unique_ptr<systems::Platform> pv_platform(
+    std::vector<std::unique_ptr<storage::StorageDevice>> stores) {
+  systems::PlatformSpec spec;
+  spec.name = "pv-probe";
+  auto p = std::make_unique<systems::Platform>(spec);
+  p->add_input(std::make_unique<power::InputChain>(
+      std::make_unique<harvest::PvPanel>("pv", harvest::PvPanel::Params{}),
+      std::make_unique<power::OracleMppt>(),
+      power::Converter::smart_buck_boost("fe"), Seconds{5.0}));
+  int priority = 0;
+  for (auto& d : stores) p->add_storage(std::move(d), priority++);
+  return p;
+}
+
+std::unique_ptr<storage::StorageDevice> plain_supercap() {
+  storage::Supercapacitor::Params sp;
+  sp.main_capacitance = Farads{10.0};
+  sp.initial_voltage = Volts{2.0};
+  return std::make_unique<storage::Supercapacitor>("edlc", sp);
+}
+
+/// Runs every lane of @p lanes in one BatchRunner over the outdoor trace of
+/// @p seed, and each lane again alone on the reference harness. Returns the
+/// runner's soa_lane_count() and asserts every result byte-equal.
+std::size_t expect_lanes_match_reference(
+    const std::vector<std::unique_ptr<systems::Platform> (*)()>& lanes,
+    std::uint64_t seed, Seconds duration, const systems::RunOptions& options,
+    const std::string& label) {
+  auto model = env::Environment::outdoor(seed);
+  const auto trace = env::CompiledTrace::compile(model, options.dt, duration);
+  std::vector<std::unique_ptr<systems::Platform>> platforms;
+  systems::BatchRunner runner(trace, duration, options);
+  for (const auto build : lanes) {
+    platforms.push_back(build());
+    runner.add_lane(*platforms.back());
+  }
+  const auto batched = runner.run();
+  EXPECT_EQ(batched.size(), lanes.size()) << label;
+  for (std::size_t l = 0; l < lanes.size() && l < batched.size(); ++l) {
+    auto p = lanes[l]();
+    env::CompiledEnvironment environment(trace);
+    EXPECT_EQ(to_string(reference::reference_run(*p, environment, duration,
+                                                  options)),
+              to_string(batched[l]))
+        << label << ", lane " << l;
+  }
+  return runner.soa_lane_count();
+}
+
 /// Drives BatchRunner directly (no campaign wrapper) so the test can see
 /// which lanes the SoA layer actually enrolled: System B (supercap + NiMH,
 /// both column-packable) must ride the fast path, System A (fuel-cell slot)
-/// must stay on the per-lane scalar body — and both must reproduce the
-/// reference harness byte for byte.
+/// must stay on Platform::step — and both must reproduce the reference
+/// harness byte for byte.
 TEST(SoaPath, EnrollsEligibleLanesAndMatchesTheScalarRunner) {
-  const Seconds dt{5.0};
-  const Seconds duration{1800.0};
   systems::RunOptions options;
-  options.dt = dt;
+  options.dt = Seconds{5.0};
   options.mean_query_interval = Seconds{120.0};
-
-  auto model = env::Environment::outdoor(7);
-  const auto trace = env::CompiledTrace::compile(model, dt, duration);
-
-  auto a = systems::build_system_a(7);
-  auto b = systems::build_system_b(7);
-  systems::BatchRunner runner(trace, duration, options);
-  runner.add_lane(*a);
-  runner.add_lane(*b);
-  const auto batched = runner.run();
-  ASSERT_EQ(batched.size(), 2u);
-  EXPECT_EQ(runner.soa_lane_count(), 1u)
+  EXPECT_EQ(expect_lanes_match_reference(
+                {[] { return systems::build_system_a(7); },
+                 [] { return systems::build_system_b(7); }},
+                7, Seconds{1800.0}, options, "systems A, B"),
+            1u)
       << "System B must enroll in the SoA fast path; System A must not";
+}
 
-  auto scalar = [&](std::unique_ptr<systems::Platform> p) {
-    env::CompiledEnvironment environment(trace);
-    return to_string(
-        reference::reference_run(*p, environment, duration, options));
+/// The SoA eligibility rule, one storage shape per row: only
+/// constant-capacitance supercaps and batteries enroll; a sloped supercap,
+/// a switched reserve, a fuel cell, or any other device keeps the whole
+/// lane on Platform::step. Every lane matches the reference harness alone
+/// and batched with the others.
+TEST(SoaPath, EligibilityFollowsTheStorageSlots) {
+  using Build = std::unique_ptr<systems::Platform> (*)();
+  struct Row {
+    const char* name;
+    Build build;
+    bool eligible;
   };
-  EXPECT_EQ(scalar(systems::build_system_a(7)), to_string(batched[0]));
-  EXPECT_EQ(scalar(systems::build_system_b(7)), to_string(batched[1]));
+  const std::vector<Row> rows = {
+      {"plain supercap",
+       [] {
+         std::vector<std::unique_ptr<storage::StorageDevice>> s;
+         s.push_back(plain_supercap());
+         return pv_platform(std::move(s));
+       },
+       true},
+      {"battery",
+       [] {
+         std::vector<std::unique_ptr<storage::StorageDevice>> s;
+         s.push_back(std::make_unique<storage::Battery>(
+             storage::Battery::nimh("cell", AmpHours{0.05})));
+         return pv_platform(std::move(s));
+       },
+       true},
+      {"sloped supercap",
+       [] {
+         storage::Supercapacitor::Params sp;
+         sp.main_capacitance = Farads{10.0};
+         sp.initial_voltage = Volts{2.0};
+         sp.voltage_capacitance_slope = 0.5;
+         std::vector<std::unique_ptr<storage::StorageDevice>> s;
+         s.push_back(std::make_unique<storage::Supercapacitor>("sloped", sp));
+         return pv_platform(std::move(s));
+       },
+       false},
+      {"switched reserve",
+       [] {
+         std::vector<std::unique_ptr<storage::StorageDevice>> s;
+         s.push_back(plain_supercap());
+         s.push_back(std::make_unique<storage::SwitchedStorage>(
+             std::make_unique<storage::Battery>(
+                 storage::Battery::li_ion("reserve", AmpHours{0.1}))));
+         return pv_platform(std::move(s));
+       },
+       false},
+      {"fuel cell",
+       [] {
+         std::vector<std::unique_ptr<storage::StorageDevice>> s;
+         auto cell = std::make_unique<storage::FuelCell>(
+             "fc", storage::FuelCell::Params{});
+         cell->set_enabled(true);  // the refill pass runs every step
+         s.push_back(plain_supercap());
+         s.push_back(std::move(cell));
+         return pv_platform(std::move(s));
+       },
+       false},
+      {"fuel-cell-kind double",
+       [] {
+         std::vector<std::unique_ptr<storage::StorageDevice>> s;
+         s.push_back(plain_supercap());
+         s.push_back(std::make_unique<FuelCellLookalike>());
+         return pv_platform(std::move(s));
+       },
+       false},
+  };
+  systems::RunOptions options;
+  options.dt = Seconds{10.0};
+  const Seconds duration{43200.0};  // midnight to noon: dark, then sun
+
+  std::vector<Build> all;
+  std::size_t eligible = 0;
+  for (const Row& row : rows) {
+    EXPECT_EQ(expect_lanes_match_reference({row.build}, 5, duration, options,
+                                           row.name),
+              row.eligible ? 1u : 0u)
+        << row.name;
+    all.push_back(row.build);
+    if (row.eligible) ++eligible;
+  }
+  EXPECT_EQ(
+      expect_lanes_match_reference(all, 5, duration, options, "all rows"),
+      eligible);
+}
+
+/// A Harvester subclass the catalog does not know: a linear light cell
+/// whose MPP comes from the base class's golden-section search. The SoA
+/// pre-stage calls harvesters through the virtual interface, so a lane
+/// built on it must enroll and match the reference harness byte for byte.
+class LinearLightCell final : public harvest::Harvester {
+ public:
+  [[nodiscard]] std::string_view name() const override { return "linear"; }
+  [[nodiscard]] harvest::HarvesterKind kind() const override {
+    return harvest::HarvesterKind::kPhotovoltaic;
+  }
+  [[nodiscard]] Amps current_at(Volts v) const override {
+    if (v.value() < 0.0 || v.value() >= voc_) return Amps{0.0};
+    return Amps{isc_ * (1.0 - v.value() / voc_)};
+  }
+  [[nodiscard]] Volts open_circuit_voltage() const override {
+    return Volts{voc_};
+  }
+
+ protected:
+  void do_set_conditions(const env::AmbientConditions& c) override {
+    const double sun = std::min(c.solar_irradiance.value() / 1000.0, 1.0);
+    voc_ = 6.0 * sun;
+    isc_ = 0.1 * sun;
+  }
+
+ private:
+  double voc_{0.0};
+  double isc_{0.0};
+};
+
+std::unique_ptr<systems::Platform> linear_cell_platform() {
+  systems::PlatformSpec spec;
+  spec.name = "linear-cell";
+  auto p = std::make_unique<systems::Platform>(spec);
+  p->add_input(std::make_unique<power::InputChain>(
+      std::make_unique<LinearLightCell>(),
+      std::make_unique<power::PerturbObserve>(),
+      power::Converter::smart_buck_boost("fe"), Seconds{10.0}));
+  p->add_storage(plain_supercap(), 0);
+  return p;
+}
+
+TEST(SoaPath, UncataloguedHarvesterEnrollsAndMatchesTheReference) {
+  using Build = std::unique_ptr<systems::Platform> (*)();
+  const Build cell = linear_cell_platform;
+  const Build b = [] { return systems::build_system_b(7); };
+  systems::RunOptions options;
+  options.dt = Seconds{10.0};
+  options.mean_query_interval = Seconds{120.0};
+  const Seconds duration{43200.0};
+
+  // Width 1: each lane alone.
+  for (const Build build : {cell, b})
+    EXPECT_EQ(expect_lanes_match_reference({build}, 7, duration, options,
+                                           "width 1"),
+              1u);
+  // Width 8: the double's lanes interleaved with System B's.
+  const std::vector<Build> block = {cell, b, cell, b, cell, b, cell, b};
+  EXPECT_EQ(
+      expect_lanes_match_reference(block, 7, duration, options, "width 8"),
+      8u);
+  // The double actually harvested: the lane is not a trivially dark one.
+  auto p = linear_cell_platform();
+  auto environment = env::Environment::outdoor(7);
+  reference::reference_run(*p, environment, duration, options);
+  EXPECT_GT(p->input(0).delivered_energy().value(), 0.0);
 }
 
 /// run_platform is a one-lane BatchRunner over a live environment: with a
