@@ -7,7 +7,7 @@
 // source rows must dominate their single-source constituents on both
 // metrics for the claim to hold. Each site's mixes run as one Campaign;
 // generation hours come straight from RunResult::generation_fraction (the
-// per-step positive-input fraction), so no per-job TraceRecorder is needed.
+// per-step positive-input fraction), so no sampled time series is needed.
 #include <cstdio>
 #include <memory>
 #include <vector>

@@ -1,22 +1,19 @@
 // E16 — observability overhead microbenchmarks.
 //
-// Not a paper artifact: the cost ledger for the run-health timeline, the
-// Prometheus renderer, and the profiler aggregation. The acceptance gate is
-// that BM_SystemA_DayRun_Timeline stays within 3% of BM_SystemA_DayRun_Base
-// at the default one-sample-per-simulated-minute cadence — the sampler is a
-// read-only periodic riding the existing event engine, so its per-day cost
-// is 1440 row appends against 17280 simulation steps.
+// Not a paper artifact: the cost ledger for the run-health timeline and the
+// Prometheus renderer. The acceptance gate is that BM_SystemA_DayRun_Timeline
+// stays within 3% of BM_SystemA_DayRun_Base at the default
+// one-sample-per-simulated-minute cadence — the sampler is a read-only
+// periodic riding the existing event engine, so its per-day cost is 1440 row
+// appends against 17280 simulation steps.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <vector>
 
 #include "env/environment.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/timeline.hpp"
-#include "obs/trace.hpp"
 #include "systems/catalog.hpp"
 #include "systems/runner.hpp"
 
@@ -83,48 +80,6 @@ void BM_PrometheusRender(benchmark::State& state) {
       static_cast<double>(bytes) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_PrometheusRender);
-
-void BM_Profiler_Aggregate(benchmark::State& state) {
-  // Call-tree reconstruction over a synthetic 4-thread campaign trace:
-  // blocks containing jobs containing steps, ~4k spans total.
-  std::vector<obs::TraceEvent> events;
-  for (std::uint32_t tid = 0; tid < 4; ++tid) {
-    double t = 0.0;
-    for (int block = 0; block < 8; ++block) {
-      obs::TraceEvent b;
-      b.name = "campaign.block";
-      b.tid = tid;
-      b.ts_us = t;
-      b.dur_us = 1000.0;
-      events.push_back(b);
-      for (int job = 0; job < 4; ++job) {
-        obs::TraceEvent j;
-        j.name = "campaign.job";
-        j.tid = tid;
-        j.ts_us = t + 10.0 + 240.0 * job;
-        j.dur_us = 200.0;
-        events.push_back(j);
-        for (int step = 0; step < 30; ++step) {
-          obs::TraceEvent s;
-          s.name = "platform.step";
-          s.tid = tid;
-          s.ts_us = j.ts_us + 2.0 + 6.0 * step;
-          s.dur_us = 5.0;
-          events.push_back(s);
-        }
-      }
-      t += 1100.0;
-    }
-  }
-  for (auto _ : state) {
-    obs::Profiler profiler;
-    profiler.add_events(events);
-    benchmark::DoNotOptimize(profiler.root().children.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(events.size()));
-}
-BENCHMARK(BM_Profiler_Aggregate);
 
 }  // namespace
 

@@ -280,14 +280,14 @@ void BM_Campaign_Batched(benchmark::State& state) {
       std::filesystem::temp_directory_path() / "msehsim_bench_batched_cache";
   {
     auto warmup = probe_grid();
-    warmup.trace_cache_dir = dir;
+    warmup.shared_trace_cache = std::make_shared<env::TraceCache>(dir);
     campaign::Campaign cold(warmup);
     cold.run();
   }
   std::uint64_t jobs = 0;
   for (auto _ : state) {
     auto spec = probe_grid();
-    spec.trace_cache_dir = dir;
+    spec.shared_trace_cache = std::make_shared<env::TraceCache>(dir);
     spec.lane_width = width;
     campaign::Campaign c(spec);
     jobs += c.run().size();
@@ -315,7 +315,7 @@ void BM_Campaign_Grid_WarmCache(benchmark::State& state) {
   std::filesystem::remove_all(dir);
   {
     auto warmup = probe_grid();
-    warmup.trace_cache_dir = dir;
+    warmup.shared_trace_cache = std::make_shared<env::TraceCache>(dir);
     campaign::Campaign cold(warmup);
     cold.run();
   }
@@ -323,7 +323,7 @@ void BM_Campaign_Grid_WarmCache(benchmark::State& state) {
   std::uint64_t hits = 0;
   for (auto _ : state) {
     auto spec = probe_grid();
-    spec.trace_cache_dir = dir;
+    spec.shared_trace_cache = std::make_shared<env::TraceCache>(dir);
     campaign::Campaign c(spec);
     jobs += c.run().size();
     hits += c.trace_cache_stats().hits;

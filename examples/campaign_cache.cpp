@@ -11,18 +11,20 @@
 //   $ ./campaign_cache [cache_dir] [results.csv] [metrics.csv]
 //   $ ./campaign_cache my_cache && ./campaign_cache my_cache   # 2nd is warm
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "campaign/campaign.hpp"
 #include "campaign/export.hpp"
 #include "env/environment.hpp"
+#include "env/trace_cache.hpp"
 #include "systems/catalog.hpp"
 
 using namespace msehsim;
 
 namespace {
 
-campaign::CampaignSpec make_spec(std::string cache_dir) {
+campaign::CampaignSpec make_spec(const std::string& cache_dir) {
   campaign::CampaignSpec spec;
   spec.platforms.push_back(
       {"system-a", [](std::uint64_t s) { return systems::build_system_a(s); }});
@@ -38,7 +40,8 @@ campaign::CampaignSpec make_spec(std::string cache_dir) {
   spec.scenarios.push_back(std::move(outdoor));
   spec.seeds = {1, 2, 3};
   spec.threads = 4;
-  spec.trace_cache_dir = std::move(cache_dir);
+  if (!cache_dir.empty())
+    spec.shared_trace_cache = std::make_shared<env::TraceCache>(cache_dir);
   return spec;
 }
 

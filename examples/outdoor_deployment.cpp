@@ -1,12 +1,12 @@
 // Outdoor deployment: one week of the Smart Power Unit (survey System A,
 // Fig. 1) at an outdoor site, with a per-day harvest breakdown and a CSV
-// export of the recorded time series for offline plotting.
+// export of each day's run-health timeline for offline plotting.
 //
 //   $ ./outdoor_deployment [output.csv]
 #include <cstdio>
+#include <fstream>
 #include <string>
 
-#include "core/csv.hpp"
 #include "core/table.hpp"
 #include "env/environment.hpp"
 #include "systems/catalog.hpp"
@@ -24,18 +24,30 @@ int main(int argc, char** argv) {
   std::printf("Smart Power Unit (System A) — 7 days, %s\n\n",
               environment.description().c_str());
 
-  systems::TraceRecorder recorder(Seconds{300.0});
   systems::RunOptions options;
   options.dt = Seconds{1.0};
-  options.recorder = &recorder;
+  options.timeline_dt = Seconds{300.0};
 
   TextTable daily({"day", "harvested", "node load", "packets", "avail %",
                    "bus V at midnight"});
   Joules harvested_before{0.0};
   Joules load_before{0.0};
   std::uint64_t packets_before = 0;
+  // Each day is its own run (its clock restarts at 0), so the CSV prefixes
+  // every timeline row with its day.
+  std::string csv;
+  std::size_t samples = 0;
   for (int day = 0; day < 7; ++day) {
-    run_platform(*platform, environment, Seconds{kDay}, options);
+    const auto r = run_platform(*platform, environment, Seconds{kDay}, options);
+    const std::string day_csv = r.timeline->csv();
+    const std::size_t body = day_csv.find('\n') + 1;
+    if (day == 0) csv = "day," + day_csv.substr(0, body);
+    for (std::size_t line = body; line < day_csv.size();) {
+      const std::size_t end = day_csv.find('\n', line) + 1;
+      csv += std::to_string(day + 1) + ',' + day_csv.substr(line, end - line);
+      line = end;
+    }
+    samples += r.timeline->sample_count();
     const Joules harvested_now = platform->harvested_energy();
     const Joules load_now = platform->load_energy();
     const auto packets_now = platform->node()->packets_sent();
@@ -62,9 +74,8 @@ int main(int argc, char** argv) {
   std::printf("%s\n", chains.render().c_str());
 
   const std::string csv_path = argc > 1 ? argv[1] : "outdoor_deployment.csv";
-  write_csv(csv_path, {&recorder.soc, &recorder.input_power,
-                       &recorder.bus_voltage, &recorder.stored});
+  std::ofstream(csv_path, std::ios::binary) << csv;
   std::printf("time series written to %s (%zu samples)\n", csv_path.c_str(),
-              recorder.soc.values().size());
+              samples);
   return 0;
 }

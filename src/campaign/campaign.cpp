@@ -72,12 +72,6 @@ Campaign::Campaign(CampaignSpec spec) : spec_(std::move(spec)) {
   for (const auto& p : spec_.platforms)
     require_spec(static_cast<bool>(p.make),
                  "Campaign platform variant '" + p.name + "' has no factory");
-  if (spec_.shared_trace_cache) {
-    trace_cache_ = spec_.shared_trace_cache;
-  } else if (!spec_.trace_cache_dir.empty()) {
-    trace_cache_ = std::make_shared<env::TraceCache>(
-        spec_.trace_cache_dir, spec_.trace_cache_max_bytes);
-  }
   for (const auto& s : spec_.scenarios) {
     require_spec(static_cast<bool>(s.environment),
                  "Campaign scenario '" + s.name + "' has no environment factory");
@@ -85,12 +79,6 @@ Campaign::Campaign(CampaignSpec spec) : spec_(std::move(spec)) {
                  "Campaign scenario '" + s.name + "' needs positive duration");
     require_spec(s.options.dt.value() > 0.0,
                  "Campaign scenario '" + s.name + "' needs positive dt");
-    require_spec(s.options.recorder == nullptr,
-                 "Campaign scenario '" + s.name +
-                     "' must not share a TraceRecorder across jobs");
-    require_spec(s.options.injector == nullptr,
-                 "Campaign scenario '" + s.name +
-                     "' must use the injector factory, not a shared injector");
   }
 }
 
@@ -107,14 +95,15 @@ std::shared_ptr<const env::CompiledTrace> Campaign::compiled_trace(
     OBS_SPAN("campaign.compile_trace", "campaign");
     try {
       const auto& scenario = spec_.scenarios[scenario_index];
+      env::TraceCache* cache = spec_.shared_trace_cache.get();
       const env::TraceCacheKey key{
           scenario.trace_key.empty() ? scenario.name : scenario.trace_key,
           spec_.seeds[seed_index], scenario.options.dt, scenario.duration};
-      if (trace_cache_) {
+      if (cache != nullptr) {
         // A mapped hit skips environment construction entirely — that is
         // the win. Any invalid or missing entry falls through to a live
         // compile below, so a corrupt cache can never change a result.
-        slot.trace = trace_cache_->load(key);
+        slot.trace = cache->load(key);
         if (slot.trace) return;
       }
       auto source = scenario.environment(spec_.seeds[seed_index]);
@@ -124,7 +113,7 @@ std::shared_ptr<const env::CompiledTrace> Campaign::compiled_trace(
       slot.trace = env::CompiledTrace::compile(*source, scenario.options.dt,
                                                scenario.duration);
       trace_compiles_.fetch_add(1, std::memory_order_relaxed);
-      if (trace_cache_) trace_cache_->store(key, *slot.trace);
+      if (cache != nullptr) cache->store(key, *slot.trace);
     } catch (const std::exception& e) {
       slot.error = e.what();
     } catch (...) {
@@ -268,23 +257,21 @@ const std::vector<JobResult>& Campaign::run() {
         units.push_back(std::move(block));
       }
 
-  // Workers pop units through a fixed permutation. With longest_first the
-  // permutation sorts by expected step count (duration / dt, the dominant
-  // cost driver) so the pool never strands its tail behind one late-popped
-  // long unit; the stable sort keeps construction order among equals.
-  // Results still land in grid-order slots either way.
+  // Workers pop units through a fixed permutation sorted by expected step
+  // count (duration / dt, the dominant cost driver), longest first, so the
+  // pool never strands its tail behind one late-popped long unit; the
+  // stable sort keeps construction order among equals. Results still land
+  // in grid-order slots.
   std::vector<std::size_t> order(units.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  if (spec_.longest_first) {
-    const auto expected_steps = [&](std::size_t u) {
-      const auto& s = spec_.scenarios[units[u].scenario_index];
-      return s.duration.value() / s.options.dt.value();
-    };
-    std::stable_sort(order.begin(), order.end(),
-                     [&expected_steps](std::size_t a, std::size_t b) {
-                       return expected_steps(a) > expected_steps(b);
-                     });
-  }
+  const auto expected_steps = [&](std::size_t u) {
+    const auto& s = spec_.scenarios[units[u].scenario_index];
+    return s.duration.value() / s.options.dt.value();
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&expected_steps](std::size_t a, std::size_t b) {
+                     return expected_steps(a) > expected_steps(b);
+                   });
 
   // Each error slot is written by exactly one worker (the one that popped
   // the unit containing that job), so no synchronization beyond the join is
@@ -413,11 +400,11 @@ obs::MetricsSnapshot Campaign::metrics() const {
       .set(soa_steps == 0 ? 0.0
                           : static_cast<double>(soa_quiet) /
                                 static_cast<double>(soa_steps));
-  if (trace_cache_) {
+  if (spec_.shared_trace_cache) {
     // Cache behavior is allowed to differ run to run (cold vs warm) — these
     // rows exist for exactly that diagnosis, unlike the result exports,
     // which stay byte-identical across cache states.
-    const env::TraceCacheStats cs = trace_cache_->stats();
+    const env::TraceCacheStats cs = spec_.shared_trace_cache->stats();
     campaign_level.counter("trace_cache.hits").add(cs.hits);
     campaign_level.counter("trace_cache.misses").add(cs.misses);
     campaign_level.counter("trace_cache.evictions").add(cs.evictions);
@@ -429,7 +416,8 @@ obs::MetricsSnapshot Campaign::metrics() const {
 }
 
 env::TraceCacheStats Campaign::trace_cache_stats() const {
-  return trace_cache_ ? trace_cache_->stats() : env::TraceCacheStats{};
+  return spec_.shared_trace_cache ? spec_.shared_trace_cache->stats()
+                                  : env::TraceCacheStats{};
 }
 
 InjectorFactory schedule_injector(

@@ -12,9 +12,10 @@
 // lane blocks of a systems::BatchRunner. Results land in a preallocated slot
 // per grid point, so their order is the deterministic grid order
 // (platform-major, then scenario, then seed) regardless of how the pool
-// schedules the blocks — to_string(RunResult) of every job is byte-identical
-// to run_platform over the scenario's live environment, whether the campaign
-// ran on 1 thread or N, at any lane width.
+// schedules the blocks (longest expected run first, so a long scenario
+// cannot strand the pool tail on one worker) — to_string(RunResult) of every
+// job is byte-identical to run_platform over the scenario's live
+// environment, whether the campaign ran on 1 thread or N, at any lane width.
 #pragma once
 
 #include <atomic>
@@ -70,9 +71,8 @@ struct Scenario {
   std::string name;
   EnvironmentFactory environment;
   Seconds duration{86400.0};
-  /// Per-run options. recorder and injector must be null — a recorder cannot
-  /// be shared across jobs, and injectors are created per job via the
-  /// factory below.
+  /// Per-run options, shared by every job of the scenario (plain values;
+  /// injectors are created per job via the factory below).
   systems::RunOptions options{};
   InjectorFactory injector{};
   /// Stable generator identity for the persistent trace cache; empty (the
@@ -103,27 +103,19 @@ struct CampaignSpec {
   /// Worker threads; 0 picks std::thread::hardware_concurrency(). The
   /// thread count never changes any result byte, only the wall clock.
   unsigned threads{0};
-  /// Directory for the persistent env::TraceCache. Empty (the default)
-  /// keeps today's in-memory-only behavior. Non-empty: each (scenario,
-  /// seed) snapshot is probed on disk first — a valid entry is
-  /// memory-mapped read-only instead of synthesized, and fresh compiles are
-  /// written back for the next run. Results are byte-identical either way;
-  /// the cache can only trade disk for compile time. Keyed by scenario
-  /// *name* (plus seed/dt/duration/library version), so scenarios whose
-  /// generator recipe changes must change name or directory.
-  std::string trace_cache_dir;
-  /// Byte cap for trace_cache_dir (oldest entries evicted after each
-  /// store); 0 means unbounded.
-  std::uint64_t trace_cache_max_bytes{0};
-  /// A caller-owned persistent trace cache shared across campaigns (the
-  /// daemon's: one warm cache for every request). When set it wins over
-  /// trace_cache_dir, and its hit/miss/eviction counters accumulate over
-  /// the cache's lifetime, not one campaign's.
+  /// Persistent trace cache (env::TraceCache); null (the default) keeps
+  /// every compiled timeline in memory only. When set, each (scenario,
+  /// seed) snapshot is probed in the cache first — a valid entry is
+  /// memory-mapped read-only instead of synthesized — and fresh compiles are
+  /// written back. Results are byte-identical either way; the cache can only
+  /// trade disk for compile time. Entries are keyed by trace_key (else
+  /// scenario name) plus seed/dt/duration/library version, so a scenario
+  /// whose generator recipe changes must change its key or its directory.
+  /// One cache may be shared across campaigns (the daemon's: one warm cache
+  /// for every request); its hit/miss/eviction counters accumulate over the
+  /// cache's lifetime, not one campaign's. A per-campaign cache is
+  /// std::make_shared<env::TraceCache>(dir, max_bytes).
   std::shared_ptr<env::TraceCache> shared_trace_cache;
-  /// Pop jobs longest-expected-duration-first (expected steps =
-  /// duration / dt) so a long scenario cannot strand the pool tail on one
-  /// worker. Results stay in grid order; this flag never changes a byte.
-  bool longest_first{true};
   /// Lanes per work unit. Jobs that share a (scenario, seed) compiled trace
   /// — i.e. the platform-variant axis — are grouped into blocks of up to
   /// this many lanes and advanced in lockstep by systems::BatchRunner: the
@@ -223,7 +215,7 @@ class Campaign {
     return trace_compiles_.load(std::memory_order_relaxed);
   }
 
-  /// Persistent-cache counters (all zero when trace_cache_dir is empty).
+  /// Persistent-cache counters (all zero without shared_trace_cache).
   [[nodiscard]] env::TraceCacheStats trace_cache_stats() const;
 
   /// Lane blocks executed. After a full run this is the grid's
@@ -280,7 +272,6 @@ class Campaign {
   std::vector<LeakWarning> leak_warnings_;
   // once_flag is neither movable nor copyable, hence the raw array.
   std::unique_ptr<TraceSlot[]> trace_slots_;
-  std::shared_ptr<env::TraceCache> trace_cache_;
   std::atomic<std::uint64_t> trace_compiles_{0};
   std::atomic<std::uint64_t> lane_blocks_{0};
   // SoA kernel counters summed over every lane block (systems::soa::

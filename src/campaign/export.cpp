@@ -1,6 +1,5 @@
 #include "campaign/export.hpp"
 
-#include <cstdio>
 #include <fstream>
 
 #include "core/error.hpp"
@@ -17,29 +16,6 @@ namespace {
 /// de_DE-style LC_NUMERIC emitted ',' separators — invalid CSV/JSON).
 std::string num(double v) {
   return format_double(v);
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 void write_text(const std::string& path, const std::string& text) {

@@ -47,6 +47,32 @@ std::string format_double_general(double v, int precision) {
   return ec == std::errc{} ? std::string(buf, ptr) : std::string();
 }
 
+std::string json_escape(std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        const auto u = static_cast<unsigned char>(c);
+        if (u < 0x20) {
+          out += "\\u00";
+          out += kHex[u >> 4];
+          out += kHex[u & 0xf];
+        } else {
+          out += c;
+        }
+      }
+    }
+  }
+  return out;
+}
+
 std::optional<unsigned long long> parse_unsigned(std::string_view text) {
   std::size_t b = 0;
   std::size_t e = text.size();

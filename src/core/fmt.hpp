@@ -32,6 +32,13 @@ void append_double(std::string& out, double v);
 /// printf "%.*g" equivalent (trailing zeros trimmed), always in the C locale.
 [[nodiscard]] std::string format_double_general(double v, int precision);
 
+/// @p s escaped for the body of a JSON string: '"' and '\\' backslashed,
+/// \n \r \t as their short escapes, every other byte below 0x20 as
+/// \u00xx (lowercase hex). All other bytes, UTF-8 multibyte sequences
+/// included, pass through unchanged. The campaign JSON export and the
+/// Chrome trace both escape through this.
+[[nodiscard]] std::string json_escape(std::string_view s);
+
 /// Strict unsigned-integer parse with the same full-consumption rules as
 /// parse_double: leading/trailing ASCII whitespace skipped, one optional
 /// leading '+', decimal digits only (no 0x, no sign, no exponent), the rest

@@ -101,10 +101,9 @@ class TraceCollector {
   [[nodiscard]] std::string chrome_trace_json() const;
 
   /// Copies every in-memory event out, in thread-id order (each thread's
-  /// events in record order) — the feed for obs::Profiler. Best-effort under
+  /// events in record order), for in-process inspection. Best-effort under
   /// disk streaming: spilled prefixes are not re-read, only each thread's
-  /// in-memory tail (a profile is an aggregate, not an archive; the lossless
-  /// surface is chrome_trace_json()).
+  /// in-memory tail (the lossless surface is chrome_trace_json()).
   [[nodiscard]] std::vector<TraceEvent> snapshot_events() const;
 
   /// Writes chrome_trace_json() to @p path (throws SpecError on I/O error).

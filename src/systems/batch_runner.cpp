@@ -22,14 +22,6 @@ struct LaneState {
   std::vector<std::uint8_t> queries;    ///< lane delivers query traffic
 };
 
-RunOptions block_options(RunOptions options) {
-  require_spec(options.recorder == nullptr,
-               "BatchRunner: pass per-lane recorders to add_lane, not options");
-  require_spec(options.injector == nullptr,
-               "BatchRunner: pass per-lane injectors to add_lane, not options");
-  return options;
-}
-
 }  // namespace
 
 /// Cold per-lane block: the event engine and everything touched only at
@@ -53,7 +45,7 @@ BatchRunner::BatchRunner(env::EnvironmentModel& environment, Seconds duration,
                          RunOptions options)
     : environment_(&environment),
       duration_(duration),
-      options_(block_options(options)) {}
+      options_(options) {}
 
 BatchRunner::BatchRunner(std::shared_ptr<const env::CompiledTrace> trace,
                          Seconds duration, RunOptions options)
@@ -61,7 +53,7 @@ BatchRunner::BatchRunner(std::shared_ptr<const env::CompiledTrace> trace,
           std::make_unique<env::CompiledEnvironment>(std::move(trace))),
       environment_(owned_environment_.get()),
       duration_(duration),
-      options_(block_options(options)) {
+      options_(options) {
   require_spec(options_.dt.value() ==
                    owned_environment_->trace().dt().value(),
                "BatchRunner: options.dt does not match the compiled dt");
@@ -90,8 +82,7 @@ void BatchRunner::detach_pv_shares() {
 }
 
 std::size_t BatchRunner::add_lane(Platform& platform,
-                                  fault::FaultInjector* injector,
-                                  TraceRecorder* recorder) {
+                                  fault::FaultInjector* injector) {
   require_spec(!ran_, "BatchRunner::add_lane after run()");
   auto lane = std::make_unique<Lane>(options_.dt, options_.query_seed);
   lane->platform = &platform;
@@ -103,7 +94,7 @@ std::size_t BatchRunner::add_lane(Platform& platform,
   // Event registrations in one fixed order, so periodics fire in the same
   // sequence within a dispatch and one-shots get the same FIFO sequence
   // numbers (the same-time tiebreak) in every lane: management periodic,
-  // mid-run probe, the injector's schedule, the recorder, then the timeline.
+  // mid-run probe, the injector's schedule, then the timeline.
   Platform* p = &platform;
   lane->sim.every(options_.management_period,
                   [p](Seconds now) { p->management_tick(now); });
@@ -115,15 +106,6 @@ std::size_t BatchRunner::add_lane(Platform& platform,
     probe->sampled = true;
   });
   if (injector != nullptr) injector->arm(lane->sim);
-  if (recorder != nullptr) {
-    recorder->reserve_for(duration_);
-    lane->sim.every(recorder->period, [p, recorder](Seconds now) {
-      recorder->soc.push(now, p->ambient_soc());
-      recorder->input_power.push(now, p->last_input_power().value());
-      recorder->bus_voltage.push(now, p->bus_voltage().value());
-      recorder->stored.push(now, p->total_stored().value());
-    });
-  }
   // Run-health timeline: registered LAST, so the sample reads the platform
   // after every other callback of the same dispatch. every() consumes no
   // one-shot sequence number, so injector events keep their FIFO
@@ -218,7 +200,7 @@ std::vector<RunResult> BatchRunner::run() {
     {
       // Sampled phase span (1 in sample_every steps): how much of the step
       // budget the scalar-fallback loop eats vs the strided body below —
-      // the resident-vs-fallback split the campaign profiler reports.
+      // the resident-vs-fallback split a campaign's Chrome trace shows.
       OBS_SPAN_SAMPLED("batch.scalar_fallback", "systems");
       for (std::size_t l = 0; l < n; ++l) {
         if (in_soa[l] != 0 && run_scalar[l] == 0) continue;
@@ -271,10 +253,8 @@ std::vector<RunResult> BatchRunner::run() {
   std::vector<RunResult> out;
   out.reserve(n);
   for (auto& lane : lanes_) {
-    RunOptions lane_options = options_;
-    lane_options.injector = lane->injector;
     out.push_back(detail::assemble_run_result(
-        *lane->platform, duration_, lane_options, lane->initial_stored,
+        *lane->platform, duration_, lane->injector, lane->initial_stored,
         lane->input_stats, lane->probe, std::move(lane->sampler.timeline)));
   }
   return out;

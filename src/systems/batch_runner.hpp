@@ -17,7 +17,7 @@
 //  - The scalar body is Platform::step itself, the body the reference
 //    harness (tests/reference_run.hpp) and every component test run.
 //  - Each lane keeps its own core::Simulation purely as an event engine, so
-//    management periodics, recorder samples and one-shot fault injections
+//    management periodics, timeline samples and one-shot fault injections
 //    fire with core::Simulation's semantics (same dispatch window, same FIFO
 //    sequence tiebreak, registrations in one fixed order — see add_lane).
 //    On steps where nothing is due — the common case — the kernel skips
@@ -44,12 +44,12 @@
 // every accumulator is advanced lane-locally in the same order as the
 // scalar body.
 //
-// Constraints: options.recorder and options.injector must be null (per-lane
-// injectors and recorders are passed to add_lane), a CompiledTrace's dt must
-// equal options.dt, and lanes must not hot-swap components mid-run (fault
-// events mutate components in place). Injectors must be fully built before
-// add_lane — fault::Schedule wraps harvesters at build time, and add_lane
-// attaches PV curve shares to the harvesters it sees then.
+// Constraints: RunOptions holds plain values shared by every lane (per-lane
+// injectors go to add_lane), a CompiledTrace's dt must equal options.dt, and
+// lanes must not hot-swap components mid-run (fault events mutate
+// components in place). Injectors must be fully built before add_lane —
+// fault::Schedule wraps harvesters at build time, and add_lane attaches PV
+// curve shares to the harvesters it sees then.
 #pragma once
 
 #include <cstdint>
@@ -88,12 +88,9 @@ class BatchRunner {
   /// is never called: the destructor detaches the curve shares add_lane
   /// attached to its PV panels); @p injector (optional) must already be
   /// fully built against this platform and is armed on the lane's event
-  /// engine; @p recorder (optional) samples the lane every recorder->period
-  /// and must outlive run(). Returns the lane index (result slot in run()'s
-  /// return).
+  /// engine. Returns the lane index (result slot in run()'s return).
   std::size_t add_lane(Platform& platform,
-                       fault::FaultInjector* injector = nullptr,
-                       TraceRecorder* recorder = nullptr);
+                       fault::FaultInjector* injector = nullptr);
 
   [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
 

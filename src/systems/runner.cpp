@@ -12,9 +12,10 @@ namespace msehsim::systems {
 namespace {
 
 /// Collects fault bookkeeping scattered across the platform's components.
-FaultReport collect_faults(Platform& platform, const RunOptions& options) {
+FaultReport collect_faults(Platform& platform,
+                           const fault::FaultInjector* injector) {
   FaultReport f;
-  if (options.injector != nullptr) f.injected = options.injector->counters();
+  if (injector != nullptr) f.injected = injector->counters();
   for (std::size_t i = 0; i < platform.input_count(); ++i) {
     auto& chain = platform.input(i);
     if (const auto* fh =
@@ -262,24 +263,12 @@ const std::vector<RunResultField>& run_result_fields() {
   return kFields;
 }
 
-void TraceRecorder::reserve_for(Seconds duration) {
-  if (period.value() <= 0.0 || duration.value() <= 0.0) return;
-  const auto samples =
-      static_cast<std::uint64_t>(duration.value() / period.value()) + 1;
-  soc.reserve(samples);
-  input_power.reserve(samples);
-  bus_voltage.reserve(samples);
-  stored.reserve(samples);
-}
-
 RunResult run_platform(Platform& platform, env::EnvironmentModel& environment,
-                       Seconds duration, const RunOptions& options) {
+                       Seconds duration, const RunOptions& options,
+                       fault::FaultInjector* injector) {
   OBS_SPAN("run_platform", "systems");
-  RunOptions shared = options;  // the injector and recorder are per lane
-  shared.injector = nullptr;
-  shared.recorder = nullptr;
-  BatchRunner runner(environment, duration, shared);
-  runner.add_lane(platform, options.injector, options.recorder);
+  BatchRunner runner(environment, duration, options);
+  runner.add_lane(platform, injector);
   return std::move(runner.run().front());
 }
 
@@ -287,8 +276,9 @@ void detail::TimelineSampler::init(Platform& p, Seconds cadence,
                                    Seconds duration) {
   platform = &p;
   const std::size_t sources = p.input_count();
-  std::vector<std::string> columns = {"soc", "stored_j", "unserved_j",
-                                      "backup_stage", "soa_resident"};
+  std::vector<std::string> columns = {"soc",          "stored_j",
+                                      "unserved_j",   "backup_stage",
+                                      "soa_resident", "bus_voltage_v"};
   columns.reserve(columns.size() + 2 * sources);
   for (std::size_t i = 0; i < sources; ++i) {
     const std::string prefix = "source[" + std::to_string(i) + "].";
@@ -320,17 +310,18 @@ void detail::TimelineSampler::sample(Seconds now) {
   }
   row_[3] = stage;
   row_[4] = soa_resident;
+  row_[5] = platform->bus_voltage().value();
   const double gap_s = now.value() - prev_t_s_;
   for (std::size_t i = 0; i < platform->input_count(); ++i) {
     const auto& chain = platform->input(i);
     const double transducer_j = chain.transducer_energy().value();
     const double delivered_j = chain.delivered_energy().value();
     if (first_ || gap_s <= 0.0) {
-      row_[5 + 2 * i] = 0.0;
       row_[6 + 2 * i] = 0.0;
+      row_[7 + 2 * i] = 0.0;
     } else {
-      row_[5 + 2 * i] = (transducer_j - prev_transducer_j_[i]) / gap_s;
-      row_[6 + 2 * i] = (delivered_j - prev_delivered_j_[i]) / gap_s;
+      row_[6 + 2 * i] = (transducer_j - prev_transducer_j_[i]) / gap_s;
+      row_[7 + 2 * i] = (delivered_j - prev_delivered_j_[i]) / gap_s;
     }
     prev_transducer_j_[i] = transducer_j;
     prev_delivered_j_[i] = delivered_j;
@@ -341,7 +332,7 @@ void detail::TimelineSampler::sample(Seconds now) {
 }
 
 RunResult detail::assemble_run_result(
-    Platform& platform, Seconds duration, const RunOptions& options,
+    Platform& platform, Seconds duration, const fault::FaultInjector* injector,
     Joules initial_stored, const RunningStats& input_stats,
     const MidRunProbe& probe, std::shared_ptr<const obs::Timeline> timeline) {
   RunResult r;
@@ -364,7 +355,7 @@ RunResult detail::assemble_run_result(
   r.final_ambient_soc = platform.ambient_soc();
   r.final_stored = platform.total_stored();
   r.time_to_first_brownout_s = platform.first_brownout_time().value();
-  r.faults = collect_faults(platform, options);
+  r.faults = collect_faults(platform, injector);
   r.survivability = collect_survivability(platform, duration);
   r.ledger = collect_ledger(platform, initial_stored, probe);
   for (const auto& source : r.ledger.sources) {

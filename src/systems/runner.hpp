@@ -1,8 +1,9 @@
 // Convenience harness: drive one Platform in one Environment.
 //
 // run_platform is a one-lane systems::BatchRunner (batch_runner.hpp), the
-// project's only step engine; this header holds the run's options and the
-// summary numbers every bench and example reports.
+// project's only step engine; this header holds the run's options (plain
+// values, shareable by every lane of a block; a fault injector is a call
+// argument) and the summary numbers every bench and example reports.
 #pragma once
 
 #include <array>
@@ -39,7 +40,8 @@ struct FaultReport {
   std::uint64_t failovers{0};               ///< backup switch-ins
   std::uint64_t failbacks{0};               ///< backup switch-outs
   /// Outage-triggered failovers with a measurable onset, and their total
-  /// fault-onset -> switch-in latency (manager::FailoverPolicy).
+  /// fault-onset -> switch-in latency (manager::FailoverPolicy or
+  /// manager::BackupChain, whichever the platform drives).
   std::uint64_t failover_latency_count{0};
   double failover_latency_total_s{0.0};
 
@@ -98,7 +100,7 @@ struct RunResult {
   double availability{0.0};    ///< node uptime fraction
   /// Fraction of the run during which the chains delivered positive power
   /// into the bus — the "generation hours" metric of claim C1, computed
-  /// per-step so campaign jobs don't need a TraceRecorder for it.
+  /// per-step, so it needs no sampled time series.
   double generation_fraction{0.0};
   double final_ambient_soc{0.0};
   Joules final_stored{0.0};
@@ -149,53 +151,33 @@ struct RunResultField {
 /// and mergeable across a campaign's jobs.
 [[nodiscard]] obs::MetricsSnapshot metrics_snapshot(const RunResult& result);
 
-/// Optional time-series capture during a run.
-struct TraceRecorder {
-  explicit TraceRecorder(Seconds sample_period = Seconds{60.0})
-      : period(sample_period),
-        soc("ambient_soc"),
-        input_power("input_power_w"),
-        bus_voltage("bus_voltage_v"),
-        stored("stored_j") {}
-
-  Seconds period;
-  Series soc;
-  Series input_power;
-  Series bus_voltage;
-  Series stored;
-
-  /// Pre-reserves every series for a run of @p duration (one sample per
-  /// period), avoiding growth reallocations during year-scale traces.
-  /// BatchRunner::add_lane calls this automatically.
-  void reserve_for(Seconds duration);
-};
-
 struct RunOptions {
   Seconds dt{1.0};
   Seconds management_period{60.0};
-  TraceRecorder* recorder{nullptr};
   /// When positive, asynchronous over-the-air queries arrive as a Poisson
   /// process with this mean interval and are delivered to the node (the
   /// wake-up-radio use case). Zero disables query traffic.
   Seconds mean_query_interval{0.0};
   std::uint64_t query_seed{0x5eed};
-  /// When set, the injector's schedule is armed on the run's simulation and
-  /// its counters land in RunResult::faults. Must outlive the run. A given
-  /// injector can be armed only once (one injector per run).
-  fault::FaultInjector* injector{nullptr};
   /// When positive, a fixed-cadence run-health timeline (SoC, stored energy,
-  /// unserved energy, backup-chain stage, per-source harvested/delivered
-  /// power) is sampled every timeline_dt of simulated time and attached as
-  /// RunResult::timeline. Sampling is read-only — results are byte-identical
+  /// bus voltage, unserved energy, backup-chain stage, per-source
+  /// harvested/delivered power) is sampled every timeline_dt of simulated
+  /// time and attached as RunResult::timeline — the run's only time-series
+  /// recorder. Sampling is read-only — results are byte-identical
   /// with it on or off — but lanes with a due sample leave the SoA fast path
   /// for that step, so prefer coarse cadences on batched campaigns
   /// (obs::Timeline::kDefaultCadenceS is the documented default).
   Seconds timeline_dt{0.0};
 };
 
-/// Runs @p platform in @p environment for @p duration and summarizes.
+/// Runs @p platform in @p environment for @p duration and summarizes. When
+/// @p injector is set, its schedule is armed on the run's event engine and
+/// its counters land in RunResult::faults; it must already be built against
+/// @p platform, and a given injector can be armed only once.
 RunResult run_platform(Platform& platform, env::EnvironmentModel& environment,
-                       Seconds duration, const RunOptions& options = RunOptions{});
+                       Seconds duration,
+                       const RunOptions& options = RunOptions{},
+                       fault::FaultInjector* injector = nullptr);
 
 namespace detail {
 
@@ -214,7 +196,7 @@ struct MidRunProbe {
 
 /// Fixed-cadence run-health sampler of one lane. Registered as the LAST
 /// sim.every() periodic, so a sample reads the platform at the start of the
-/// step it falls in — after every management/recorder callback of the same
+/// step it falls in — after every management callback of the same
 /// dispatch, before the step itself. Strictly read-only over the platform:
 /// enabling it cannot change results.
 struct TimelineSampler {
@@ -225,7 +207,7 @@ struct TimelineSampler {
   /// excluded from cross-width comparisons.
   double soa_resident{0.0};
 
-  /// Builds the column table for @p p (5 scalar columns + 2 per source)
+  /// Builds the column table for @p p (6 scalar columns + 2 per source)
   /// and pre-reserves for @p duration at @p cadence.
   void init(Platform& p, Seconds cadence, Seconds duration);
   /// Appends one sample at @p now. Powers are trailing deltas of the
@@ -243,9 +225,11 @@ struct TimelineSampler {
 
 /// Summarizes a finished lane into a RunResult — the tail of
 /// systems::BatchRunner::run, so exports, ledger, metrics, and
-/// survivability are assembled by one piece of code.
+/// survivability are assembled by one piece of code. @p injector is the
+/// lane's armed injector, if any.
 RunResult assemble_run_result(Platform& platform, Seconds duration,
-                              const RunOptions& options, Joules initial_stored,
+                              const fault::FaultInjector* injector,
+                              Joules initial_stored,
                               const RunningStats& input_stats,
                               const MidRunProbe& probe,
                               std::shared_ptr<const obs::Timeline> timeline =

@@ -31,7 +31,8 @@ namespace msehsim::reference {
 /// harness; same contract as systems::run_platform.
 inline systems::RunResult reference_run(
     systems::Platform& platform, env::EnvironmentModel& environment,
-    Seconds duration, const systems::RunOptions& options = {}) {
+    Seconds duration, const systems::RunOptions& options = {},
+    fault::FaultInjector* injector = nullptr) {
   Simulation sim(options.dt);
   const Joules initial_stored = platform.total_stored();
 
@@ -60,17 +61,7 @@ inline systems::RunResult reference_run(
     probe.stored_j = platform.total_stored().value();
     probe.sampled = true;
   });
-  if (options.injector != nullptr) options.injector->arm(sim);
-  if (options.recorder != nullptr) {
-    auto* rec = options.recorder;
-    rec->reserve_for(duration);
-    sim.every(rec->period, [&platform, rec](Seconds now) {
-      rec->soc.push(now, platform.ambient_soc());
-      rec->input_power.push(now, platform.last_input_power().value());
-      rec->bus_voltage.push(now, platform.bus_voltage().value());
-      rec->stored.push(now, platform.total_stored().value());
-    });
-  }
+  if (injector != nullptr) injector->arm(sim);
   systems::detail::TimelineSampler sampler;
   if (options.timeline_dt.value() > 0.0) {
     sampler.init(platform, options.timeline_dt, duration);
@@ -80,7 +71,7 @@ inline systems::RunResult reference_run(
 
   sim.run_for(duration);
 
-  return systems::detail::assemble_run_result(platform, duration, options,
+  return systems::detail::assemble_run_result(platform, duration, injector,
                                               initial_stored, input_stats,
                                               probe,
                                               std::move(sampler.timeline));
@@ -101,14 +92,11 @@ std::vector<std::string> live_grid_reports(const campaign::CampaignSpec& spec,
         auto environment = scenario.environment(seed);
         require_spec(platform != nullptr && environment != nullptr,
                      "live_grid_reports: factory returned null");
-        systems::RunOptions options = scenario.options;
         std::unique_ptr<fault::FaultInjector> injector;
-        if (scenario.injector) {
-          injector = scenario.injector(seed, *platform);
-          options.injector = injector.get();
-        }
-        out.push_back(systems::to_string(
-            run(*platform, *environment, scenario.duration, options)));
+        if (scenario.injector) injector = scenario.injector(seed, *platform);
+        const auto result = run(*platform, *environment, scenario.duration,
+                                scenario.options, injector.get());
+        out.push_back(systems::to_string(result));
       }
   return out;
 }

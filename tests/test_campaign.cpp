@@ -246,7 +246,8 @@ TEST(Campaign, FieldTableCoversEveryReportLine) {
 
 TEST(Campaign, ValidatesSpecUpFront) {
   // Empty axes are legal since the daemon (a zero-job grid, see the
-  // CampaignEmptyGrid suite); broken factories and shared recorders are not.
+  // CampaignEmptyGrid suite); broken factories and non-positive durations
+  // are not.
   EXPECT_NO_THROW(Campaign{CampaignSpec{}});
 
   auto no_seeds = small_grid(1);
@@ -256,11 +257,6 @@ TEST(Campaign, ValidatesSpecUpFront) {
   auto null_factory = small_grid(1);
   null_factory.platforms[0].make = nullptr;
   EXPECT_THROW(Campaign{null_factory}, SpecError);
-
-  auto shared_recorder = small_grid(1);
-  systems::TraceRecorder recorder;
-  shared_recorder.scenarios[0].options.recorder = &recorder;
-  EXPECT_THROW(Campaign{shared_recorder}, SpecError);
 
   auto zero_duration = small_grid(1);
   zero_duration.scenarios[0].duration = Seconds{0.0};
@@ -324,23 +320,21 @@ TEST(Campaign, FaultedCompiledOnVsOffByteIdentical) {
 }
 
 TEST(Campaign, LongestFirstOrderingNeverChangesBytes) {
-  // Make the grid length-skewed so LPT actually reorders the pop sequence,
-  // then prove the bytes (and grid-order slots) are scheduling-invariant.
+  // Make the grid length-skewed so the longest-first pop order differs from
+  // grid order, then prove the bytes (and grid-order slots) are
+  // scheduling-invariant.
   std::vector<std::vector<std::string>> all;
-  for (const bool lpt : {true, false}) {
-    for (const unsigned threads : {1u, 4u}) {
-      auto spec = small_grid(threads);
-      spec.scenarios[1].duration = Seconds{7200.0};
-      spec.longest_first = lpt;
-      Campaign c(std::move(spec));
-      const auto& jobs = c.run();
-      all.push_back(reports(c));
-      // Slots stay in grid order regardless of execution order.
-      EXPECT_EQ(jobs[1].scenario_index, 0u);
-      EXPECT_DOUBLE_EQ(jobs[2].result.duration.value(), 7200.0);
-    }
+  for (const unsigned threads : {1u, 4u}) {
+    auto spec = small_grid(threads);
+    spec.scenarios[1].duration = Seconds{7200.0};
+    Campaign c(std::move(spec));
+    const auto& jobs = c.run();
+    all.push_back(reports(c));
+    // Slots stay in grid order regardless of execution order.
+    EXPECT_EQ(jobs[1].scenario_index, 0u);
+    EXPECT_DOUBLE_EQ(jobs[2].result.duration.value(), 7200.0);
   }
-  for (std::size_t i = 1; i < all.size(); ++i) EXPECT_EQ(all[0], all[i]);
+  EXPECT_EQ(all[0], all[1]);
 }
 
 TEST(Campaign, ValidatesDtUpFront) {
@@ -524,11 +518,17 @@ std::filesystem::path cache_dir(const std::string& name) {
   return dir;
 }
 
+/// A campaign's own persistent cache over @p dir (fresh counters).
+std::shared_ptr<env::TraceCache> dir_cache(const std::filesystem::path& dir,
+                                           std::uint64_t max_bytes = 0) {
+  return std::make_shared<env::TraceCache>(dir.string(), max_bytes);
+}
+
 TEST(CampaignTraceCache, ColdThenWarmRunsAreByteIdenticalEverywhere) {
   const auto dir = cache_dir("cold_warm");
 
   auto cold_spec = small_grid(1);
-  cold_spec.trace_cache_dir = dir.string();
+  cold_spec.shared_trace_cache = dir_cache(dir);
   Campaign cold(cold_spec);
   cold.run();
   EXPECT_EQ(cold.trace_compiles(), 4u);  // 2 scenarios x 2 seeds
@@ -537,7 +537,7 @@ TEST(CampaignTraceCache, ColdThenWarmRunsAreByteIdenticalEverywhere) {
 
   // Warm run on a different thread count: every slot must map from disk.
   auto warm_spec = small_grid(4);
-  warm_spec.trace_cache_dir = dir.string();
+  warm_spec.shared_trace_cache = dir_cache(dir);
   Campaign warm(warm_spec);
   warm.run();
   EXPECT_EQ(warm.trace_compiles(), 0u);
@@ -563,13 +563,13 @@ TEST(CampaignTraceCache, ColdThenWarmRunsAreByteIdenticalEverywhere) {
 TEST(CampaignTraceCache, FaultedGridColdVsWarmByteIdentical) {
   const auto dir = cache_dir("faulted");
   auto cold_spec = faulted_grid(1);
-  cold_spec.trace_cache_dir = dir.string();
+  cold_spec.shared_trace_cache = dir_cache(dir);
   Campaign cold(cold_spec);
   cold.run();
   EXPECT_EQ(cold.trace_compiles(), 3u);
 
   auto warm_spec = faulted_grid(3);
-  warm_spec.trace_cache_dir = dir.string();
+  warm_spec.shared_trace_cache = dir_cache(dir);
   Campaign warm(warm_spec);
   warm.run();
   EXPECT_EQ(warm.trace_compiles(), 0u);
@@ -582,7 +582,7 @@ TEST(CampaignTraceCache, FaultedGridColdVsWarmByteIdentical) {
 TEST(CampaignTraceCache, CorruptEntryFallsBackToLiveSynthesis) {
   const auto dir = cache_dir("corrupt");
   auto spec = small_grid(1);
-  spec.trace_cache_dir = dir.string();
+  spec.shared_trace_cache = dir_cache(dir);
   Campaign cold(spec);
   cold.run();
 
@@ -596,6 +596,7 @@ TEST(CampaignTraceCache, CorruptEntryFallsBackToLiveSynthesis) {
   }
   ASSERT_TRUE(truncated);
 
+  spec.shared_trace_cache = dir_cache(dir);
   Campaign warm(spec);
   warm.run();
   EXPECT_EQ(warm.trace_compiles(), 1u);
@@ -608,7 +609,7 @@ TEST(CampaignTraceCache, CorruptEntryFallsBackToLiveSynthesis) {
 TEST(CampaignTraceCache, MetricsSurfaceCacheCountersOnlyWhenConfigured) {
   const auto dir = cache_dir("metrics");
   auto spec = small_grid(1);
-  spec.trace_cache_dir = dir.string();
+  spec.shared_trace_cache = dir_cache(dir);
   Campaign with_cache(spec);
   with_cache.run();
   const auto m = with_cache.metrics();
@@ -625,13 +626,14 @@ TEST(CampaignTraceCache, MetricsSurfaceCacheCountersOnlyWhenConfigured) {
   EXPECT_EQ(evictions->count, 0u);
   EXPECT_EQ(mapped->value, 0.0);
 
+  spec.shared_trace_cache = dir_cache(dir);
   Campaign warm(spec);
   warm.run();
   const auto wm = warm.metrics();
   EXPECT_EQ(wm.find("trace_cache.hits")->count, 4u);
   EXPECT_GT(wm.find("trace_cache.bytes_mapped")->value, 0.0);
 
-  // Without a cache dir the diagnostic rows stay absent, keeping the
+  // Without a cache the diagnostic rows stay absent, keeping the
   // metrics export byte-compatible with pre-cache behavior.
   Campaign plain(small_grid(1));
   plain.run();
@@ -907,7 +909,7 @@ TEST(CampaignEmptyGrid, MetricsRowsPresentAndPrometheusLintClean) {
 
 TEST(CampaignTraceCache, ConcurrentCampaignsShareOneDirSafely) {
   // The daemon's steady state: several Campaign instances racing over the
-  // same trace_cache_dir, each storing and (with a tight byte cap) evicting
+  // same cache directory, each storing and (with a tight byte cap) evicting
   // the very entries its peers are loading. Correctness bar: no crash while
   // a reader holds a mapped trace that loses its file, and every campaign's
   // bytes equal the cache-less reference.
@@ -925,8 +927,7 @@ TEST(CampaignTraceCache, ConcurrentCampaignsShareOneDirSafely) {
   for (int round = 0; round < kRounds; ++round) {
     std::thread left([&, round] {
       auto spec = small_grid(2);
-      spec.trace_cache_dir = dir.string();
-      spec.trace_cache_max_bytes = kTightCap;
+      spec.shared_trace_cache = dir_cache(dir, kTightCap);
       Campaign c(spec);
       c.run();
       EXPECT_EQ(reports(c), expected) << "left round " << round;
@@ -934,8 +935,7 @@ TEST(CampaignTraceCache, ConcurrentCampaignsShareOneDirSafely) {
     });
     std::thread right([&, round] {
       auto spec = small_grid(2);
-      spec.trace_cache_dir = dir.string();
-      spec.trace_cache_max_bytes = kTightCap;
+      spec.shared_trace_cache = dir_cache(dir, kTightCap);
       Campaign c(spec);
       c.run();
       EXPECT_EQ(reports(c), expected) << "right round " << round;
@@ -968,13 +968,6 @@ TEST(CampaignTraceCache, SharedCacheObjectAccumulatesAcrossCampaigns) {
   EXPECT_EQ(cache->stats().hits, 4u);
   EXPECT_EQ(cache->stats().misses, 4u);  // lifetime, not per-campaign
   EXPECT_EQ(reports(cold), reports(warm));
-  // shared_trace_cache wins over trace_cache_dir when both are set.
-  auto both_spec = small_grid(1);
-  both_spec.shared_trace_cache = cache;
-  both_spec.trace_cache_dir = (cache_dir("shared_decoy")).string();
-  Campaign both(both_spec);
-  both.run();
-  EXPECT_EQ(cache->stats().hits, 8u);
 }
 
 TEST(CampaignTraceCache, TraceKeyOverridesScenarioNameInTheCacheKey) {
@@ -984,7 +977,7 @@ TEST(CampaignTraceCache, TraceKeyOverridesScenarioNameInTheCacheKey) {
   const auto dir = cache_dir("trace_key");
   auto cold_spec = small_grid(1);
   for (auto& sc : cold_spec.scenarios) sc.trace_key = "preset:outdoor";
-  cold_spec.trace_cache_dir = dir.string();
+  cold_spec.shared_trace_cache = dir_cache(dir);
   Campaign cold(cold_spec);
   cold.run();
   // Both scenarios collapse onto one generator identity x two seeds.
@@ -994,7 +987,7 @@ TEST(CampaignTraceCache, TraceKeyOverridesScenarioNameInTheCacheKey) {
   auto renamed = small_grid(1);
   for (auto& sc : renamed.scenarios) sc.name += "-renamed";
   for (auto& sc : renamed.scenarios) sc.trace_key = "preset:outdoor";
-  renamed.trace_cache_dir = dir.string();
+  renamed.shared_trace_cache = dir_cache(dir);
   Campaign warm(renamed);
   warm.run();
   EXPECT_EQ(warm.trace_cache_stats().hits, 4u);

@@ -687,8 +687,7 @@ systems::RunResult faulted_system_a_run(std::uint64_t seed) {
   systems::RunOptions o;
   o.dt = Seconds{5.0};
   o.management_period = Seconds{60.0};
-  o.injector = &inj;
-  return systems::run_platform(*a, env, Seconds{6.0 * 3600.0}, o);
+  return systems::run_platform(*a, env, Seconds{6.0 * 3600.0}, o, &inj);
 }
 
 TEST(FaultDeterminism, SeededScheduleReplaysByteForByte) {
@@ -734,8 +733,7 @@ TEST(FailoverAcceptance, SystemAStaysAliveOnFuelCellWhenAmbientSourcesDie) {
   systems::RunOptions o;
   o.dt = Seconds{5.0};
   o.management_period = Seconds{60.0};
-  o.injector = &inj;
-  const auto r = systems::run_platform(*a, env, Seconds{86400.0}, o);
+  const auto r = systems::run_platform(*a, env, Seconds{86400.0}, o, &inj);
 
   EXPECT_EQ(r.faults.injected.harvester, 3u);
   EXPECT_GE(r.faults.failovers, 1u);
@@ -764,8 +762,7 @@ TEST(FailoverAcceptance, WithoutFailoverTheSameOutageHurtsMore) {
     inj.harvester_stuck_short(Seconds{7200.0}, a->input(2));
     systems::RunOptions o;
     o.dt = Seconds{5.0};
-    o.injector = &inj;
-    return systems::run_platform(*a, env, Seconds{86400.0}, o);
+    return systems::run_platform(*a, env, Seconds{86400.0}, o, &inj);
   };
   const auto with = run(true);
   const auto without = run(false);

@@ -273,9 +273,8 @@ std::string run_with(const Schedule& schedule, std::uint64_t seed) {
   auto injector = schedule.build_injector(seed, platform->fault_targets());
   systems::RunOptions options;
   options.dt = Seconds{5.0};
-  options.injector = injector.get();
-  const auto result = systems::run_platform(*platform, environment,
-                                            Seconds{2.0 * 3600.0}, options);
+  const auto result = systems::run_platform(
+      *platform, environment, Seconds{2.0 * 3600.0}, options, injector.get());
   return systems::to_string(result);
 }
 
@@ -321,10 +320,8 @@ TEST(ScheduleReplay, AppendingARowPreservesEarlierDraws) {
   env::Environment e2 = env::Environment::outdoor(7);
   systems::RunOptions o1, o2;
   o1.dt = o2.dt = Seconds{5.0};
-  o1.injector = i1.get();
-  o2.injector = i2.get();
-  const auto r1 = systems::run_platform(*p1, e1, Seconds{6000.0}, o1);
-  const auto r2 = systems::run_platform(*p2, e2, Seconds{6000.0}, o2);
+  const auto r1 = systems::run_platform(*p1, e1, Seconds{6000.0}, o1, i1.get());
+  const auto r2 = systems::run_platform(*p2, e2, Seconds{6000.0}, o2, i2.get());
   EXPECT_EQ(systems::to_string(r1), systems::to_string(r2));
 }
 
@@ -363,9 +360,8 @@ TEST(ScheduleReplay, SurvivabilitySurfacesAndLedgerBalances) {
   auto injector = schedule.build_injector(7, platform->fault_targets());
   systems::RunOptions options;
   options.dt = Seconds{5.0};
-  options.injector = injector.get();
-  const auto result = systems::run_platform(*platform, environment,
-                                            Seconds{4.0 * 3600.0}, options);
+  const auto result = systems::run_platform(
+      *platform, environment, Seconds{4.0 * 3600.0}, options, injector.get());
   const auto& s = result.survivability;
   EXPECT_GE(s.energy_neutral_fraction, 0.0);
   EXPECT_LE(s.energy_neutral_fraction, 1.0);

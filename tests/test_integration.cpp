@@ -2,6 +2,8 @@
 // energy books must balance and survey-level behaviours must emerge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bus/datasheet.hpp"
 #include "bus/module_port.hpp"
 #include "env/environment.hpp"
@@ -75,17 +77,25 @@ TEST(Integration, DifferentSeedsDifferentWeather) {
   EXPECT_NE(r1.harvested.value(), r2.harvested.value());
 }
 
+/// The run's recorder is its timeline: SoC and bus voltage every 600 s.
 TEST(Integration, RecorderCapturesSeries) {
   auto b = build_system_b(kSeed);
   auto env = env::Environment::indoor_industrial(kSeed);
-  TraceRecorder rec(Seconds{600.0});
   RunOptions o = fast_opts();
-  o.recorder = &rec;
-  run_platform(*b, env, Seconds{kDay}, o);
-  EXPECT_GT(rec.soc.values().size(), 100u);
-  EXPECT_GT(rec.bus_voltage.values().size(), 100u);
-  EXPECT_GE(rec.soc.stats().min(), 0.0);
-  EXPECT_LE(rec.soc.stats().max(), 1.0 + 1e-9);
+  o.timeline_dt = Seconds{600.0};
+  const auto r = run_platform(*b, env, Seconds{kDay}, o);
+  ASSERT_NE(r.timeline, nullptr);
+  const std::size_t soc_col = r.timeline->find_column("soc");
+  const std::size_t bus_col = r.timeline->find_column("bus_voltage_v");
+  ASSERT_NE(soc_col, obs::Timeline::npos);
+  ASSERT_NE(bus_col, obs::Timeline::npos);
+  const auto& soc = r.timeline->column(soc_col);
+  const auto& bus_v = r.timeline->column(bus_col);
+  EXPECT_GT(soc.size(), 100u);
+  EXPECT_GT(bus_v.size(), 100u);
+  EXPECT_GE(*std::min_element(soc.begin(), soc.end()), 0.0);
+  EXPECT_LE(*std::max_element(soc.begin(), soc.end()), 1.0 + 1e-9);
+  EXPECT_GT(*std::max_element(bus_v.begin(), bus_v.end()), 0.0);
 }
 
 TEST(Integration, FuelCellTakesOverWhenAmbientDies) {

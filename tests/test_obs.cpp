@@ -17,7 +17,6 @@
 #include "manager/policies.hpp"
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "storage/fuel_cell.hpp"
@@ -238,8 +237,8 @@ TEST(EnergyLedger, SystemAConservesEnergyUnderFaultInjection) {
                             Seconds{4000.0});
   systems::RunOptions o;
   o.dt = Seconds{5.0};
-  o.injector = &inj;
-  const auto r = systems::run_platform(*a, env, Seconds{6.0 * 3600.0}, o);
+  const auto r =
+      systems::run_platform(*a, env, Seconds{6.0 * 3600.0}, o, &inj);
   EXPECT_GT(r.faults.injected.total(), 0u);
   expect_ledger_balances(r);
 }
@@ -252,8 +251,8 @@ TEST(EnergyLedger, SystemBConservesEnergyUnderFaultInjection) {
   inj.harvester_stuck_short(Seconds{5400.0}, b->input(1));
   systems::RunOptions o;
   o.dt = Seconds{5.0};
-  o.injector = &inj;
-  const auto r = systems::run_platform(*b, env, Seconds{6.0 * 3600.0}, o);
+  const auto r =
+      systems::run_platform(*b, env, Seconds{6.0 * 3600.0}, o, &inj);
   EXPECT_GT(r.faults.injected.total(), 0u);
   expect_ledger_balances(r);
 }
@@ -316,8 +315,7 @@ TEST(MeanTimeToFailover, SurfacesThroughRunResult) {
   inj.harvester_stuck_short(Seconds{7200.0}, a->input(2));
   systems::RunOptions o;
   o.dt = Seconds{5.0};
-  o.injector = &inj;
-  const auto r = systems::run_platform(*a, env, Seconds{86400.0}, o);
+  const auto r = systems::run_platform(*a, env, Seconds{86400.0}, o, &inj);
   ASSERT_GE(r.faults.failovers, 1u);
   ASSERT_GE(r.faults.failover_latency_count, 1u);
   // Latency is at least the debounce dead time and is the mean of totals.
@@ -672,7 +670,8 @@ TEST(RunTimeline, SchemaCoversStorageBackupAndEverySource) {
   ASSERT_NE(r.timeline, nullptr);
   const auto& tl = *r.timeline;
   for (const char* col :
-       {"soc", "stored_j", "unserved_j", "backup_stage", "soa_resident"})
+       {"soc", "stored_j", "unserved_j", "backup_stage", "soa_resident",
+        "bus_voltage_v"})
     EXPECT_NE(tl.find_column(col), obs::Timeline::npos) << col;
   for (std::size_t i = 0; i < a->input_count(); ++i) {
     const std::string base = "source[" + std::to_string(i) + "]";
@@ -723,131 +722,11 @@ TEST(RunTimeline, SamplingNeverChangesRunResultBytes) {
       fault::FaultInjector inj(kSeed);
       inj.harvester_intermittent(Seconds{600.0}, b->input(0), 0.6);
       inj.harvester_stuck_short(Seconds{5400.0}, b->input(1));
-      auto o = base;
-      o.injector = &inj;
       return systems::to_string(
-          systems::run_platform(*b, env, Seconds{6.0 * 3600.0}, o));
+          systems::run_platform(*b, env, Seconds{6.0 * 3600.0}, base, &inj));
     };
     EXPECT_EQ(run(off_o), run(on_o));
   }
-}
-
-// ---------------------------------------------------------------------------
-// Profiler: call-tree reconstruction from flat span events
-// ---------------------------------------------------------------------------
-
-namespace {
-
-obs::TraceEvent make_event(const char* name, double ts_us, double dur_us,
-                           std::uint32_t tid = 0) {
-  obs::TraceEvent e;
-  e.name = name;
-  e.ts_us = ts_us;
-  e.dur_us = dur_us;
-  e.tid = tid;
-  return e;
-}
-
-}  // namespace
-
-TEST(Profiler, NestsByIntervalContainment) {
-  std::vector<obs::TraceEvent> events;
-  events.push_back(make_event("job", 0.0, 100.0));
-  events.push_back(make_event("compile", 10.0, 20.0));
-  events.push_back(make_event("run", 40.0, 50.0));
-  obs::Profiler profiler;
-  profiler.add_events(events);
-
-  const auto& root = profiler.root();
-  ASSERT_EQ(root.children.size(), 1u);
-  const auto& job = root.children[0];
-  EXPECT_EQ(job.name, "job");
-  EXPECT_EQ(job.count, 1u);
-  EXPECT_DOUBLE_EQ(job.total_us, 100.0);
-  EXPECT_DOUBLE_EQ(job.child_us, 70.0);
-  EXPECT_DOUBLE_EQ(job.self_us(), 30.0);
-  ASSERT_EQ(job.children.size(), 2u);
-  EXPECT_EQ(job.children[0].name, "compile");
-  EXPECT_DOUBLE_EQ(job.children[0].total_us, 20.0);
-  EXPECT_EQ(job.children[1].name, "run");
-  EXPECT_DOUBLE_EQ(job.children[1].total_us, 50.0);
-
-  const auto report = profiler.report();
-  EXPECT_NE(report.find("job"), std::string::npos);
-  EXPECT_NE(report.find("compile"), std::string::npos);
-  EXPECT_NE(report.find("% of parent"), std::string::npos);
-}
-
-TEST(Profiler, SameStartTieGoesLongestFirstAndMergesRepeats) {
-  std::vector<obs::TraceEvent> events;
-  // Same start timestamp: the enclosing (longer) span must win the sort so
-  // the shorter one nests beneath it.
-  events.push_back(make_event("inner", 0.0, 30.0));
-  events.push_back(make_event("outer", 0.0, 100.0));
-  // A second occurrence of the same pair merges into the same nodes.
-  events.push_back(make_event("outer", 200.0, 60.0));
-  events.push_back(make_event("inner", 210.0, 10.0));
-  obs::Profiler profiler;
-  profiler.add_events(events);
-
-  const auto& root = profiler.root();
-  ASSERT_EQ(root.children.size(), 1u);
-  const auto& outer = root.children[0];
-  EXPECT_EQ(outer.name, "outer");
-  EXPECT_EQ(outer.count, 2u);
-  EXPECT_DOUBLE_EQ(outer.total_us, 160.0);
-  ASSERT_EQ(outer.children.size(), 1u);
-  EXPECT_EQ(outer.children[0].name, "inner");
-  EXPECT_EQ(outer.children[0].count, 2u);
-  EXPECT_DOUBLE_EQ(outer.children[0].total_us, 40.0);
-}
-
-TEST(Profiler, BackdatedSpanBecomesSiblingNotParent) {
-  // campaign.job_wait is recorded with a back-dated start: it begins before
-  // the work span but *ends* before the work does, so containment must file
-  // the work as its sibling.
-  std::vector<obs::TraceEvent> events;
-  events.push_back(make_event("wait", 0.0, 50.0));
-  events.push_back(make_event("work", 50.0, 100.0));
-  obs::Profiler profiler;
-  profiler.add_events(events);
-  const auto& root = profiler.root();
-  ASSERT_EQ(root.children.size(), 2u);
-  EXPECT_EQ(root.children[0].name, "wait");
-  EXPECT_EQ(root.children[1].name, "work");
-  EXPECT_TRUE(root.children[0].children.empty());
-}
-
-TEST(Profiler, ThreadsFoldIntoOneTreeAndMetricsRowsSort) {
-  std::vector<obs::TraceEvent> events;
-  events.push_back(make_event("phase", 0.0, 100.0, 1));
-  events.push_back(make_event("step", 10.0, 30.0, 1));
-  events.push_back(make_event("phase", 0.0, 80.0, 2));
-  events.push_back(make_event("step", 5.0, 20.0, 2));
-  obs::Profiler profiler;
-  profiler.add_events(events);
-
-  const auto& root = profiler.root();
-  ASSERT_EQ(root.children.size(), 1u);
-  EXPECT_EQ(root.children[0].count, 2u);  // both threads' "phase" merge
-  EXPECT_DOUBLE_EQ(root.children[0].total_us, 180.0);
-  EXPECT_DOUBLE_EQ(root.total_us, 180.0);
-
-  const auto snap = profiler.metrics_snapshot();
-  const auto* phase = snap.find("profile.phase");
-  ASSERT_NE(phase, nullptr);
-  EXPECT_EQ(phase->kind, obs::MetricKind::kHistogram);
-  EXPECT_EQ(phase->count, 2u);
-  EXPECT_DOUBLE_EQ(phase->sum, 180.0);
-  const auto* step = snap.find("profile.phase/step");
-  ASSERT_NE(step, nullptr);
-  EXPECT_EQ(step->count, 2u);
-  const auto* self = snap.find("profile.phase.self_us");
-  ASSERT_NE(self, nullptr);
-  EXPECT_DOUBLE_EQ(self->value, 180.0 - 50.0);
-  // Rows are name-sorted so snapshots merge deterministically.
-  for (std::size_t i = 1; i < snap.rows.size(); ++i)
-    EXPECT_LT(snap.rows[i - 1].name, snap.rows[i].name);
 }
 
 }  // namespace

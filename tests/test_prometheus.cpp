@@ -17,7 +17,6 @@
 #include "harvest/transducers.hpp"
 #include "node/sensor_node.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/timeline.hpp"
 #include "power/chain.hpp"
@@ -291,38 +290,17 @@ TEST(PrometheusText, RunResultSnapshotLintsClean) {
   EXPECT_NE(text.find("msehsim_brownouts_total"), std::string::npos);
 }
 
-TEST(PrometheusText, TimelineAndProfilerSnapshotsLintClean) {
+TEST(PrometheusText, TimelineSnapshotLintsClean) {
   obs::Timeline timeline(Seconds{60.0}, {"soc", "source[0].harvested_w"});
   const double r0[2] = {0.9, 0.0};
   const double r1[2] = {0.8, 1.5e-3};
   timeline.append(0.0, r0, 2);
   timeline.append(60.0, r1, 2);
-  auto merged = timeline.metrics_snapshot();
 
-  std::vector<obs::TraceEvent> events;
-  obs::TraceEvent outer;
-  outer.name = "campaign.block";
-  outer.ts_us = 0.0;
-  outer.dur_us = 1000.0;
-  obs::TraceEvent inner;
-  inner.name = "campaign.job";
-  inner.ts_us = 100.0;
-  inner.dur_us = 500.0;
-  events.push_back(outer);
-  events.push_back(inner);
-  obs::Profiler profiler;
-  profiler.add_events(events);
-  merged.merge(profiler.metrics_snapshot());
-
-  const auto text = obs::prometheus_text(merged);
+  const auto text = obs::prometheus_text(timeline.metrics_snapshot());
   EXPECT_EQ(obs::prometheus_lint(text), "") << text;
   EXPECT_NE(text.find("msehsim_timeline_samples_total 2\n"), std::string::npos);
   EXPECT_NE(text.find("msehsim_timeline_soc_min 0.8\n"), std::string::npos);
-  // Profiler paths keep their '/' as '_' and expose histogram rows.
-  EXPECT_NE(text.find("# TYPE msehsim_profile_campaign_block histogram"),
-            std::string::npos);
-  EXPECT_NE(text.find("msehsim_profile_campaign_block_campaign_job_count 1\n"),
-            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

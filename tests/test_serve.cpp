@@ -20,11 +20,13 @@
 #include <filesystem>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/random.hpp"
 #include "obs/prometheus.hpp"
 #include "serve/daemon.hpp"
 #include "serve/http.hpp"
@@ -240,6 +242,115 @@ TEST(ServeSpec, KnownNamesMatchTheCatalog) {
         R"("], "scenarios": [], "seeds": []})");
     EXPECT_EQ(req.platforms[0], p);
   }
+}
+
+// ---------------------------------------------------------------------------
+// SpecFuzz: fixed-seed mutations of valid bodies through both parsers
+// ---------------------------------------------------------------------------
+
+/// Valid request bodies every mutation starts from: the small body, a
+/// multi-axis grid with respelled numbers and a full-range seed, an escape-
+/// laden (valid) scenario name, and the empty grid.
+const std::vector<std::string>& fuzz_bodies() {
+  static const std::vector<std::string> bodies = {
+      kSmallBody,
+      R"({"platforms": ["system-a", "system-b", "system-d"],
+          "scenarios": [{"name": "day", "kind": "office", "duration_s": 8.64e4,
+                         "dt_s": 5.0},
+                        {"name": "farm-1", "kind": "agricultural",
+                         "duration_s": 3600}],
+          "seeds": [0, 1, 18446744073709551615], "lane_width": 16})",
+      "{\"seeds\":[3],\"scenarios\":[{\"dt_s\":1,\"duration_s\":60,"
+      "\"kind\":\"indoor-industrial\",\"name\":\"\\u0061b\"}],"
+      "\"platforms\":[\"system-c\"]}\r\n",
+      R"({"platforms": [], "scenarios": [], "seeds": []})",
+  };
+  return bodies;
+}
+
+/// Uniform index below @p n.
+std::size_t pick(Pcg32& rng, std::size_t n) {
+  return rng.next_below(static_cast<std::uint32_t>(n));
+}
+
+/// Both parsers must either return or throw SpecError on @p body —
+/// anything else (another exception type, a crash, a sanitizer report)
+/// is a bug in how they treat untrusted input.
+void expect_contained(const std::string& body) {
+  const auto contained = [&](const char* parser, const auto& parse) {
+    try {
+      parse();
+    } catch (const SpecError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << parser << " threw " << e.what() << " on: " << body;
+    } catch (...) {
+      ADD_FAILURE() << parser << " threw a non-exception on: " << body;
+    }
+  };
+  contained("parse_json", [&] { (void)parse_json(body); });
+  contained("parse_campaign_request",
+            [&] { (void)parse_campaign_request(body); });
+}
+
+TEST(SpecFuzz, SeedBodiesAreValid) {
+  for (const auto& body : fuzz_bodies())
+    EXPECT_NO_THROW((void)parse_campaign_request(body)) << body;
+}
+
+TEST(SpecFuzz, TruncationAtEveryOffset) {
+  std::size_t cases = 0;
+  for (const auto& body : fuzz_bodies())
+    for (std::size_t n = 0; n < body.size(); ++n, ++cases)
+      expect_contained(body.substr(0, n));
+  EXPECT_GT(cases, 500u);
+}
+
+TEST(SpecFuzz, ByteFlips) {
+  Pcg32 rng(0xf022, 1);
+  const auto& bodies = fuzz_bodies();
+  for (int i = 0; i < 2500; ++i) {
+    std::string body = bodies[pick(rng, bodies.size())];
+    const std::uint32_t flips = 1 + rng.next_below(4);
+    for (std::uint32_t k = 0; k < flips; ++k) {
+      char& c = body[pick(rng, body.size())];
+      // Half flip one bit, half overwrite with any byte (NUL, controls and
+      // lone UTF-8 lead/continuation bytes included).
+      c = rng.next_below(2) == 0
+              ? static_cast<char>(c ^ (1u << rng.next_below(8)))
+              : static_cast<char>(rng.next_below(256));
+    }
+    expect_contained(body);
+  }
+}
+
+TEST(SpecFuzz, SpanDuplicationAndDeletion) {
+  Pcg32 rng(0xf022, 2);
+  const auto& bodies = fuzz_bodies();
+  for (int i = 0; i < 2500; ++i) {
+    std::string body = bodies[pick(rng, bodies.size())];
+    const std::size_t at = pick(rng, body.size());
+    const std::size_t len = 1 + pick(rng, body.size() - at);
+    if (rng.next_below(2) == 0) {
+      body.insert(at, body.substr(at, len));
+    } else {
+      body.erase(at, len);
+    }
+    expect_contained(body);
+  }
+}
+
+TEST(SpecFuzz, DeepNestingIsRejectedWithoutRecursing) {
+  const std::string opens(10000, '[');
+  const std::string closes(10000, ']');
+  for (const std::string& body :
+       {opens, opens + closes, "{\"platforms\": " + opens + closes + "}",
+        "{\"platforms\": " + opens})
+    EXPECT_THROW((void)parse_json(body), SpecError);
+  std::string objects;
+  for (int i = 0; i < 10000; ++i) objects += "{\"a\":";
+  EXPECT_THROW((void)parse_json(objects), SpecError);
+  expect_contained(opens + closes);
+  expect_contained(objects);
 }
 
 // ---------------------------------------------------------------------------

@@ -164,6 +164,20 @@ TEST(Fmt, ParseDoubleIsStrictAboutJunk) {
   EXPECT_DOUBLE_EQ(parse_double("-1e-3").value(), -1e-3);
 }
 
+TEST(Fmt, JsonEscapeCoversQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(json_escape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escape("\n\r\t"), "\\n\\r\\t");
+  EXPECT_EQ(json_escape(std::string("\x01", 1)), "\\u0001");
+  EXPECT_EQ(json_escape(std::string("\x1f", 1)), "\\u001f");
+  EXPECT_EQ(json_escape(std::string(1, '\0')), "\\u0000");
+  EXPECT_EQ(json_escape("\x20~\x7f"), "\x20~\x7f");  // not control bytes
+  // UTF-8 multibyte sequences pass through byte for byte.
+  const std::string utf8 = "\xce\xbc" "F \xe2\x80\x94 \xf0\x9f\x94\x8b";
+  EXPECT_EQ(json_escape(utf8), utf8);
+  EXPECT_EQ(json_escape(""), "");
+}
+
 TEST(Fmt, OutputAndParsingIgnoreACommaDecimalLocale) {
   // snprintf("%g") would print "0,5" under de_DE and strtod would stop at
   // the '.' in "3.14"; the charconv paths must not care.
