@@ -176,17 +176,6 @@ void Campaign::run_block(const LaneBlock& block,
     for (std::size_t lane = 0; lane < block.grid_indices.size(); ++lane)
       results_[block.grid_indices[lane]].result = std::move(lane_results[lane]);
     lane_blocks_.fetch_add(1, std::memory_order_relaxed);
-    const systems::soa::SoaCounters& sc = runner.soa_counters();
-    soa_steps_.fetch_add(sc.steps, std::memory_order_relaxed);
-    soa_quiet_steps_.fetch_add(sc.quiet_steps, std::memory_order_relaxed);
-    soa_lane_steps_.fetch_add(sc.lane_steps, std::memory_order_relaxed);
-    soa_resident_lane_steps_.fetch_add(sc.resident_lane_steps,
-                                       std::memory_order_relaxed);
-    soa_exit_event_due_.fetch_add(sc.exit_event_due, std::memory_order_relaxed);
-    soa_exit_not_resident_.fetch_add(sc.exit_not_resident,
-                                     std::memory_order_relaxed);
-    soa_thermal_latched_.fetch_add(sc.thermal_latched,
-                                   std::memory_order_relaxed);
   } catch (const std::exception& e) {
     // The lanes ran in lockstep; a mid-run failure has no single lane to
     // blame, so every job in the block carries the message and run()'s
@@ -372,34 +361,6 @@ obs::MetricsSnapshot Campaign::metrics() const {
     worst_excess =
         std::max(worst_excess, w.second_half_loss_j - w.first_half_loss_j);
   campaign_level.gauge("campaign.leak_excess_max_j").set(worst_excess);
-  // SoA kernel residency. Run-variant like the trace-cache rows below —
-  // lane width and thread count change them — which is why they live here
-  // and not in any result.
-  const std::uint64_t soa_steps = soa_steps_.load(std::memory_order_relaxed);
-  const std::uint64_t soa_lane_steps =
-      soa_lane_steps_.load(std::memory_order_relaxed);
-  const std::uint64_t soa_resident =
-      soa_resident_lane_steps_.load(std::memory_order_relaxed);
-  const std::uint64_t soa_quiet =
-      soa_quiet_steps_.load(std::memory_order_relaxed);
-  campaign_level.counter("campaign.soa.steps").add(soa_steps);
-  campaign_level.counter("campaign.soa.quiet_steps").add(soa_quiet);
-  campaign_level.counter("campaign.soa.lane_steps").add(soa_lane_steps);
-  campaign_level.counter("campaign.soa.resident_lane_steps").add(soa_resident);
-  campaign_level.counter("campaign.soa.exit_event_due")
-      .add(soa_exit_event_due_.load(std::memory_order_relaxed));
-  campaign_level.counter("campaign.soa.exit_not_resident")
-      .add(soa_exit_not_resident_.load(std::memory_order_relaxed));
-  campaign_level.counter("campaign.soa.thermal_latched")
-      .add(soa_thermal_latched_.load(std::memory_order_relaxed));
-  campaign_level.gauge("campaign.soa.resident_fraction")
-      .set(soa_lane_steps == 0 ? 0.0
-                               : static_cast<double>(soa_resident) /
-                                     static_cast<double>(soa_lane_steps));
-  campaign_level.gauge("campaign.soa.quiet_fraction")
-      .set(soa_steps == 0 ? 0.0
-                          : static_cast<double>(soa_quiet) /
-                                static_cast<double>(soa_steps));
   if (spec_.shared_trace_cache) {
     // Cache behavior is allowed to differ run to run (cold vs warm) — these
     // rows exist for exactly that diagnosis, unlike the result exports,

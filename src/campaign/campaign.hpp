@@ -119,11 +119,11 @@ struct CampaignSpec {
   /// Lanes per work unit. Jobs that share a (scenario, seed) compiled trace
   /// — i.e. the platform-variant axis — are grouped into blocks of up to
   /// this many lanes and advanced in lockstep by systems::BatchRunner: the
-  /// ambient slot is decoded once per step for the whole block, and
-  /// SoA-eligible lanes step together in strided columns. 1 (or 0) runs
-  /// one-lane blocks; any width produces byte-identical results
-  /// (the kernel's contract), so this knob only trades scheduling
-  /// granularity for per-step cost. The default honors the
+  /// ambient slot is decoded once per step for the whole block, and twin
+  /// PV panels share their curve solves; every lane steps through
+  /// Platform::step. 1 (or 0) runs one-lane blocks; any width produces
+  /// byte-identical results (the kernel's contract), so this knob only
+  /// trades scheduling granularity for per-step cost. The default honors the
   /// MSEHSIM_LANE_WIDTH environment variable (CI runs the whole suite at
   /// widths 1, 2 and 8 under sanitizers); explicit assignment always wins.
   unsigned lane_width{default_lane_width()};
@@ -274,18 +274,6 @@ class Campaign {
   std::unique_ptr<TraceSlot[]> trace_slots_;
   std::atomic<std::uint64_t> trace_compiles_{0};
   std::atomic<std::uint64_t> lane_blocks_{0};
-  // SoA kernel counters summed over every lane block (systems::soa::
-  // SoaCounters fields, accumulated atomically because blocks run on the
-  // pool). Surface through metrics() as campaign.soa.* rows only — like the
-  // trace-cache rows they are run-variant (lane width and scheduling change
-  // them), so they never join the byte-stable result fold.
-  std::atomic<std::uint64_t> soa_steps_{0};
-  std::atomic<std::uint64_t> soa_quiet_steps_{0};
-  std::atomic<std::uint64_t> soa_lane_steps_{0};
-  std::atomic<std::uint64_t> soa_resident_lane_steps_{0};
-  std::atomic<std::uint64_t> soa_exit_event_due_{0};
-  std::atomic<std::uint64_t> soa_exit_not_resident_{0};
-  std::atomic<std::uint64_t> soa_thermal_latched_{0};
   bool ran_{false};
 };
 

@@ -41,8 +41,7 @@ namespace msehsim::campaign {
 /// document: grid coordinates plus the obs::Timeline json() per job that
 /// carries one. Jobs without a timeline (sampling off) are omitted, so the
 /// document is `{"timelines": []}` for an unsampled campaign. Deterministic
-/// across thread counts and lane widths except the documented soa_resident
-/// column (width-dependent by design).
+/// across thread counts and lane widths.
 [[nodiscard]] std::string timelines_json(const Campaign& campaign);
 
 /// File-writing conveniences (throw SpecError on I/O failure).

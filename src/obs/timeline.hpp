@@ -9,10 +9,9 @@
 //
 // The class is deliberately generic — it knows column names, not platform
 // internals — so the obs layer stays a leaf over core. The run-health schema
-// (per-source harvested/delivered power, storage SoC, backup-chain stage,
-// unserved energy, SoA lane residency) lives with the sampler in
-// systems/runner.cpp, which is the single source for both the scalar and the
-// batched lane path.
+// (per-source harvested/delivered power, storage SoC, stored energy, bus
+// voltage, backup-chain stage, unserved energy) lives with the sampler in
+// systems/runner.cpp, which every lane of systems::BatchRunner runs.
 //
 // Determinism contract, mirroring the authoritative-field-table discipline:
 // one column-name table drives csv(), json(), and metrics_snapshot(), every

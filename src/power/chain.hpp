@@ -22,18 +22,6 @@ namespace msehsim::power {
 
 namespace detail {
 
-/// Tracker-block state round-tripped through InputChain::tracker_update —
-/// the members the tracker mutates, as raw doubles so the batched SoA layer
-/// can keep them in per-lane columns. Value round-trips through double are
-/// exact, so loading members into this struct and storing back is a no-op
-/// in FP terms.
-struct TrackerState {
-  double next_update_s;
-  double operating_voltage_v;
-  double overhead_j;
-  double interruption_s;  ///< out: harvest interruption this step
-};
-
 /// Cold-start gate: returns whether the converter runs this step, updating
 /// the latched @p started flag exactly as InputChain::step does.
 MSEHSIM_ALWAYS_INLINE bool converter_gate(double startup_v, double min_input_v,
@@ -82,9 +70,8 @@ class InputChain {
 
   /// Advances one step: latches @p conditions, runs the tracker if due, and
   /// returns the power delivered into the storage bus at @p bus_voltage
-  /// (net of converter losses and amortized tracker overhead). Every lane
-  /// the SoA columns do not hold runs this body; the columns transcribe it
-  /// (systems/soa_step_body.inc).
+  /// (net of converter losses and amortized tracker overhead). Every lane of
+  /// systems::BatchRunner runs this body through Platform::step.
   Watts step(const env::AmbientConditions& conditions, Volts bus_voltage,
              Seconds now, Seconds dt) {
     harvest::Harvester& h = *harvester_;
@@ -99,13 +86,7 @@ class InputChain {
       return Watts{0.0};
     }
 
-    detail::TrackerState ts{next_update_.value(), operating_voltage_.value(),
-                            overhead_.value(), 0.0};
-    tracker_update(h, conditions, now, ts);
-    next_update_ = Seconds{ts.next_update_s};
-    operating_voltage_ = Volts{ts.operating_voltage_v};
-    overhead_ = Joules{ts.overhead_j};
-
+    const double interruption_s = tracker_update(h, conditions, now);
     transducer_power_ = h.power_at(operating_voltage_);
 
     // Cold start: the converter cannot run until its input has once reached
@@ -118,7 +99,7 @@ class InputChain {
       return Watts{0.0};
     }
     const Watts effective{detail::effective_power(
-        transducer_power_.value(), ts.interruption_s, dt.value())};
+        transducer_power_.value(), interruption_s, dt.value())};
 
     const Watts out =
         converter_.transfer(effective, operating_voltage_, bus_voltage) *
@@ -142,37 +123,6 @@ class InputChain {
     harvested_at_setpoint_ = Joules{harvested_sp_j};
     harvestable_at_mpp_ = Joules{harvestable_mpp_j};
     return Watts{net};
-  }
-
-  /// Tracker block of step(), operating on @p s instead of the members
-  /// (exact statement sequence; the members round-trip through the struct on
-  /// the scalar path). Public so the batched SoA layer can run the tracker
-  /// per lane against its own columns; @p h must be this chain's
-  /// harvester(). It reads only coefficient members (sense gain, controller,
-  /// period), which mutate solely through fault events — and those force
-  /// the lane scalar first.
-  void tracker_update(harvest::Harvester& h,
-                      const env::AmbientConditions& conditions, Seconds now,
-                      detail::TrackerState& s) {
-    s.interruption_s = 0.0;
-    if (now.value() >= s.next_update_s) {
-      Volts opv{s.operating_voltage_v};
-      if (sense_gain_ != 1.0) {
-        // Drifted sensing: the tracker sees a skewed environment, picks its
-        // setpoint on the wrong curve, then the true conditions come back for
-        // the physics below. Each swap goes through set_conditions, so the
-        // curve revision bumps and conditions-keyed MPP memos invalidate.
-        h.set_conditions(env::scaled(conditions, sense_gain_));
-        opv = mppt_->update(h, opv);
-        h.set_conditions(conditions);
-      } else {
-        opv = mppt_->update(h, opv);
-      }
-      s.operating_voltage_v = opv.value();
-      s.overhead_j += mppt_->overhead_per_update().value();
-      s.interruption_s = mppt_->harvest_interruption().value();
-      s.next_update_s = now.value() + mppt_period_.value();
-    }
   }
 
   [[nodiscard]] const harvest::Harvester& harvester() const { return *harvester_; }
@@ -219,41 +169,6 @@ class InputChain {
 
   [[nodiscard]] Seconds mppt_period() const { return mppt_period_; }
 
-  /// The state the batched SoA layer owns while a lane is resident on the
-  /// fast path. Thermal-shutdown lanes never enter it, so the shutdown
-  /// counters stay object-only; everything else the step mutates is here.
-  struct HotState {
-    double next_update_s;
-    double operating_voltage_v;
-    double transducer_power_w;
-    double delivered_j;
-    double overhead_j;
-    double conversion_loss_j;
-    double overhead_paid_j;
-    double harvested_at_setpoint_j;
-    double harvestable_at_mpp_j;
-    bool started;
-  };
-  [[nodiscard]] HotState hot_state() const {
-    return {next_update_.value(),        operating_voltage_.value(),
-            transducer_power_.value(),   delivered_.value(),
-            overhead_.value(),           conversion_loss_.value(),
-            overhead_paid_.value(),      harvested_at_setpoint_.value(),
-            harvestable_at_mpp_.value(), started_};
-  }
-  void set_hot_state(const HotState& h) {
-    next_update_ = Seconds{h.next_update_s};
-    operating_voltage_ = Volts{h.operating_voltage_v};
-    transducer_power_ = Watts{h.transducer_power_w};
-    delivered_ = Joules{h.delivered_j};
-    overhead_ = Joules{h.overhead_j};
-    conversion_loss_ = Joules{h.conversion_loss_j};
-    overhead_paid_ = Joules{h.overhead_paid_j};
-    harvested_at_setpoint_ = Joules{h.harvested_at_setpoint_j};
-    harvestable_at_mpp_ = Joules{h.harvestable_at_mpp_j};
-    started_ = h.started;
-  }
-
   // ---- Fault injection (src/fault) ---------------------------------------
   // Converter anomalies are modelled behaviour (core/error.hpp): the chain
   // keeps running and the effects show up in delivered power and counters.
@@ -285,6 +200,33 @@ class InputChain {
   [[nodiscard]] double sense_gain() const { return sense_gain_; }
 
  private:
+  /// Tracker block of step(): when the update is due, moves the operating
+  /// point and books the controller's overhead. Returns the harvest
+  /// interruption this step (0 when no update ran). @p h must be this
+  /// chain's harvester().
+  double tracker_update(harvest::Harvester& h,
+                        const env::AmbientConditions& conditions, Seconds now) {
+    if (now.value() >= next_update_.value()) {
+      Volts opv = operating_voltage_;
+      if (sense_gain_ != 1.0) {
+        // Drifted sensing: the tracker sees a skewed environment, picks its
+        // setpoint on the wrong curve, then the true conditions come back for
+        // the physics below. Each swap goes through set_conditions, so the
+        // curve revision bumps and conditions-keyed MPP memos invalidate.
+        h.set_conditions(env::scaled(conditions, sense_gain_));
+        opv = mppt_->update(h, opv);
+        h.set_conditions(conditions);
+      } else {
+        opv = mppt_->update(h, opv);
+      }
+      operating_voltage_ = opv;
+      overhead_ += mppt_->overhead_per_update();
+      next_update_ = now + mppt_period_;
+      return mppt_->harvest_interruption().value();
+    }
+    return 0.0;
+  }
+
   std::unique_ptr<harvest::Harvester> harvester_;
   std::unique_ptr<MpptController> mppt_;
   Converter converter_;

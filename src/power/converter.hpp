@@ -43,8 +43,7 @@ enum class Topology {
 namespace detail {
 
 /// Raw converter coefficients (exact Params fields) for the templated
-/// transfer kernels below — the single source shared by Converter's members
-/// and the batched SoA chain tail, which stores columns of these per lane.
+/// transfer kernels below, which Converter's members delegate to.
 struct CvtCoef {
   double peak_efficiency;
   double rated_power;
@@ -55,9 +54,8 @@ struct CvtCoef {
   double conduction_loss_fraction;
 };
 
-/// can_convert with the topology branch resolved at compile time — the SoA
-/// chain tail instantiates one copy per (uniform) topology so the strided
-/// loop body is branch-minimal and auto-vectorizable.
+/// can_convert with the topology branch resolved at compile time (one copy
+/// per topology, selected by can_convert_dispatch).
 template <Topology T>
 MSEHSIM_ALWAYS_INLINE bool can_convert_raw(const CvtCoef& c, double vin,
                                            double vout) {
@@ -176,20 +174,8 @@ class Converter {
   [[nodiscard]] Topology topology() const { return params_.topology; }
 
   // can_convert / quiescent_power / transfer are defined inline: they sit on
-  // the per-step hot path of every input chain and the batched lane kernel,
+  // the per-step hot path of every input chain,
   // where a branch on topology plus three multiplies should not cost a call.
-
-  /// Raw coefficients for the detail:: transfer kernels (exact Params
-  /// fields, so the kernels see the same doubles the members do).
-  [[nodiscard]] detail::CvtCoef lane_coef() const {
-    return {params_.peak_efficiency,
-            params_.rated_power.value(),
-            params_.quiescent_current.value(),
-            params_.min_input.value(),
-            params_.max_input.value(),
-            params_.diode_drop.value(),
-            params_.conduction_loss_fraction};
-  }
 
   /// True if the topology can produce @p vout from @p vin at all.
   [[nodiscard]] bool can_convert(Volts vin, Volts vout) const {
@@ -205,7 +191,7 @@ class Converter {
   /// Forward transfer: output power produced when @p input power is
   /// available at @p vin, converting to @p vout. Includes quiescent and
   /// conversion losses; returns 0 if the conversion is infeasible. The body
-  /// lives in detail::transfer_raw, shared with the batched SoA chain tail.
+  /// lives in detail::transfer_raw.
   [[nodiscard]] Watts transfer(Watts input, Volts vin, Volts vout) const {
     return Watts{detail::transfer_dispatch(params_.topology, lane_coef(),
                                            input.value(), vin.value(),
@@ -233,6 +219,18 @@ class Converter {
   static Converter boost_frontend(std::string name);
 
  private:
+  /// Raw coefficients for the detail:: transfer kernels (exact Params
+  /// fields, so the kernels see the same doubles the members do).
+  [[nodiscard]] detail::CvtCoef lane_coef() const {
+    return {params_.peak_efficiency,
+            params_.rated_power.value(),
+            params_.quiescent_current.value(),
+            params_.min_input.value(),
+            params_.max_input.value(),
+            params_.diode_drop.value(),
+            params_.conduction_loss_fraction};
+  }
+
   std::string name_;
   Params params_;
 };

@@ -110,6 +110,72 @@ struct HttpServer::Impl {
   }
 };
 
+RequestHead parse_request_head(std::string_view head,
+                               const HttpServerOptions& options) {
+  RequestHead out;
+  const auto fail = [&out](int status, std::string message) {
+    out.status = status;
+    out.error = std::move(message);
+    return std::move(out);
+  };
+  HttpRequest& req = out.request;
+
+  // Request line: METHOD SP target SP HTTP/1.x
+  const std::size_t line_end = head.find("\r\n");
+  {
+    const std::string_view line = head.substr(0, line_end);
+    const std::size_t sp1 = line.find(' ');
+    const std::size_t sp2 = sp1 == std::string_view::npos
+                                ? std::string_view::npos
+                                : line.find(' ', sp1 + 1);
+    if (sp2 == std::string_view::npos ||
+        (line.substr(sp2 + 1) != "HTTP/1.1" &&
+         line.substr(sp2 + 1) != "HTTP/1.0"))
+      return fail(400, "malformed request line");
+    req.method = line.substr(0, sp1);
+    req.target = line.substr(sp1 + 1, sp2 - sp1 - 1);
+    if (req.method.empty() || req.target.empty() || req.target[0] != '/')
+      return fail(400, "malformed request line");
+  }
+
+  // Header fields, one per CRLF-terminated line (the last one ends the head).
+  std::size_t pos = line_end == std::string_view::npos ? head.size()
+                                                       : line_end + 2;
+  while (pos < head.size()) {
+    std::size_t eol = head.find("\r\n", pos);
+    if (eol == std::string_view::npos) eol = head.size();
+    const std::string_view line = head.substr(pos, eol - pos);
+    pos = eol + 2;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string_view::npos || colon == 0)
+      return fail(400, "malformed header field");
+    std::string name = lowercase(std::string(line.substr(0, colon)));
+    std::size_t vb = colon + 1;
+    while (vb < line.size() && (line[vb] == ' ' || line[vb] == '\t')) ++vb;
+    std::size_t ve = line.size();
+    while (ve > vb && (line[ve - 1] == ' ' || line[ve - 1] == '\t')) --ve;
+    req.headers.emplace(std::move(name), line.substr(vb, ve - vb));
+  }
+
+  // Body framing: Content-Length only (chunked is a 501 — no client of a
+  // campaign API needs streaming uploads, and not parsing it is the safest
+  // way to handle it).
+  if (req.headers.count("transfer-encoding") != 0)
+    return fail(501, "transfer-encoding not supported");
+  if (const auto it = req.headers.find("content-length");
+      it != req.headers.end()) {
+    const auto parsed = parse_unsigned(it->second);
+    if (!parsed.has_value()) return fail(400, "malformed content-length");
+    if (*parsed > options.max_body_bytes)
+      return fail(413, "request body exceeds " +
+                           std::to_string(options.max_body_bytes) + " bytes");
+    out.content_length = static_cast<std::size_t>(*parsed);
+  } else if (req.method == "POST" || req.method == "PUT") {
+    return fail(411, "content-length required");
+  }
+  return out;
+}
+
 HttpServer::HttpServer(HttpServerOptions options, HttpHandler handler)
     : options_(std::move(options)),
       handler_(std::move(handler)),
@@ -180,74 +246,14 @@ void serve_connection(int fd, const HttpServerOptions& options,
     header_end = buf.find("\r\n\r\n", scan_from);
   }
 
-  // Request line: METHOD SP target SP HTTP/1.x
-  HttpRequest req;
-  {
-    const std::size_t line_end = buf.find("\r\n");
-    const std::string line = buf.substr(0, line_end);
-    const std::size_t sp1 = line.find(' ');
-    const std::size_t sp2 = sp1 == std::string::npos
-                                ? std::string::npos
-                                : line.find(' ', sp1 + 1);
-    if (sp2 == std::string::npos ||
-        (line.compare(sp2 + 1, std::string::npos, "HTTP/1.1") != 0 &&
-         line.compare(sp2 + 1, std::string::npos, "HTTP/1.0") != 0)) {
-      send_simple(fd, 400, "malformed request line");
-      return;
-    }
-    req.method = line.substr(0, sp1);
-    req.target = line.substr(sp1 + 1, sp2 - sp1 - 1);
-    if (req.method.empty() || req.target.empty() || req.target[0] != '/') {
-      send_simple(fd, 400, "malformed request line");
-      return;
-    }
-  }
-
-  // Header fields.
-  std::size_t pos = buf.find("\r\n") + 2;
-  while (pos < header_end) {
-    const std::size_t eol = buf.find("\r\n", pos);
-    const std::string line = buf.substr(pos, eol - pos);
-    pos = eol + 2;
-    const std::size_t colon = line.find(':');
-    if (colon == std::string::npos || colon == 0) {
-      send_simple(fd, 400, "malformed header field");
-      return;
-    }
-    std::string name = lowercase(line.substr(0, colon));
-    std::size_t vb = colon + 1;
-    while (vb < line.size() && (line[vb] == ' ' || line[vb] == '\t')) ++vb;
-    std::size_t ve = line.size();
-    while (ve > vb && (line[ve - 1] == ' ' || line[ve - 1] == '\t')) --ve;
-    req.headers.emplace(std::move(name), line.substr(vb, ve - vb));
-  }
-
-  // Body framing: Content-Length only (chunked is a 501 — no client of a
-  // campaign API needs streaming uploads, and not parsing it is the safest
-  // way to handle it).
-  if (req.headers.count("transfer-encoding") != 0) {
-    send_simple(fd, 501, "transfer-encoding not supported");
+  RequestHead parsed = parse_request_head(
+      std::string_view(buf).substr(0, header_end), options);
+  if (parsed.status != 0) {
+    send_simple(fd, parsed.status, parsed.error);
     return;
   }
-  std::size_t content_length = 0;
-  if (const auto it = req.headers.find("content-length");
-      it != req.headers.end()) {
-    const auto parsed = parse_unsigned(it->second);
-    if (!parsed.has_value()) {
-      send_simple(fd, 400, "malformed content-length");
-      return;
-    }
-    if (*parsed > options.max_body_bytes) {
-      send_simple(fd, 413, "request body exceeds " +
-                               std::to_string(options.max_body_bytes) +
-                               " bytes");
-      return;
-    }
-    content_length = static_cast<std::size_t>(*parsed);
-  } else if (req.method == "POST" || req.method == "PUT") {
-    send_simple(fd, 411, "content-length required");
-    return;
-  }
+  HttpRequest& req = parsed.request;
+  const std::size_t content_length = parsed.content_length;
 
   // curl sends "Expect: 100-continue" before large bodies and waits for the
   // interim response; not answering it stalls every big request by a

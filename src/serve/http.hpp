@@ -28,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -68,6 +69,25 @@ struct HttpServerOptions {
   /// Accepted connections waiting for a worker beyond this answer 503.
   std::size_t max_pending{64};
 };
+
+/// A request head as parse_request_head reads it.
+struct RequestHead {
+  /// 0 when the head parsed. Otherwise the status the server answers with
+  /// @ref error as the body: 400 (malformed request line, header field or
+  /// Content-Length), 411 (POST/PUT without Content-Length), 413 (declared
+  /// body over max_body_bytes) or 501 (any Transfer-Encoding).
+  int status{0};
+  std::string error;
+  HttpRequest request;  ///< method, target and headers; body left empty
+  std::size_t content_length{0};
+};
+
+/// Parses @p head — the bytes before the blank line that ends a request
+/// head: the request line, then CRLF-separated header fields — against
+/// @p options.max_body_bytes. Pure (no I/O), so it accepts any bytes; the
+/// server answers a non-zero status without reading the body.
+[[nodiscard]] RequestHead parse_request_head(std::string_view head,
+                                             const HttpServerOptions& options);
 
 class HttpServer {
  public:

@@ -48,9 +48,8 @@ double Battery::equivalent_full_cycles() const {
   return throughput_.value() / (2.0 * full_charge_.value());
 }
 
-// SoC/OCV/charge/discharge math lives in storage/lane_kernels.hpp so the
-// batched SoA path runs the identical expression sequence; the members here
-// delegate to it.
+// SoC/OCV/charge/discharge math lives in storage/lane_kernels.hpp; the
+// members here delegate to it.
 double Battery::state_of_health() const {
   return lanekernel::bat_soh(lane_coef(), throughput_.value());
 }

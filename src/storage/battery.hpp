@@ -54,37 +54,6 @@ class Battery final : public StorageDevice {
 
   [[nodiscard]] const Params& params() const { return params_; }
   [[nodiscard]] Coulombs charge_state() const { return charge_; }
-  [[nodiscard]] double leak_rate_per_s() const { return leak_rate_per_s_; }
-
-  /// The state the batched SoA layer owns while a lane is resident on the
-  /// fast path. The stored-energy memo needs no invalidation on re-entry:
-  /// it keys on the exact (charge, throughput, health) doubles, so a changed
-  /// charge is simply a miss and a fresh integration.
-  struct HotState {
-    double charge_c;
-    double throughput_c;
-  };
-  [[nodiscard]] HotState hot_state() const {
-    return {charge_.value(), throughput_.value()};
-  }
-  void set_hot_state(const HotState& h) {
-    charge_ = Coulombs{h.charge_c};
-    throughput_ = Coulombs{h.throughput_c};
-  }
-
-  /// Coefficient pack for the lanekernel functions (exact Params fields plus
-  /// the injected-fault health factor).
-  [[nodiscard]] lanekernel::BatCoef lane_coef() const {
-    return {full_charge_.value(),
-            params_.internal_resistance.value(),
-            params_.coulombic_efficiency,
-            params_.max_charge_current.value(),
-            params_.max_discharge_current.value(),
-            params_.capacity_fade_per_cycle,
-            fault_health_,
-            params_.rechargeable,
-            params_.ocv_curve};
-  }
 
   /// Cumulative charge throughput expressed in equivalent full cycles
   /// (total |dq| moved / (2 x rated charge)).
@@ -110,6 +79,20 @@ class Battery final : public StorageDevice {
                                  double initial_soc = 1.0);
 
  private:
+  /// Coefficient pack for the lanekernel functions (exact Params fields plus
+  /// the injected-fault health factor).
+  [[nodiscard]] lanekernel::BatCoef lane_coef() const {
+    return {full_charge_.value(),
+            params_.internal_resistance.value(),
+            params_.coulombic_efficiency,
+            params_.max_charge_current.value(),
+            params_.max_discharge_current.value(),
+            params_.capacity_fade_per_cycle,
+            fault_health_,
+            params_.rechargeable,
+            params_.ocv_curve};
+  }
+
   [[nodiscard]] Volts ocv_at(double soc) const;
   [[nodiscard]] double soc_now() const;
 

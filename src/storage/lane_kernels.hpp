@@ -1,24 +1,14 @@
-// Per-element storage math kernels — the single source for the scalar
-// device objects AND the batched SoA lane state.
+// Per-element storage math kernels for storage::Supercapacitor and
+// storage::Battery.
 //
 // Every function here is the exact floating-point expression sequence of the
-// corresponding storage::Supercapacitor / storage::Battery member: the
-// members delegate here, and the width-strided SoA loops in
-// systems/soa_step_body.inc call the same functions on array elements. One
-// body, two call sites — that is what makes the batched fast path
-// byte-identical to the scalar path by construction rather than by test
-// luck.
-//
-// The kernels take raw doubles (no unit wrappers; msehsim's unit types are
-// transparent value wrappers, so Watts+Watts etc. lowers to the identical
-// double ops) and carry no object state. exp() results the scalar members
-// memoize per object (storage::ExpMemo) enter here as precomputed
-// factors/exponents; that is safe because the memos are transparent — a hit
-// returns the very double a fresh exp() would produce — so exp(x) hoisted
-// into a per-lane constant equals exp(x) memoized per object, bit for bit.
-// The hoisting itself is only valid when the exponent is state-independent,
-// which the SoA eligibility rule guarantees (supercaps with
-// voltage_capacitance_slope == 0, so C(v) degenerates to C0 exactly).
+// corresponding member: the members delegate here. The kernels take raw
+// doubles (no unit wrappers; msehsim's unit types are transparent value
+// wrappers, so Watts+Watts etc. lowers to the identical double ops) and
+// carry no object state. exp() results the members memoize per object
+// (storage::ExpMemo) enter here as precomputed factors/exponents; the memos
+// are transparent — a hit returns the very double a fresh exp() would
+// produce.
 #pragma once
 
 #include <algorithm>
@@ -27,8 +17,8 @@
 
 #include "core/solve.hpp"
 
-// The kernels must collapse into their callers: the strided SoA loops need
-// the bodies inlined to auto-vectorize.
+// The kernels sit on the per-step storage path; force-inlining keeps the
+// member delegation free of call overhead.
 #if !defined(MSEHSIM_ALWAYS_INLINE)
 #if defined(__GNUC__) || defined(__clang__)
 #define MSEHSIM_ALWAYS_INLINE inline __attribute__((always_inline))
@@ -44,11 +34,10 @@ namespace msehsim::storage::lanekernel {
 // ---------------------------------------------------------------------------
 
 /// Static per-device coefficients: Params fields after any capacity-fade
-/// fault, plus the discharge floor. Mutated only by fault events, so the SoA
-/// layer refreshes its copies at every divergence re-entry.
+/// fault, plus the discharge floor.
 struct ScCoef {
   double c0;      ///< main_capacitance (farads, post-fade)
-  double k;       ///< voltage_capacitance_slope (F/V; 0 on the SoA path)
+  double k;       ///< voltage_capacitance_slope (F/V)
   double c2;      ///< slow_capacitance (farads, post-fade)
   double r2;      ///< redistribution_resistance (ohms)
   double esr;     ///< equivalent series resistance (ohms)
@@ -58,8 +47,7 @@ struct ScCoef {
 };
 
 /// Redistribution relaxation coefficients for a given (dt, C1, C2) — the
-/// values Supercapacitor memoizes per object and the SoA layer precomputes
-/// per lane.
+/// values Supercapacitor memoizes per object.
 struct ScRedis {
   double alpha{0.0};
   double c_series{0.0};
@@ -87,8 +75,8 @@ MSEHSIM_ALWAYS_INLINE double sc_c_series(const ScCoef& c, double c1) {
   return c1 * c.c2 / (c1 + c.c2);
 }
 
-/// Exponent of the redistribution decay; the caller owns the exp() (object
-/// memo on the scalar path, hoisted per-lane constant on the SoA path).
+/// Exponent of the redistribution decay; the caller owns the exp() (the
+/// object's memo).
 MSEHSIM_ALWAYS_INLINE double sc_redis_exponent(const ScCoef& c, double c_series,
                                                double dt) {
   return -dt / (c.r2 * c_series);
@@ -96,7 +84,7 @@ MSEHSIM_ALWAYS_INLINE double sc_redis_exponent(const ScCoef& c, double c_series,
 
 /// Charge redistribution between branches through R2: exact RC relaxation of
 /// the branch voltage difference. @p rc must hold the coefficients for the
-/// CURRENT main-branch capacitance (constant on the SoA path where k == 0).
+/// CURRENT main-branch capacitance.
 MSEHSIM_ALWAYS_INLINE void sc_redistribute(const ScCoef& c, const ScRedis& rc,
                                            double& v_main, double& v_slow) {
   if (c.c2 <= 0.0) return;
@@ -108,9 +96,8 @@ MSEHSIM_ALWAYS_INLINE void sc_redistribute(const ScCoef& c, const ScRedis& rc,
 }
 
 /// Constant-power charge through the ESR (mid-step-voltage form), WITHOUT
-/// the trailing redistribution — the scalar member follows with its memoized
-/// redistribute(dt), the SoA loop with sc_redistribute on the hoisted
-/// coefficients. @p advanced reports whether state changed (every early-out
+/// the trailing redistribution — the member follows with its memoized
+/// redistribute(dt). @p advanced reports whether state changed (every early-out
 /// of the member leaves the voltage untouched and skips redistribution).
 /// Returns the absorbed power.
 MSEHSIM_ALWAYS_INLINE double sc_charge_core(const ScCoef& c, double& v_main,
@@ -179,7 +166,7 @@ MSEHSIM_ALWAYS_INLINE double sc_max_discharge_power(const ScCoef& c,
 inline constexpr std::array<double, 5> kSocBreaks{0.0, 0.25, 0.5, 0.75, 1.0};
 
 /// Static per-device coefficients (Params fields + the injected-fault health
-/// factor; refreshed by the SoA layer at every divergence re-entry).
+/// factor).
 struct BatCoef {
   double full_charge;    ///< rated charge (coulombs)
   double r;              ///< internal_resistance (ohms)

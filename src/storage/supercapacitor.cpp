@@ -49,9 +49,8 @@ Supercapacitor Supercapacitor::lithium_ion_capacitor(std::string name,
                         Volts{2.2});
 }
 
-// The charge/discharge/redistribution math lives in storage/lane_kernels.hpp
-// so the batched SoA path runs the identical expression sequence; the members
-// here delegate to it.
+// The charge/discharge/redistribution math lives in storage/lane_kernels.hpp;
+// the members here delegate to it.
 double Supercapacitor::capacitance_at(double v) const {
   return lanekernel::sc_capacitance_at(lane_coef(), v);
 }

@@ -55,21 +55,11 @@ class Supercapacitor final : public StorageDevice {
   [[nodiscard]] const Params& params() const { return params_; }
   [[nodiscard]] Volts min_voltage() const { return min_voltage_; }
 
-  /// The state the batched SoA layer owns while a lane is resident on the
-  /// fast path; everything else on the object is coefficients (mutated only
-  /// through fault events, which force the lane scalar first).
-  struct HotState {
-    double v_main_v;
-    double v_slow_v;
-  };
-  [[nodiscard]] HotState hot_state() const {
-    return {v_main_.value(), v_slow_.value()};
-  }
-  void set_hot_state(const HotState& h) {
-    v_main_ = Volts{h.v_main_v};
-    v_slow_ = Volts{h.v_slow_v};
-  }
+  /// Factory for a lithium-ion capacitor (survey ref [10]): higher energy
+  /// density but a minimum-voltage floor below which it must not discharge.
+  static Supercapacitor lithium_ion_capacitor(std::string name, Farads capacitance);
 
+ private:
   /// Coefficient pack for the lanekernel functions (exact Params fields, so
   /// the kernels see the same doubles the members do).
   [[nodiscard]] lanekernel::ScCoef lane_coef() const {
@@ -83,11 +73,6 @@ class Supercapacitor final : public StorageDevice {
             min_voltage_.value()};
   }
 
-  /// Factory for a lithium-ion capacitor (survey ref [10]): higher energy
-  /// density but a minimum-voltage floor below which it must not discharge.
-  static Supercapacitor lithium_ion_capacitor(std::string name, Farads capacitance);
-
- private:
   Supercapacitor(std::string name, Params params, StorageKind kind, Volts min_voltage);
   void redistribute(Seconds dt);
 

@@ -8,14 +8,13 @@
 #include "core/stats.hpp"
 #include "fault/faulty_harvester.hpp"
 #include "obs/trace.hpp"
-#include "systems/soa_state.hpp"
 
 namespace msehsim::systems {
 
 namespace {
 
-/// Hot per-lane kernel state as parallel arrays (SoA): the inner loop walks
-/// these contiguously instead of chasing into each lane's cold block.
+/// Hot per-lane kernel state as parallel arrays: the inner loop walks these
+/// contiguously instead of chasing into each lane's cold block.
 struct LaneState {
   std::vector<double> next_event_s;     ///< earliest pending event per lane
   std::vector<Platform*> platform;      ///< raw per-lane platform pointer
@@ -109,9 +108,7 @@ std::size_t BatchRunner::add_lane(Platform& platform,
   // Run-health timeline: registered LAST, so the sample reads the platform
   // after every other callback of the same dispatch. every() consumes no
   // one-shot sequence number, so injector events keep their FIFO
-  // tiebreaks. A lane with a due sample leaves the SoA fast path for that
-  // step (begin_step's event-due test) — a perf effect only, since the
-  // scalar and strided bodies are byte-identical.
+  // tiebreaks.
   if (options_.timeline_dt.value() > 0.0) {
     lane->sampler.init(platform, options_.timeline_dt, duration_);
     detail::TimelineSampler* sampler = &lane->sampler;
@@ -133,7 +130,6 @@ std::vector<RunResult> BatchRunner::run() {
 
   const std::size_t n = lanes_.size();
   const Seconds dt = options_.dt;
-  const bool timeline_on = options_.timeline_dt.value() > 0.0;
   const bool query_traffic = options_.mean_query_interval.value() > 0.0;
   // Poisson arrivals discretized per step.
   const double p_arrival =
@@ -151,23 +147,6 @@ std::vector<RunResult> BatchRunner::run() {
     state.queries.push_back(lane->deliver_queries ? 1 : 0);
   }
 
-  // SoA fast path: eligible lanes pack their hot state into per-group
-  // contiguous columns and advance through the width-strided step body;
-  // everything else (and every divergent step) runs the scalar body below.
-  soa::SoaBatch soa(options_);
-  std::vector<std::uint8_t> in_soa(n, 0);
-  for (std::size_t l = 0; l < n; ++l)
-    in_soa[l] = soa.add_lane(l, *lanes_[l]->platform) ? 1 : 0;
-  soa.finalize();
-  soa_lane_count_ = soa.lane_count();
-  std::vector<std::uint8_t> run_scalar(n, 0);
-
-  // Hoisted per-lane views into the SoA delivered-power column (stable after
-  // finalize) — the bookkeeping loop below runs once per lane per step.
-  std::vector<const double*> p_in_col(n, nullptr);
-  for (std::size_t l = 0; l < n; ++l)
-    if (in_soa[l] != 0) p_in_col[l] = soa.input_power_ptr(l);
-
   // The clock is advanced exactly as core::Simulation advances it — the
   // k-fold accumulated sum of dt from zero — and mirrored into each lane's
   // event engine before any dispatch, so events fire on the step
@@ -180,74 +159,30 @@ std::vector<RunResult> BatchRunner::run() {
     const env::AmbientConditions conditions = environment_->advance(now, dt);
     const Seconds horizon = now + dt;
 
-    // Timeline residency column: lanes with any event due this step capture
-    // whether they were on the SoA fast path coming into it — before
-    // begin_step scatters them — so a firing sample reports the residency
-    // the lane would have had without the event's scalar detour.
-    if (timeline_on) {
-      for (std::size_t l = 0; l < n; ++l) {
-        if (state.next_event_s[l] < horizon.value()) {
-          lanes_[l]->sampler.soa_resident =
-              (in_soa[l] != 0 && soa.resident(l)) ? 1.0 : 0.0;
-        }
-      }
-    }
-
-    // SoA lanes with an event due this step (or still off the fast path)
-    // are scattered back to their objects and marked for the scalar body.
-    soa.begin_step(state.next_event_s, horizon.value(), run_scalar);
-
-    {
-      // Sampled phase span (1 in sample_every steps): how much of the step
-      // budget the scalar-fallback loop eats vs the strided body below —
-      // the resident-vs-fallback split a campaign's Chrome trace shows.
-      OBS_SPAN_SAMPLED("batch.scalar_fallback", "systems");
-      for (std::size_t l = 0; l < n; ++l) {
-        if (in_soa[l] != 0 && run_scalar[l] == 0) continue;
-        // An event is due iff next_scheduled() < now + dt — the dispatch
-        // window test of Simulation::step. On quiet steps (the common case)
-        // the lane skips its event engine entirely; dispatch is a pure
-        // function of the queue and the clock, so skipping a no-op dispatch
-        // cannot change a byte.
-        if (state.next_event_s[l] < horizon.value()) {
-          Lane& lane = *lanes_[l];
-          lane.sim.sync_clock(now, steps);
-          lane.sim.dispatch_events();
-          state.next_event_s[l] = lane.sim.next_scheduled().value();
-        }
-        Platform& platform = *state.platform[l];
-        platform.step(conditions, now, dt);
-        lanes_[l]->input_stats.add(platform.last_input_power().value(), dt);
-        if (state.queries[l] != 0 &&
-            lanes_[l]->query_rng.bernoulli(p_arrival)) {
-          platform.node()->deliver_query(platform.rail_voltage());
-        }
-      }
-    }
-
-    // Clean SoA lanes advance through the strided body, then get the same
-    // per-step bookkeeping (input stats, query arrival draw) the scalar loop
-    // does — the rng is consumed every step for query lanes either way.
-    {
-      OBS_SPAN_SAMPLED("batch.soa_resident", "systems");
-      soa.step_clean(conditions, now, dt);
-    }
     for (std::size_t l = 0; l < n; ++l) {
-      if (in_soa[l] == 0 || run_scalar[l] != 0) continue;
-      lanes_[l]->input_stats.add(*p_in_col[l], dt);
+      // An event is due iff next_scheduled() < now + dt — the dispatch
+      // window test of Simulation::step. On quiet steps (the common case)
+      // the lane skips its event engine entirely; dispatch is a pure
+      // function of the queue and the clock, so skipping a no-op dispatch
+      // cannot change a byte.
+      if (state.next_event_s[l] < horizon.value()) {
+        Lane& lane = *lanes_[l];
+        lane.sim.sync_clock(now, steps);
+        lane.sim.dispatch_events();
+        state.next_event_s[l] = lane.sim.next_scheduled().value();
+      }
+      Platform& platform = *state.platform[l];
+      platform.step(conditions, now, dt);
+      lanes_[l]->input_stats.add(platform.last_input_power().value(), dt);
       if (state.queries[l] != 0 &&
           lanes_[l]->query_rng.bernoulli(p_arrival)) {
-        Platform& platform = *state.platform[l];
         platform.node()->deliver_query(platform.rail_voltage());
       }
     }
-    soa.end_step(state.next_event_s, run_scalar);
 
     now += dt;
     ++steps;
   }
-  soa.scatter_all();
-  soa_counters_ = soa.counters();
   detach_pv_shares();
 
   std::vector<RunResult> out;

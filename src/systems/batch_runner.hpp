@@ -3,19 +3,18 @@
 // A BatchRunner advances N lanes — platforms (and optional per-lane fault
 // injectors) sharing one ambient timeline — in lockstep with one inner
 // loop: the environment is advanced once per step and its conditions fed to
-// every lane. Lanes the SoA layer holds (systems/soa_state.hpp) advance
-// through its width-strided body; every other lane, and every lane on a
-// step with an event due, runs Platform::step. run_platform is a one-lane
-// BatchRunner over a live environment; campaign::Campaign runs blocks of
-// lanes over a shared env::CompiledTrace.
+// every lane, and every lane advances through Platform::step. run_platform
+// is a one-lane BatchRunner over a live environment; campaign::Campaign runs
+// blocks of lanes over a shared env::CompiledTrace.
 //
 // Byte-identity contract: a lane's RunResult does not depend on which other
 // lanes share its block, the block width, or the campaign's thread count,
 // and a run over a CompiledTrace equals the run over the environment it was
 // compiled from. The kernel guarantees this by construction:
 //
-//  - The scalar body is Platform::step itself, the body the reference
+//  - The step body is Platform::step itself, the body the reference
 //    harness (tests/reference_run.hpp) and every component test run.
+//    DESIGN.md §8 records why there is no second, column-layout body.
 //  - Each lane keeps its own core::Simulation purely as an event engine, so
 //    management periodics, timeline samples and one-shot fault injections
 //    fire with core::Simulation's semantics (same dispatch window, same FIFO
@@ -35,14 +34,6 @@
 //    twin runs the MPP Newton solve and the expm1 of a step; the others get
 //    the stored answer, which is bit-equal to a fresh solve because the
 //    share's keys are the exact bits the curve depends on.
-//
-// Eligible lanes (see systems/soa_state.hpp) run their storage and chain
-// inner loops as width-strided SoA kernels over per-group contiguous
-// columns, exiting to Platform::step around events and re-entering after —
-// the same single-source per-element kernels either way, so the contract
-// holds at every lane width and thread count. No reduction is reassociated:
-// every accumulator is advanced lane-locally in the same order as the
-// scalar body.
 //
 // Constraints: RunOptions holds plain values shared by every lane (per-lane
 // injectors go to add_lane), a CompiledTrace's dt must equal options.dt, and
@@ -64,7 +55,6 @@
 #include "harvest/transducers.hpp"
 #include "systems/platform.hpp"
 #include "systems/runner.hpp"
-#include "systems/soa_state.hpp"
 
 namespace msehsim::systems {
 
@@ -94,18 +84,6 @@ class BatchRunner {
 
   [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
 
-  /// Lanes that joined the SoA fast path (systems/soa_state.hpp) on the last
-  /// run() — eligibility is decided per lane at run start. Observability for
-  /// tests and benches; 0 before run().
-  [[nodiscard]] std::size_t soa_lane_count() const { return soa_lane_count_; }
-
-  /// SoA kernel execution counters from the last run() (zeros before it, or
-  /// when no lane joined the fast path). Diagnostics only — these feed the
-  /// campaign's metrics surface, never a RunResult.
-  [[nodiscard]] const soa::SoaCounters& soa_counters() const {
-    return soa_counters_;
-  }
-
   /// Advances every lane in lockstep to @p duration and returns one
   /// RunResult per lane, in add_lane order. Runs once.
   std::vector<RunResult> run();
@@ -125,8 +103,6 @@ class BatchRunner {
   RunOptions options_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   bool ran_{false};
-  std::size_t soa_lane_count_{0};
-  soa::SoaCounters soa_counters_;
   /// One curve share per distinct panel Params, and every panel attached.
   std::vector<std::pair<harvest::PvPanel::Params,
                         std::unique_ptr<harvest::PvCurveShare>>>

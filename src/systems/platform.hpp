@@ -394,76 +394,6 @@ class Platform {
   /// stay valid for its lifetime (storage slots are stable across hot swap).
   [[nodiscard]] fault::ScheduleTargets fault_targets();
 
-  // ---- Batched SoA lane state (systems::BatchRunner) ----------------------
-
-  /// The platform-level state step_with mutates, as raw doubles. While a
-  /// lane is resident on the batched fast path these live in per-lane
-  /// columns; divergence re-entry round-trips them through here (value
-  /// round-trips through double are exact).
-  struct HotState {
-    bool brownout_latch;
-    double last_input_power_w;
-    double quiescent_energy_j;
-    double load_energy_j;
-    double wasted_energy_j;
-    double unmet_energy_j;
-    double bus_load_energy_j;
-    double storage_charged_energy_j;
-    double storage_discharged_energy_j;
-    double unserved_energy_j;
-    double first_brownout_time_s;
-    double energy_neutral_time_s;
-    double first_unserved_time_s;
-    std::uint64_t brownouts;
-  };
-  [[nodiscard]] HotState hot_state() const {
-    return {brownout_latch_,
-            last_input_power_.value(),
-            quiescent_energy_.value(),
-            load_energy_.value(),
-            wasted_energy_.value(),
-            unmet_energy_.value(),
-            bus_load_energy_.value(),
-            storage_charged_energy_.value(),
-            storage_discharged_energy_.value(),
-            unserved_energy_.value(),
-            first_brownout_time_.value(),
-            energy_neutral_time_.value(),
-            first_unserved_time_.value(),
-            brownouts_};
-  }
-  void set_hot_state(const HotState& h) {
-    brownout_latch_ = h.brownout_latch;
-    last_input_power_ = Watts{h.last_input_power_w};
-    quiescent_energy_ = Joules{h.quiescent_energy_j};
-    load_energy_ = Joules{h.load_energy_j};
-    wasted_energy_ = Joules{h.wasted_energy_j};
-    unmet_energy_ = Joules{h.unmet_energy_j};
-    bus_load_energy_ = Joules{h.bus_load_energy_j};
-    storage_charged_energy_ = Joules{h.storage_charged_energy_j};
-    storage_discharged_energy_ = Joules{h.storage_discharged_energy_j};
-    unserved_energy_ = Joules{h.unserved_energy_j};
-    first_brownout_time_ = Seconds{h.first_brownout_time_s};
-    energy_neutral_time_ = Seconds{h.energy_neutral_time_s};
-    first_unserved_time_ = Seconds{h.first_unserved_time_s};
-    brownouts_ = h.brownouts;
-  }
-
-  /// Storage-slot indices in the exact discharge/charge iteration order of
-  /// step_with (the by_priority() cache walk, whatever its sort produced).
-  [[nodiscard]] std::vector<std::size_t> priority_indices() {
-    std::vector<std::size_t> order;
-    order.reserve(stores_.size());
-    for (const auto* slot : by_priority()) order.push_back(slot->index);
-    return order;
-  }
-
-  /// Priority of storage slot @p i (for replicating bus_voltage_with's
-  /// front-store selection outside the class).
-  [[nodiscard]] int storage_priority(std::size_t i) const {
-    return stores_.at(i).priority;
-  }
-
   /// The output conditioning chain, or null when none is fitted.
   [[nodiscard]] const power::OutputChain* output_chain() const {
     return output_.has_value() ? &*output_ : nullptr;

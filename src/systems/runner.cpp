@@ -276,9 +276,8 @@ void detail::TimelineSampler::init(Platform& p, Seconds cadence,
                                    Seconds duration) {
   platform = &p;
   const std::size_t sources = p.input_count();
-  std::vector<std::string> columns = {"soc",          "stored_j",
-                                      "unserved_j",   "backup_stage",
-                                      "soa_resident", "bus_voltage_v"};
+  std::vector<std::string> columns = {"soc", "stored_j", "unserved_j",
+                                      "backup_stage", "bus_voltage_v"};
   columns.reserve(columns.size() + 2 * sources);
   for (std::size_t i = 0; i < sources; ++i) {
     const std::string prefix = "source[" + std::to_string(i) + "].";
@@ -309,19 +308,18 @@ void detail::TimelineSampler::sample(Seconds now) {
       if (chain->stage_engaged(i)) stage = static_cast<double>(i + 1);
   }
   row_[3] = stage;
-  row_[4] = soa_resident;
-  row_[5] = platform->bus_voltage().value();
+  row_[4] = platform->bus_voltage().value();
   const double gap_s = now.value() - prev_t_s_;
   for (std::size_t i = 0; i < platform->input_count(); ++i) {
     const auto& chain = platform->input(i);
     const double transducer_j = chain.transducer_energy().value();
     const double delivered_j = chain.delivered_energy().value();
     if (first_ || gap_s <= 0.0) {
+      row_[5 + 2 * i] = 0.0;
       row_[6 + 2 * i] = 0.0;
-      row_[7 + 2 * i] = 0.0;
     } else {
-      row_[6 + 2 * i] = (transducer_j - prev_transducer_j_[i]) / gap_s;
-      row_[7 + 2 * i] = (delivered_j - prev_delivered_j_[i]) / gap_s;
+      row_[5 + 2 * i] = (transducer_j - prev_transducer_j_[i]) / gap_s;
+      row_[6 + 2 * i] = (delivered_j - prev_delivered_j_[i]) / gap_s;
     }
     prev_transducer_j_[i] = transducer_j;
     prev_delivered_j_[i] = delivered_j;

@@ -164,8 +164,8 @@ struct RunOptions {
   /// harvested/delivered power) is sampled every timeline_dt of simulated
   /// time and attached as RunResult::timeline — the run's only time-series
   /// recorder. Sampling is read-only — results are byte-identical
-  /// with it on or off — but lanes with a due sample leave the SoA fast path
-  /// for that step, so prefer coarse cadences on batched campaigns
+  /// with it on or off — but every sample is an event dispatch on its lane,
+  /// so prefer coarse cadences on long campaigns
   /// (obs::Timeline::kDefaultCadenceS is the documented default).
   Seconds timeline_dt{0.0};
 };
@@ -202,12 +202,8 @@ struct MidRunProbe {
 struct TimelineSampler {
   std::shared_ptr<obs::Timeline> timeline;
   Platform* platform{nullptr};
-  /// SoA residency of this sampler's lane at the sampled step, written by
-  /// BatchRunner just before dispatch. The one width-dependent column,
-  /// excluded from cross-width comparisons.
-  double soa_resident{0.0};
 
-  /// Builds the column table for @p p (6 scalar columns + 2 per source)
+  /// Builds the column table for @p p (5 scalar columns + 2 per source)
   /// and pre-reserves for @p duration at @p cadence.
   void init(Platform& p, Seconds cadence, Seconds duration);
   /// Appends one sample at @p now. Powers are trailing deltas of the

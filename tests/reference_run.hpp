@@ -4,8 +4,8 @@
 // campaign against it would check the step engine against itself. This
 // header keeps a second, deliberately naive engine: a core::Simulation whose
 // on_step callbacks advance the environment and drive Platform::step (the
-// virtual-dispatch GenericStepOps policy) — no lane blocks, no SoA columns,
-// no type tags, no shared PV curve solves. Events are registered in the
+// virtual-dispatch GenericStepOps policy) — no lane blocks, no shared PV
+// curve solves. Events are registered in the
 // order BatchRunner::add_lane documents, so the two engines must agree byte
 // for byte on every RunResult.
 #pragma once

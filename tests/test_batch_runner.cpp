@@ -190,7 +190,7 @@ TEST(BatchRunner, LaneWidthOneRunsOneLaneBlocks) {
 /// A probe platform whose supercapacitor leaks heavily: as harvest charges
 /// the (initially empty) capacitor, the v^2/R leakage loss accelerates, so
 /// storage loss grows superlinearly in duration — exactly the signature the
-/// leak detector flags. Also a SoA-eligible shape (single EDLC, no node).
+/// leak detector flags. A single EDLC, no node.
 std::unique_ptr<systems::Platform> leaky_platform() {
   systems::PlatformSpec spec;
   spec.name = "leaky";
@@ -227,13 +227,13 @@ std::unique_ptr<systems::Platform> steady_platform() {
 }
 
 // ---------------------------------------------------------------------------
-// SoA fast path
+// Storage mixes against the reference harness
 // ---------------------------------------------------------------------------
 
 /// A StorageDevice that reports the fuel-cell kind without being a
 /// storage::FuelCell: an inert 3.6 V cell that never moves energy.
 /// Platform::step's refill pass must skip it (the kind() prefilter passes,
-/// the dynamic_cast does not), and the SoA layer must refuse it.
+/// the dynamic_cast does not).
 class FuelCellLookalike final : public storage::StorageDevice {
  public:
   [[nodiscard]] std::string_view name() const override { return "lookalike"; }
@@ -275,9 +275,9 @@ std::unique_ptr<storage::StorageDevice> plain_supercap() {
 }
 
 /// Runs every lane of @p lanes in one BatchRunner over the outdoor trace of
-/// @p seed, and each lane again alone on the reference harness. Returns the
-/// runner's soa_lane_count() and asserts every result byte-equal.
-std::size_t expect_lanes_match_reference(
+/// @p seed, and each lane again alone on the reference harness, and asserts
+/// every result byte-equal.
+void expect_lanes_match_reference(
     const std::vector<std::unique_ptr<systems::Platform> (*)()>& lanes,
     std::uint64_t seed, Seconds duration, const systems::RunOptions& options,
     const std::string& label) {
@@ -299,37 +299,29 @@ std::size_t expect_lanes_match_reference(
               to_string(batched[l]))
         << label << ", lane " << l;
   }
-  return runner.soa_lane_count();
 }
 
-/// Drives BatchRunner directly (no campaign wrapper) so the test can see
-/// which lanes the SoA layer actually enrolled: System B (supercap + NiMH,
-/// both column-packable) must ride the fast path, System A (fuel-cell slot)
-/// must stay on Platform::step — and both must reproduce the reference
-/// harness byte for byte.
-TEST(SoaPath, EnrollsEligibleLanesAndMatchesTheScalarRunner) {
+/// Drives BatchRunner directly (no campaign wrapper): System B (supercap +
+/// NiMH) and System A (fuel-cell slot) in one block, with query traffic,
+/// must reproduce the reference harness byte for byte.
+TEST(StorageMix, SystemsAAndBMatchTheReferenceHarness) {
   systems::RunOptions options;
   options.dt = Seconds{5.0};
   options.mean_query_interval = Seconds{120.0};
-  EXPECT_EQ(expect_lanes_match_reference(
-                {[] { return systems::build_system_a(7); },
-                 [] { return systems::build_system_b(7); }},
-                7, Seconds{1800.0}, options, "systems A, B"),
-            1u)
-      << "System B must enroll in the SoA fast path; System A must not";
+  expect_lanes_match_reference({[] { return systems::build_system_a(7); },
+                                [] { return systems::build_system_b(7); }},
+                               7, Seconds{1800.0}, options, "systems A, B");
 }
 
-/// The SoA eligibility rule, one storage shape per row: only
-/// constant-capacitance supercaps and batteries enroll; a sloped supercap,
-/// a switched reserve, a fuel cell, or any other device keeps the whole
-/// lane on Platform::step. Every lane matches the reference harness alone
-/// and batched with the others.
-TEST(SoaPath, EligibilityFollowsTheStorageSlots) {
+/// One storage shape per row — a constant-capacitance supercap, a battery,
+/// a sloped supercap, a switched reserve, a fuel cell, and a device that
+/// only claims the fuel-cell kind. Every lane matches the reference harness
+/// alone and batched with the others.
+TEST(StorageMix, EveryStorageShapeMatchesTheReference) {
   using Build = std::unique_ptr<systems::Platform> (*)();
   struct Row {
     const char* name;
     Build build;
-    bool eligible;
   };
   const std::vector<Row> rows = {
       {"plain supercap",
@@ -337,16 +329,14 @@ TEST(SoaPath, EligibilityFollowsTheStorageSlots) {
          std::vector<std::unique_ptr<storage::StorageDevice>> s;
          s.push_back(plain_supercap());
          return pv_platform(std::move(s));
-       },
-       true},
+       }},
       {"battery",
        [] {
          std::vector<std::unique_ptr<storage::StorageDevice>> s;
          s.push_back(std::make_unique<storage::Battery>(
              storage::Battery::nimh("cell", AmpHours{0.05})));
          return pv_platform(std::move(s));
-       },
-       true},
+       }},
       {"sloped supercap",
        [] {
          storage::Supercapacitor::Params sp;
@@ -356,8 +346,7 @@ TEST(SoaPath, EligibilityFollowsTheStorageSlots) {
          std::vector<std::unique_ptr<storage::StorageDevice>> s;
          s.push_back(std::make_unique<storage::Supercapacitor>("sloped", sp));
          return pv_platform(std::move(s));
-       },
-       false},
+       }},
       {"switched reserve",
        [] {
          std::vector<std::unique_ptr<storage::StorageDevice>> s;
@@ -366,8 +355,7 @@ TEST(SoaPath, EligibilityFollowsTheStorageSlots) {
              std::make_unique<storage::Battery>(
                  storage::Battery::li_ion("reserve", AmpHours{0.1}))));
          return pv_platform(std::move(s));
-       },
-       false},
+       }},
       {"fuel cell",
        [] {
          std::vector<std::unique_ptr<storage::StorageDevice>> s;
@@ -377,40 +365,30 @@ TEST(SoaPath, EligibilityFollowsTheStorageSlots) {
          s.push_back(plain_supercap());
          s.push_back(std::move(cell));
          return pv_platform(std::move(s));
-       },
-       false},
+       }},
       {"fuel-cell-kind double",
        [] {
          std::vector<std::unique_ptr<storage::StorageDevice>> s;
          s.push_back(plain_supercap());
          s.push_back(std::make_unique<FuelCellLookalike>());
          return pv_platform(std::move(s));
-       },
-       false},
+       }},
   };
   systems::RunOptions options;
   options.dt = Seconds{10.0};
   const Seconds duration{43200.0};  // midnight to noon: dark, then sun
 
   std::vector<Build> all;
-  std::size_t eligible = 0;
   for (const Row& row : rows) {
-    EXPECT_EQ(expect_lanes_match_reference({row.build}, 5, duration, options,
-                                           row.name),
-              row.eligible ? 1u : 0u)
-        << row.name;
+    expect_lanes_match_reference({row.build}, 5, duration, options, row.name);
     all.push_back(row.build);
-    if (row.eligible) ++eligible;
   }
-  EXPECT_EQ(
-      expect_lanes_match_reference(all, 5, duration, options, "all rows"),
-      eligible);
+  expect_lanes_match_reference(all, 5, duration, options, "all rows");
 }
 
 /// A Harvester subclass the catalog does not know: a linear light cell
-/// whose MPP comes from the base class's golden-section search. The SoA
-/// pre-stage calls harvesters through the virtual interface, so a lane
-/// built on it must enroll and match the reference harness byte for byte.
+/// whose MPP comes from the base class's golden-section search. A lane
+/// built on it must match the reference harness byte for byte.
 class LinearLightCell final : public harvest::Harvester {
  public:
   [[nodiscard]] std::string_view name() const override { return "linear"; }
@@ -449,7 +427,7 @@ std::unique_ptr<systems::Platform> linear_cell_platform() {
   return p;
 }
 
-TEST(SoaPath, UncataloguedHarvesterEnrollsAndMatchesTheReference) {
+TEST(StorageMix, UncataloguedHarvesterMatchesTheReference) {
   using Build = std::unique_ptr<systems::Platform> (*)();
   const Build cell = linear_cell_platform;
   const Build b = [] { return systems::build_system_b(7); };
@@ -460,14 +438,10 @@ TEST(SoaPath, UncataloguedHarvesterEnrollsAndMatchesTheReference) {
 
   // Width 1: each lane alone.
   for (const Build build : {cell, b})
-    EXPECT_EQ(expect_lanes_match_reference({build}, 7, duration, options,
-                                           "width 1"),
-              1u);
+    expect_lanes_match_reference({build}, 7, duration, options, "width 1");
   // Width 8: the double's lanes interleaved with System B's.
   const std::vector<Build> block = {cell, b, cell, b, cell, b, cell, b};
-  EXPECT_EQ(
-      expect_lanes_match_reference(block, 7, duration, options, "width 8"),
-      8u);
+  expect_lanes_match_reference(block, 7, duration, options, "width 8");
   // The double actually harvested: the lane is not a trivially dark one.
   auto p = linear_cell_platform();
   auto environment = env::Environment::outdoor(7);
@@ -477,8 +451,7 @@ TEST(SoaPath, UncataloguedHarvesterEnrollsAndMatchesTheReference) {
 
 /// run_platform is a one-lane BatchRunner over a live environment: with a
 /// fault injector, query traffic and the timeline all on, its result and
-/// timeline must equal the reference harness's — System A on the per-lane
-/// scalar body, System B on the SoA columns.
+/// timeline must equal the reference harness's, for System A and System B.
 TEST(RunPlatform, OneLaneRunMatchesTheReferenceHarness) {
   const Seconds duration{7200.0};
   systems::RunOptions options;
@@ -506,9 +479,8 @@ TEST(RunPlatform, OneLaneRunMatchesTheReferenceHarness) {
     ASSERT_NE(want.timeline, nullptr);
     EXPECT_EQ(got.timeline->sample_count(), 120u);  // 7200 s / 60 s
     EXPECT_EQ(got.timeline->time(), want.timeline->time());
-    const auto residency = got.timeline->find_column("soa_resident");
+    ASSERT_EQ(got.timeline->columns(), want.timeline->columns());
     for (std::size_t col = 0; col < got.timeline->column_count(); ++col) {
-      if (col == residency) continue;
       EXPECT_EQ(got.timeline->column(col), want.timeline->column(col))
           << got.timeline->columns()[col];
     }
@@ -519,17 +491,16 @@ TEST(RunPlatform, OneLaneRunMatchesTheReferenceHarness) {
   }
 }
 
-/// Fault schedule aimed at a SoA-eligible platform: every onset bounces the
-/// lane off the columns to the scalar body, every heal/expiry re-enters it
-/// with refreshed per-lane coefficients (leakage-spike multiplier, droop
-/// factor, intermittent gating), and the thermal shutdown parks the lane
-/// scalar-side until the converter recovers. Bytes must not move.
-TEST(BatchRunner, ByteIdenticalUnderFaultsOnSoaEligibleLanes) {
+/// Fault schedule aimed at System B's supercap + battery bank: onsets and
+/// heals/expiries mutate per-lane coefficients (leakage-spike multiplier,
+/// droop factor, intermittent gating), and the thermal shutdown cuts the
+/// chain until the converter recovers. Bytes must not move across widths.
+TEST(BatchRunner, ByteIdenticalUnderFaultsOnSupercapBatteryLanes) {
   CampaignSpec spec;
   spec.platforms.push_back(
       {"system-b", [](std::uint64_t s) { return systems::build_system_b(s); }});
   Scenario sc;
-  sc.name = "faulted-soa";
+  sc.name = "faulted-b";
   sc.environment = outdoor_factory();
   sc.duration = Seconds{7200.0};
   sc.options.dt = Seconds{5.0};
@@ -550,7 +521,7 @@ TEST(BatchRunner, ByteIdenticalUnderFaultsOnSoaEligibleLanes) {
   expect_width_invariant(spec);
 }
 
-/// A PV front end over a NiMH cell — battery columns in a group of their own.
+/// A PV front end over a NiMH cell.
 std::unique_ptr<systems::Platform> battery_buffered_platform() {
   systems::PlatformSpec spec;
   spec.name = "battery-buffered";
@@ -567,7 +538,7 @@ std::unique_ptr<systems::Platform> battery_buffered_platform() {
 
 /// Same front end over a lithium-ion capacitor: a two-branch supercap whose
 /// coefficients (C, Rleak, redistribution tau) differ from the EDLC
-/// variants sharing its column group.
+/// variants sharing its block.
 std::unique_ptr<systems::Platform> lic_platform() {
   systems::PlatformSpec spec;
   spec.name = "lic";
@@ -585,8 +556,8 @@ std::unique_ptr<systems::Platform> lic_platform() {
 
 /// Heterogeneous storage variants batched together: two EDLCs with very
 /// different C/Rleak, an LIC, and a battery, all in one campaign block. The
-/// per-lane exp() hoists and decay memos must key on each lane's own
-/// coefficients — a regression gate for cross-lane memo bleed.
+/// decay memos must key on each lane's own coefficients — a regression gate
+/// for cross-lane memo bleed.
 TEST(BatchRunner, ByteIdenticalAcrossHeterogeneousStorageVariants) {
   CampaignSpec spec;
   spec.platforms.push_back(
@@ -670,10 +641,10 @@ TEST(RunTimeline, ByteIdenticalAcrossLaneWidthsWithSamplingOn) {
   expect_width_invariant(spec);
 }
 
-TEST(RunTimeline, FaultedSoaGridByteIdenticalWithSamplingOn) {
-  // The sampler's periodic forces lanes with due samples onto the scalar
-  // body for a step — a perf event, never a physics one. Faults layered on
-  // top must still reproduce the width-1 reference byte for byte.
+TEST(RunTimeline, FaultedGridByteIdenticalWithSamplingOn) {
+  // The sampler's periodic is one more event on each lane — a read, never
+  // a physics one. Faults layered on top must still reproduce the width-1
+  // reference byte for byte.
   CampaignSpec spec;
   spec.platforms.push_back(
       {"system-b", [](std::uint64_t s) { return systems::build_system_b(s); }});
@@ -754,78 +725,12 @@ TEST(RunTimeline, BatchedSamplesMatchScalarExceptResidencyColumn) {
     ASSERT_EQ(gt.columns(), wt.columns());
     ASSERT_EQ(gt.sample_count(), wt.sample_count());
     EXPECT_EQ(gt.time(), wt.time());
-    for (std::size_t col = 0; col < gt.column_count(); ++col) {
-      // soa_resident is width-dependent by design: the reference harness
-      // never has a resident lane, the batched one usually does. Everything
-      // else must agree to the bit.
-      if (gt.columns()[col] == "soa_resident") continue;
+    for (std::size_t col = 0; col < gt.column_count(); ++col)
       EXPECT_EQ(gt.column(col), wt.column(col)) << gt.columns()[col];
-    }
-    const auto residency = gt.find_column("soa_resident");
-    ASSERT_NE(residency, obs::Timeline::npos);
-    for (const double v : wt.column(residency))
-      EXPECT_DOUBLE_EQ(v, 0.0);  // reference harness: nothing is resident
+    // Every column agrees with the reference harness to the bit; the
+    // runner adds no engine-specific column.
+    EXPECT_EQ(gt.find_column("soa_resident"), obs::Timeline::npos);
   }
-  // System B rides the SoA columns, so its batched residency column must
-  // actually light up somewhere mid-run.
-  const auto residency = batched[1].timeline->find_column("soa_resident");
-  double seen = 0.0;
-  for (const double v : batched[1].timeline->column(residency))
-    seen = std::max(seen, v);
-  EXPECT_DOUBLE_EQ(seen, 1.0);
-}
-
-// ---------------------------------------------------------------------------
-// SoA kernel counters
-// ---------------------------------------------------------------------------
-
-TEST(SoaCounters, PartitionLaneStepsAndShowResidency) {
-  const Seconds dt{5.0};
-  const Seconds duration{1800.0};
-  systems::RunOptions options;
-  options.dt = dt;
-  options.mean_query_interval = Seconds{120.0};
-
-  auto model = env::Environment::outdoor(7);
-  const auto trace = env::CompiledTrace::compile(model, dt, duration);
-  auto a = systems::build_system_a(7);
-  auto b = systems::build_system_b(7);
-  systems::BatchRunner runner(trace, duration, options);
-  runner.add_lane(*a);
-  runner.add_lane(*b);
-  (void)runner.run();
-
-  const auto& c = runner.soa_counters();
-  EXPECT_EQ(c.steps, 360u);  // 1800 s / 5 s
-  // One SoA lane (System B); System A stays scalar and never counts.
-  EXPECT_EQ(c.lane_steps, c.steps * runner.soa_lane_count());
-  EXPECT_EQ(c.resident_lane_steps + c.exit_event_due + c.exit_not_resident,
-            c.lane_steps);
-  EXPECT_LE(c.quiet_steps, c.steps);
-  // A clean outdoor run is overwhelmingly quiet: management ticks are 60 s
-  // apart on a 5 s step, so at least half of all lane-steps stay resident.
-  EXPECT_GT(c.resident_lane_steps * 2, c.lane_steps);
-  EXPECT_EQ(c.thermal_latched, 0u);
-}
-
-TEST(SoaCounters, ThermalLatchShowsUpUnderShutdownFaults) {
-  const Seconds dt{5.0};
-  const Seconds duration{7200.0};
-  systems::RunOptions options;
-  options.dt = dt;
-
-  auto model = env::Environment::outdoor(9);
-  const auto trace = env::CompiledTrace::compile(model, dt, duration);
-  auto b = systems::build_system_b(9);
-  fault::FaultInjector inj(9);
-  inj.converter_thermal_shutdown(Seconds{1800.0}, b->input(0), Seconds{600.0});
-  systems::BatchRunner runner(trace, duration, options);
-  runner.add_lane(*b, &inj);
-  (void)runner.run();
-
-  const auto& c = runner.soa_counters();
-  EXPECT_GT(c.thermal_latched, 0u);
-  EXPECT_GT(c.exit_not_resident, 0u);  // latched lanes re-enter scalar steps
 }
 
 TEST(LeakDetector, WarningsAgreeAcrossLaneWidths) {

@@ -28,6 +28,45 @@ TEST(SensorNode, FloorPowerIsMaxPeriodPower) {
   EXPECT_DOUBLE_EQ(n.average_power(kRail).value(), n.floor_power(kRail).value());
 }
 
+/// average_power is memoized on the rail voltage's bits. After each of its
+/// inputs' writers — set_task_period and the two fault hooks — the cached
+/// value and the next step's draw must equal, bit for bit, those of a node
+/// built fresh and brought to the same state, at either rail voltage.
+TEST(SensorNode, AveragePowerCacheFollowsEveryMutator) {
+  constexpr Volts kRail2{2.5};
+  // The k-th mutator (1-based).
+  const auto mutate = [](SensorNode& n, int k) {
+    if (k == 1) n.set_task_period(Seconds{120.0});
+    if (k == 2) n.inject_flash_wear(1.5);
+    if (k == 3) n.inject_radio_pa_degradation(2.0);
+  };
+  const auto booted = [](SensorNode& n) {
+    for (int i = 0; i < 3; ++i) n.step(true, kRail, kDt);
+  };
+  auto node = basic_node();
+  booted(node);
+  for (int k = 1; k <= 3; ++k) {
+    // Warm the memo at one rail, mutate, then read that rail first: a
+    // missed invalidation would hand back the stale value here.
+    const Volts warm = k % 2 == 0 ? kRail2 : kRail;
+    const Volts other = k % 2 == 0 ? kRail : kRail2;
+    const double before = node.average_power(warm).value();
+    mutate(node, k);
+    auto fresh = basic_node();
+    for (int j = 1; j <= k; ++j) mutate(fresh, j);
+    booted(fresh);
+    EXPECT_NE(node.average_power(warm).value(), before) << "mutator " << k;
+    EXPECT_EQ(node.average_power(warm).value(), fresh.average_power(warm).value())
+        << "mutator " << k;
+    EXPECT_EQ(node.average_power(other).value(),
+              fresh.average_power(other).value())
+        << "mutator " << k;
+    EXPECT_EQ(node.step(true, kRail, kDt).value(),
+              fresh.step(true, kRail, kDt).value())
+        << "mutator " << k;
+  }
+}
+
 TEST(SensorNode, PeriodClampedToBounds) {
   auto n = basic_node();
   n.set_task_period(Seconds{0.001});

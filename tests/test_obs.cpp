@@ -670,8 +670,7 @@ TEST(RunTimeline, SchemaCoversStorageBackupAndEverySource) {
   ASSERT_NE(r.timeline, nullptr);
   const auto& tl = *r.timeline;
   for (const char* col :
-       {"soc", "stored_j", "unserved_j", "backup_stage", "soa_resident",
-        "bus_voltage_v"})
+       {"soc", "stored_j", "unserved_j", "backup_stage", "bus_voltage_v"})
     EXPECT_NE(tl.find_column(col), obs::Timeline::npos) << col;
   for (std::size_t i = 0; i < a->input_count(); ++i) {
     const std::string base = "source[" + std::to_string(i) + "]";

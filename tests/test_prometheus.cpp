@@ -1,7 +1,7 @@
 // Prometheus text exposition: renderer byte-exactness, name/label mapping,
 // cumulative histogram expansion, the strict lint (promtool-style parse)
 // over both synthetic documents and everything the repo actually emits, and
-// the end-to-end campaign scrape with leak-detector and SoA-residency rows.
+// the end-to-end campaign scrape with leak-detector rows.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -328,7 +328,7 @@ std::unique_ptr<systems::Platform> mini_platform() {
   return p;
 }
 
-TEST(PrometheusText, CampaignScrapeCarriesLeakAndSoaResidencyRows) {
+TEST(PrometheusText, CampaignScrapeCarriesLeakRows) {
   campaign::CampaignSpec spec;
   spec.platforms.push_back(
       {"mini", [](std::uint64_t) { return mini_platform(); }});
@@ -356,11 +356,7 @@ TEST(PrometheusText, CampaignScrapeCarriesLeakAndSoaResidencyRows) {
   EXPECT_EQ(obs::prometheus_lint(text), "") << text.substr(0, 2000);
   for (const char* needle :
        {"msehsim_campaign_leak_warnings_total",
-        "msehsim_campaign_leak_excess_max_j", "msehsim_campaign_jobs_total",
-        "msehsim_campaign_soa_steps_total",
-        "msehsim_campaign_soa_resident_lane_steps_total",
-        "msehsim_campaign_soa_resident_fraction",
-        "msehsim_campaign_soa_quiet_fraction"})
+        "msehsim_campaign_leak_excess_max_j", "msehsim_campaign_jobs_total"})
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
 }
 

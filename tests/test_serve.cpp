@@ -354,6 +354,174 @@ TEST(SpecFuzz, DeepNestingIsRejectedWithoutRecursing) {
 }
 
 // ---------------------------------------------------------------------------
+// HttpFuzz: fixed-seed mutations of valid requests through the head parser
+// ---------------------------------------------------------------------------
+
+/// Valid requests every mutation starts from: a /metrics scrape, a
+/// /healthz probe over HTTP/1.0, and a campaign POST with its body.
+const std::vector<std::string>& http_requests() {
+  static const std::vector<std::string> requests = {
+      "GET /metrics HTTP/1.1\r\nHost: 127.0.0.1:8080\r\nAccept: */*\r\n\r\n",
+      "GET /healthz HTTP/1.0\r\nUser-Agent:\tprobe/1.0 \r\n\r\n",
+      "POST /v1/campaign HTTP/1.1\r\nHost: localhost\r\n"
+      "Content-Type: application/json\r\nExpect: 100-continue\r\n"
+      "Content-Length: " +
+          std::to_string(std::string(kSmallBody).size()) + "\r\n\r\n" +
+          kSmallBody,
+  };
+  return requests;
+}
+
+/// The bytes HttpServer hands parse_request_head: everything before the
+/// first blank line — or all of it when none arrives (the server would keep
+/// reading, but the parser must cope with any bytes).
+RequestHead parse_as_server(const std::string& bytes) {
+  static const HttpServerOptions options;
+  return parse_request_head(
+      std::string_view(bytes).substr(0, bytes.find("\r\n\r\n")), options);
+}
+
+/// @p bytes must yield a request the server would serve, or one of the four
+/// statuses it answers today (400/411/413/501) — nothing else: no other
+/// status, no exception, no sanitizer report.
+void expect_http_contained(const std::string& bytes) {
+  RequestHead head;
+  try {
+    head = parse_as_server(bytes);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "parse_request_head threw " << e.what();
+    return;
+  } catch (...) {
+    ADD_FAILURE() << "parse_request_head threw a non-exception";
+    return;
+  }
+  switch (head.status) {
+    case 0:
+      EXPECT_FALSE(head.request.method.empty());
+      ASSERT_FALSE(head.request.target.empty());
+      EXPECT_EQ(head.request.target.front(), '/');
+      EXPECT_LE(head.content_length, HttpServerOptions{}.max_body_bytes);
+      EXPECT_EQ(head.request.headers.count("transfer-encoding"), 0u);
+      EXPECT_TRUE(head.request.body.empty());
+      break;
+    case 400:
+    case 411:
+    case 413:
+    case 501:
+      EXPECT_FALSE(head.error.empty());
+      break;
+    default:
+      ADD_FAILURE() << "status " << head.status << " on " << bytes.size()
+                    << " bytes";
+  }
+}
+
+TEST(HttpFuzz, SeedRequestsParseAndErrorsKeepTheirStatus) {
+  const auto& seeds = http_requests();
+  const RequestHead metrics = parse_as_server(seeds[0]);
+  EXPECT_EQ(metrics.status, 0);
+  EXPECT_EQ(metrics.request.method, "GET");
+  EXPECT_EQ(metrics.request.target, "/metrics");
+  EXPECT_EQ(metrics.request.headers.at("host"), "127.0.0.1:8080");
+  const RequestHead healthz = parse_as_server(seeds[1]);
+  EXPECT_EQ(healthz.status, 0);
+  EXPECT_EQ(healthz.request.headers.at("user-agent"), "probe/1.0");
+  const RequestHead post = parse_as_server(seeds[2]);
+  EXPECT_EQ(post.status, 0);
+  EXPECT_EQ(post.content_length, std::string(kSmallBody).size());
+  EXPECT_EQ(post.request.headers.at("expect"), "100-continue");
+
+  const std::string max_body = std::to_string(HttpServerOptions{}.max_body_bytes);
+  const std::vector<std::pair<std::string, int>> cases = {
+      {"GET / HTTP/1.1\r\n\r\n", 0},
+      {"GET / HTTP/2\r\n\r\n", 400},
+      {"GET /\r\n\r\n", 400},
+      {"GET metrics HTTP/1.1\r\n\r\n", 400},
+      {" /metrics HTTP/1.1\r\n\r\n", 400},
+      {"GET / HTTP/1.1\r\nno-colon\r\n\r\n", 400},
+      {"GET / HTTP/1.1\r\n: empty-name\r\n\r\n", 400},
+      {"POST /v1/campaign HTTP/1.1\r\n\r\n", 411},
+      {"PUT /x HTTP/1.1\r\nHost: a\r\n\r\n", 411},
+      {"POST /v1/campaign HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400},
+      {"POST /v1/campaign HTTP/1.1\r\nContent-Length: " + max_body +
+           "\r\n\r\n",
+       0},
+      {"POST /v1/campaign HTTP/1.1\r\nContent-Length: " + max_body +
+           "1\r\n\r\n",
+       413},
+      {"POST /v1/campaign HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+       501},
+  };
+  for (const auto& [bytes, status] : cases) {
+    EXPECT_EQ(parse_as_server(bytes).status, status) << bytes;
+    expect_http_contained(bytes);
+  }
+}
+
+TEST(HttpFuzz, TruncationAtEveryOffset) {
+  std::size_t cases = 0;
+  for (const auto& request : http_requests())
+    for (std::size_t n = 0; n < request.size(); ++n, ++cases)
+      expect_http_contained(request.substr(0, n));
+  EXPECT_GT(cases, 300u);
+}
+
+TEST(HttpFuzz, ByteFlips) {
+  Pcg32 rng(0x4177, 1);
+  const auto& requests = http_requests();
+  for (int i = 0; i < 2500; ++i) {
+    std::string bytes = requests[pick(rng, requests.size())];
+    const std::uint32_t flips = 1 + rng.next_below(4);
+    for (std::uint32_t k = 0; k < flips; ++k) {
+      char& c = bytes[pick(rng, bytes.size())];
+      c = rng.next_below(2) == 0
+              ? static_cast<char>(c ^ (1u << rng.next_below(8)))
+              : static_cast<char>(rng.next_below(256));
+    }
+    expect_http_contained(bytes);
+  }
+}
+
+TEST(HttpFuzz, SpanDuplicationAndDeletion) {
+  Pcg32 rng(0x4177, 2);
+  const auto& requests = http_requests();
+  for (int i = 0; i < 2500; ++i) {
+    std::string bytes = requests[pick(rng, requests.size())];
+    const std::size_t at = pick(rng, bytes.size());
+    const std::size_t len = 1 + pick(rng, bytes.size() - at);
+    if (rng.next_below(2) == 0) {
+      bytes.insert(at, bytes.substr(at, len));
+    } else {
+      bytes.erase(at, len);
+    }
+    expect_http_contained(bytes);
+  }
+}
+
+TEST(HttpFuzz, OverlongLinesAndOverflowingContentLength) {
+  const std::string long_value(1 << 20, 'x');
+  expect_http_contained("GET /" + long_value + " HTTP/1.1\r\n\r\n");
+  expect_http_contained("GET / HTTP/1.1\r\nX-Long: " + long_value + "\r\n\r\n");
+  expect_http_contained("GET / HTTP/1.1\r\n" + long_value + "\r\n\r\n");
+  std::string many = "GET / HTTP/1.1\r\n";
+  for (int i = 0; i < 10000; ++i) many += "X-" + std::to_string(i) + ": v\r\n";
+  expect_http_contained(many + "\r\n");
+  // 2^64 and beyond overflow the 64-bit parse: a 400, never a wrapped
+  // small length. 2^64 - 1 parses and is over the body cap: a 413.
+  for (const char* length :
+       {"18446744073709551616", "99999999999999999999999999999999"}) {
+    const std::string bytes = std::string("POST /v1/campaign HTTP/1.1\r\n") +
+                              "Content-Length: " + length + "\r\n\r\n";
+    EXPECT_EQ(parse_as_server(bytes).status, 400) << length;
+    expect_http_contained(bytes);
+  }
+  EXPECT_EQ(parse_as_server("POST /v1/campaign HTTP/1.1\r\n"
+                            "Content-Length: 18446744073709551615\r\n\r\n")
+                .status,
+            413);
+}
+
+// ---------------------------------------------------------------------------
 // ResultCache
 // ---------------------------------------------------------------------------
 
