@@ -62,29 +62,42 @@ std::uint8_t I2cBus::corrupt(std::uint8_t value) {
   return value ^ static_cast<std::uint8_t>(1u << fault_rng_.next_below(8));
 }
 
-std::optional<std::vector<std::uint8_t>> I2cBus::read(std::uint8_t address,
-                                                      std::uint8_t start_register,
-                                                      std::size_t count) {
-  if (injected_failure()) return std::nullopt;
+std::size_t I2cSlave::read_block(std::uint8_t start, std::uint8_t* out,
+                                std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto value = read_register(static_cast<std::uint8_t>(start + i));
+    if (!value) return i;
+    out[i] = *value;
+  }
+  return count;
+}
+
+bool I2cBus::read_into(std::uint8_t address, std::uint8_t start_register,
+                       std::uint8_t* out, std::size_t count) {
+  if (injected_failure()) return false;
   const auto it = slaves_.find(address);
   if (it == slaves_.end()) {
     bill(0);
     ++naks_;
-    return std::nullopt;
+    return false;
   }
-  std::vector<std::uint8_t> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto value =
-        it->second->read_register(static_cast<std::uint8_t>(start_register + i));
-    if (!value) {
-      bill(out.size());
-      ++naks_;
-      return std::nullopt;
-    }
-    out.push_back(corrupt(*value));
+  // Bytes delivered before a mid-burst NAK are still clocked (billed) and
+  // exposed to bit errors, in register order.
+  const std::size_t delivered = it->second->read_block(start_register, out, count);
+  for (std::size_t i = 0; i < delivered; ++i) out[i] = corrupt(out[i]);
+  bill(delivered);
+  if (delivered < count) {
+    ++naks_;
+    return false;
   }
-  bill(out.size());
+  return true;
+}
+
+std::optional<std::vector<std::uint8_t>> I2cBus::read(std::uint8_t address,
+                                                      std::uint8_t start_register,
+                                                      std::size_t count) {
+  std::vector<std::uint8_t> out(count);
+  if (!read_into(address, start_register, out.data(), count)) return std::nullopt;
   return out;
 }
 

@@ -9,6 +9,7 @@
 // (the complexity-vs-benefit trade-off of Sec. II.3).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -29,6 +30,14 @@ class I2cSlave {
   virtual std::optional<std::uint8_t> read_register(std::uint8_t reg) = 0;
   /// Register write; returns false to NAK.
   virtual bool write_register(std::uint8_t reg, std::uint8_t value) = 0;
+
+  /// Burst read of @p count registers from @p start into @p out; returns how
+  /// many were read before the first NAK (== @p count when none NAKs). The
+  /// default reads one register at a time; a slave may override it to
+  /// evaluate a multi-byte field once instead of once per byte, provided
+  /// the bytes are the ones read_register would return.
+  virtual std::size_t read_block(std::uint8_t start, std::uint8_t* out,
+                                 std::size_t count);
 };
 
 class I2cBus {
@@ -56,6 +65,12 @@ class I2cBus {
   std::optional<std::vector<std::uint8_t>> read(std::uint8_t address,
                                                 std::uint8_t start_register,
                                                 std::size_t count);
+
+  /// read() into caller storage (no allocation): fills @p out[0, count) and
+  /// returns true, or returns false on a NAK. Bills, NAK-counts and corrupts
+  /// each delivered byte exactly as read() does.
+  bool read_into(std::uint8_t address, std::uint8_t start_register,
+                 std::uint8_t* out, std::size_t count);
 
   /// Burst register write; false on NAK.
   bool write(std::uint8_t address, std::uint8_t start_register,

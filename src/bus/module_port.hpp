@@ -41,6 +41,10 @@ class ModulePort final : public I2cSlave {
 
   [[nodiscard]] std::uint8_t address() const override { return address_; }
   std::optional<std::uint8_t> read_register(std::uint8_t reg) override;
+  /// Evaluates each live u32 field the burst touches once, not once per
+  /// byte; every byte equals read_register's.
+  std::size_t read_block(std::uint8_t start, std::uint8_t* out,
+                         std::size_t count) override;
   bool write_register(std::uint8_t reg, std::uint8_t value) override;
 
   /// Register layout constants (shared with the manager-side driver).
@@ -64,7 +68,7 @@ class ModulePort final : public I2cSlave {
 /// nullopt if the address NAKs or the blob fails CRC.
 std::optional<ElectronicDatasheet> read_datasheet(I2cBus& bus, std::uint8_t address);
 
-/// Manager-side driver: reads one live u32 telemetry field.
+/// Manager-side driver: reads one live u32 telemetry field (no allocation).
 std::optional<std::uint32_t> read_live_u32(I2cBus& bus, std::uint8_t address,
                                            std::uint8_t base_reg);
 

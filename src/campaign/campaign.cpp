@@ -248,19 +248,27 @@ const std::vector<JobResult>& Campaign::run() {
 
   // Workers pop units through a fixed permutation sorted by expected step
   // count (duration / dt, the dominant cost driver), longest first, so the
-  // pool never strands its tail behind one late-popped long unit; the
-  // stable sort keeps construction order among equals. Results still land
-  // in grid-order slots.
+  // pool never strands its tail behind one late-popped long unit. Among
+  // equals, a block's rank inside its (scenario, seed) group comes first:
+  // the first blocks popped then replay distinct traces, instead of two
+  // siblings where one waits in compiled_trace's call_once while the other
+  // compiles. The stable sort keeps construction order among full ties.
+  // Results still land in grid-order slots.
   std::vector<std::size_t> order(units.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   const auto expected_steps = [&](std::size_t u) {
     const auto& s = spec_.scenarios[units[u].scenario_index];
     return s.duration.value() / s.options.dt.value();
   };
-  std::stable_sort(order.begin(), order.end(),
-                   [&expected_steps](std::size_t a, std::size_t b) {
-                     return expected_steps(a) > expected_steps(b);
-                   });
+  const auto trace_rank = [&](std::size_t u) {
+    return results_[units[u].grid_indices.front()].platform_index / width;
+  };
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const double steps_a = expected_steps(a);
+    const double steps_b = expected_steps(b);
+    if (steps_a != steps_b) return steps_a > steps_b;
+    return trace_rank(a) < trace_rank(b);
+  });
 
   // Each error slot is written by exactly one worker (the one that popped
   // the unit containing that job), so no synchronization beyond the join is

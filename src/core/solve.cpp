@@ -12,17 +12,4 @@ double golden_max(const std::function<double(double)>& f, double lo, double hi,
   return golden_max_fn(f, lo, hi, iterations);
 }
 
-double interp_clamped(const double* xs, const double* ys, int n, double x) {
-  if (n <= 0) return 0.0;
-  if (x <= xs[0]) return ys[0];
-  if (x >= xs[n - 1]) return ys[n - 1];
-  for (int i = 1; i < n; ++i) {
-    if (x <= xs[i]) {
-      const double t = (x - xs[i - 1]) / (xs[i] - xs[i - 1]);
-      return ys[i - 1] + t * (ys[i] - ys[i - 1]);
-    }
-  }
-  return ys[n - 1];
-}
-
 }  // namespace msehsim

@@ -77,7 +77,19 @@ double golden_max(const std::function<double(double)>& f, double lo, double hi,
                   int iterations = 80);
 
 /// Linear interpolation of y(x) over sorted breakpoints; clamps outside the
-/// table. Used for OCV-SoC curves and converter efficiency maps.
-double interp_clamped(const double* xs, const double* ys, int n, double x);
+/// table. Used for OCV-SoC curves and converter efficiency maps. Inline: the
+/// battery OCV lookup runs it 64 times per stored-energy integration.
+inline double interp_clamped(const double* xs, const double* ys, int n, double x) {
+  if (n <= 0) return 0.0;
+  if (x <= xs[0]) return ys[0];
+  if (x >= xs[n - 1]) return ys[n - 1];
+  for (int i = 1; i < n; ++i) {
+    if (x <= xs[i]) {
+      const double t = (x - xs[i - 1]) / (xs[i] - xs[i - 1]);
+      return ys[i - 1] + t * (ys[i] - ys[i - 1]);
+    }
+  }
+  return ys[n - 1];
+}
 
 }  // namespace msehsim

@@ -44,12 +44,17 @@ WattsPerSquareMeter SolarChannel::clear_sky(Seconds now) const {
   // Solar elevation from declination + hour angle (standard astronomical
   // approximation, more than sufficient for energy-availability studies).
   const int doy = params_.day_of_year + day_index(now);
-  const double declination =
-      -23.44 * kDeg2Rad * std::cos(2.0 * std::numbers::pi * (doy + 10) / 365.0);
+  if (doy != sky_doy_) {
+    const double declination =
+        -23.44 * kDeg2Rad * std::cos(2.0 * std::numbers::pi * (doy + 10) / 365.0);
+    const double lat = params_.latitude_deg * kDeg2Rad;
+    sin_lat_sin_decl_ = std::sin(lat) * std::sin(declination);
+    cos_lat_cos_decl_ = std::cos(lat) * std::cos(declination);
+    sky_doy_ = doy;
+  }
   const double hour_angle = (hour_of_day(now) - 12.0) * 15.0 * kDeg2Rad;
-  const double lat = params_.latitude_deg * kDeg2Rad;
-  const double sin_elev = std::sin(lat) * std::sin(declination) +
-                          std::cos(lat) * std::cos(declination) * std::cos(hour_angle);
+  const double sin_elev =
+      sin_lat_sin_decl_ + cos_lat_cos_decl_ * std::cos(hour_angle);
   if (sin_elev <= 0.0) return WattsPerSquareMeter{0.0};
   // Simple air-mass attenuation of the extraterrestrial beam.
   const double air_mass = 1.0 / std::max(sin_elev, 0.05);
@@ -108,8 +113,12 @@ WindChannel::WindChannel(Params params, std::uint64_t seed)
 MetersPerSecond WindChannel::advance(Seconds now, Seconds dt) {
   // AR(1) latent Gaussian keeps temporal correlation; mapping through the
   // Weibull inverse CDF gives the canonical wind-speed marginal.
-  const double rho = std::exp(-dt.value() / params_.correlation_time.value());
-  z_ = rho * z_ + std::sqrt(std::max(0.0, 1.0 - rho * rho)) * rng_.normal();
+  if (dt.value() != rho_dt_) {
+    rho_ = std::exp(-dt.value() / params_.correlation_time.value());
+    innovation_scale_ = std::sqrt(std::max(0.0, 1.0 - rho_ * rho_));
+    rho_dt_ = dt.value();
+  }
+  z_ = rho_ * z_ + innovation_scale_ * rng_.normal();
   const double u = std::clamp(phi(z_), 1e-9, 1.0 - 1e-9);
   double speed = params_.weibull_scale.value() *
                  std::pow(-std::log(1.0 - u), 1.0 / params_.weibull_shape);

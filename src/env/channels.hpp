@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 #include "core/random.hpp"
 #include "core/units.hpp"
@@ -43,6 +44,13 @@ class SolarChannel {
   Params params_;
   Pcg32 rng_;
   bool cloudy_{false};
+  /// sin(lat)*sin(decl) and cos(lat)*cos(decl) for day of year sky_doy_:
+  /// they change once a day, not once a step. clear_sky refills them when
+  /// the day changes, so a channel must not be shared across threads (each
+  /// environment owns its own).
+  mutable int sky_doy_{std::numeric_limits<int>::min()};
+  mutable double sin_lat_sin_decl_{0.0};
+  mutable double cos_lat_cos_decl_{0.0};
 };
 
 /// Indoor artificial lighting following an occupancy schedule:
@@ -89,6 +97,11 @@ class WindChannel {
   Params params_;
   Pcg32 rng_;
   double z_{0.0};  ///< latent AR(1) Gaussian state
+  /// AR(1) coefficient rho = exp(-dt / tau) and innovation scale
+  /// sqrt(max(0, 1 - rho^2)) for step rho_dt_; recomputed when dt changes.
+  double rho_dt_{std::numeric_limits<double>::quiet_NaN()};
+  double rho_{0.0};
+  double innovation_scale_{0.0};
 };
 
 /// Constant low-speed airflow from building ventilation (indoor "wind").

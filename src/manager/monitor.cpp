@@ -73,26 +73,16 @@ RetryBackoff::RetryBackoff(Params params)
                "retry jitter must be in [0,1)");
 }
 
-bool RetryBackoff::run(const std::function<bool()>& attempt) {
-  Seconds wait = params_.initial_backoff;
-  for (int i = 0; i < params_.max_attempts; ++i) {
-    ++attempts_;
-    if (i > 0) {
-      ++retries_;
-      Seconds settle = wait;
-      if (params_.max_backoff.value() > 0.0)
-        settle = std::min(settle, params_.max_backoff);
-      // Full jitter in [1 - jitter, 1]: the RNG advances only on the
-      // jittered path, so jitter == 0 byte-preserves the old fixed ladder.
-      if (params_.jitter > 0.0)
-        settle = settle * (1.0 - params_.jitter * rng_.next_double());
-      total_backoff_ += settle;
-      wait = wait * params_.multiplier;
-    }
-    if (attempt()) return true;
-  }
-  ++give_ups_;
-  return false;
+void RetryBackoff::settle(Seconds& wait) {
+  ++retries_;
+  Seconds pause = wait;
+  if (params_.max_backoff.value() > 0.0) pause = std::min(pause, params_.max_backoff);
+  // Full jitter in [1 - jitter, 1]: the RNG advances only on the jittered
+  // path, so jitter == 0 byte-preserves the old fixed ladder.
+  if (params_.jitter > 0.0)
+    pause = pause * (1.0 - params_.jitter * rng_.next_double());
+  total_backoff_ += pause;
+  wait = wait * params_.multiplier;
 }
 
 // ---------------------------------------------------------------------------

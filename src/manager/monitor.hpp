@@ -133,9 +133,21 @@ class RetryBackoff {
   explicit RetryBackoff(Params params);
   RetryBackoff() : RetryBackoff(Params{}) {}
 
-  /// Runs @p attempt until it reports success or attempts are exhausted.
-  /// Returns true on success.
-  bool run(const std::function<bool()>& attempt);
+  /// Runs @p attempt (any callable returning bool) until it reports
+  /// success or attempts are exhausted. Returns true on success. A template,
+  /// so a per-poll lambda is called directly rather than through a
+  /// std::function built on every poll.
+  template <typename Attempt>
+  bool run(Attempt&& attempt) {
+    Seconds wait = params_.initial_backoff;
+    for (int i = 0; i < params_.max_attempts; ++i) {
+      ++attempts_;
+      if (i > 0) settle(wait);
+      if (attempt()) return true;
+    }
+    ++give_ups_;
+    return false;
+  }
 
   [[nodiscard]] std::uint64_t attempts() const { return attempts_; }
   /// Attempts beyond the first of each run() call.
@@ -146,6 +158,9 @@ class RetryBackoff {
   [[nodiscard]] Seconds total_backoff() const { return total_backoff_; }
 
  private:
+  /// Books one retry and its settle wait, then grows @p wait for the next.
+  void settle(Seconds& wait);
+
   Params params_;
   Pcg32 rng_;  ///< advanced only when jitter > 0
   std::uint64_t attempts_{0};

@@ -42,6 +42,9 @@ Battery::Battery(std::string name, Params params)
     leak_rate_per_s_ =
         -std::log1p(-params_.self_discharge_per_month) / kSecondsPerMonth;
   }
+  const double steps = kEnergySlices;
+  for (int i = 0; i < kEnergySlices; ++i)
+    capacity_terms_[i] = ocv_at((i + 0.5) / steps).value() / steps;
 }
 
 double Battery::equivalent_full_cycles() const {
@@ -73,14 +76,18 @@ Joules Battery::stored_energy() const {
     return Joules{energy_cache_};
   }
   // Integrate OCV over the remaining charge (trapezoid over the PWL curve).
+  // Each slice's upper bound soc * (i + 1) / steps is the next slice's lower
+  // bound, so it is carried over.
   const double soc = soc_now();
-  const double steps = 64;
+  const double full = effective_full_charge().value();
+  const double steps = kEnergySlices;
   double energy = 0.0;
-  for (int i = 0; i < steps; ++i) {
-    const double s0 = soc * i / steps;
+  double s0 = 0.0;
+  for (int i = 0; i < kEnergySlices; ++i) {
     const double s1 = soc * (i + 1) / steps;
     const double v_mid = ocv_at(0.5 * (s0 + s1)).value();
-    energy += v_mid * (s1 - s0) * effective_full_charge().value();
+    energy += v_mid * (s1 - s0) * full;
+    s0 = s1;
   }
   energy_key_charge_ = charge_.value();
   energy_key_throughput_ = throughput_.value();
@@ -90,12 +97,9 @@ Joules Battery::stored_energy() const {
 }
 
 Joules Battery::capacity() const {
+  const double full = effective_full_charge().value();
   double energy = 0.0;
-  const double steps = 64;
-  for (int i = 0; i < steps; ++i) {
-    const double s_mid = (i + 0.5) / steps;
-    energy += ocv_at(s_mid).value() / steps * effective_full_charge().value();
-  }
+  for (const double term : capacity_terms_) energy += term * full;
   return Joules{energy};
 }
 

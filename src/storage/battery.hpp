@@ -111,6 +111,11 @@ class Battery final : public StorageDevice {
   /// a libm log every step.
   double leak_rate_per_s_{0.0};
   ExpMemo leak_decay_;
+  /// capacity() integrates OCV at 64 fixed mid-slice SoCs. The OCV curve is
+  /// fixed at construction, so each slice's ocv_at(s_mid) / 64 is too;
+  /// capacity() sums term * effective full charge.
+  static constexpr int kEnergySlices = 64;
+  std::array<double, kEnergySlices> capacity_terms_{};
   /// stored_energy() integrates the OCV curve in 64 slices and the platform
   /// monitor polls it several times per step, so the result is memoized on
   /// its exact inputs: charge, cycle throughput (aging), and fault health.

@@ -1,9 +1,13 @@
 // I2C emulation and ADC sense lines.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "bus/i2c.hpp"
+#include "bus/module_port.hpp"
 #include "bus/sense.hpp"
 #include "core/error.hpp"
 
@@ -116,6 +120,102 @@ TEST(I2cBus, EnergyScalesWithTraffic) {
   const double one = bus.energy_consumed().value();
   for (int i = 0; i < 9; ++i) bus.read(0x42, 0, 1);
   EXPECT_NEAR(bus.energy_consumed().value(), 10 * one, 1e-15);
+}
+
+/// Forwards register reads and writes to a ModulePort but keeps the
+/// default, one-register-at-a-time I2cSlave::read_block.
+class PerRegisterSlave final : public I2cSlave {
+ public:
+  explicit PerRegisterSlave(ModulePort& port) : port_(&port) {}
+
+  [[nodiscard]] std::uint8_t address() const override { return port_->address(); }
+  std::optional<std::uint8_t> read_register(std::uint8_t reg) override {
+    return port_->read_register(reg);
+  }
+  bool write_register(std::uint8_t reg, std::uint8_t value) override {
+    return port_->write_register(reg, value);
+  }
+
+ private:
+  ModulePort* port_;
+};
+
+TEST(I2cBus, BlockReadMatchesPerRegisterReads) {
+  // ModulePort's block read evaluates each live field once; the bus must
+  // still deliver, bill, NAK-count and corrupt every byte exactly as the
+  // per-register path does: same bytes, same energy, same fault stream.
+  double power = 1.25e-3;
+  double energy = 40.0;
+  double voltage = 3.3;
+  ModulePort::Telemetry t;
+  t.active = [&] { return power > 1e-3; };
+  t.output_power = [&] { return Watts{power}; };
+  t.stored_energy = [&] { return Joules{energy}; };
+  t.terminal_voltage = [&] { return Volts{voltage}; };
+  ElectronicDatasheet ds;
+  ds.device_class = DeviceClass::kStorage;
+  ds.model = "SC";
+  ds.capacity = Joules{120.0};
+  ModulePort block(0x10, ds, t);
+  ModulePort inner(0x10, ds, t);
+  PerRegisterSlave per_register(inner);
+  I2cBus block_bus;
+  I2cBus per_register_bus;
+  block_bus.attach(block);
+  per_register_bus.attach(per_register);
+
+  struct Read {
+    std::uint8_t start;
+    std::size_t count;
+  };
+  // Whole fields, unaligned spans across fields, datasheet-to-telemetry
+  // spans, a read that NAKs mid-burst at the unmapped 0x4D, one that runs
+  // past the control register, and an absent address.
+  const std::vector<Read> reads = {
+      {ModulePort::kRegPowerUw, 4}, {ModulePort::kRegEnergyMj, 4},
+      {ModulePort::kRegVoltageMv, 4}, {0x43, 5}, {0x42, 11}, {0x3C, 17},
+      {0x00, 64}, {0x4A, 8}, {ModulePort::kRegControl, 2}, {0x40, 13}};
+  const auto run_all = [&](const char* phase) {
+    for (const auto& r : reads) {
+      for (const std::uint8_t address : {std::uint8_t{0x10}, std::uint8_t{0x11}}) {
+        std::array<std::uint8_t, 80> got_block{};
+        std::array<std::uint8_t, 80> got_per_register{};
+        const bool ok_block =
+            block_bus.read_into(address, r.start, got_block.data(), r.count);
+        const bool ok_per_register = per_register_bus.read_into(
+            address, r.start, got_per_register.data(), r.count);
+        const auto where = std::string(phase) + " start=" + std::to_string(r.start) +
+                           " count=" + std::to_string(r.count) +
+                           " address=" + std::to_string(address);
+        EXPECT_EQ(ok_block, ok_per_register) << where;
+        EXPECT_EQ(got_block, got_per_register) << where;
+        EXPECT_EQ(block_bus.energy_consumed().value(),
+                  per_register_bus.energy_consumed().value())
+            << where;
+        EXPECT_EQ(block_bus.transactions(), per_register_bus.transactions()) << where;
+        EXPECT_EQ(block_bus.nak_count(), per_register_bus.nak_count()) << where;
+        EXPECT_EQ(block_bus.fault_hits(), per_register_bus.fault_hits()) << where;
+      }
+      // Live telemetry moves between transactions on both sides alike.
+      power *= 1.37;
+      energy -= 0.731;
+      voltage += 0.0123;
+    }
+  };
+
+  run_all("clean");
+  block_bus.set_bit_error_rate(0.02);
+  per_register_bus.set_bit_error_rate(0.02);
+  for (int round = 0; round < 20; ++round) run_all("bit errors");
+  EXPECT_GT(block_bus.fault_hits(), 0u);
+  block_bus.inject_nak_burst(7);
+  per_register_bus.inject_nak_burst(7);
+  run_all("NAK burst");
+
+  // The mid-burst NAK happened, and the successful reads decoded alike.
+  EXPECT_GT(block_bus.nak_count(), 7u);
+  EXPECT_EQ(read_live_u32(block_bus, 0x10, ModulePort::kRegEnergyMj),
+            read_live_u32(per_register_bus, 0x10, ModulePort::kRegEnergyMj));
 }
 
 TEST(AdcLine, QuantizesToLsb) {

@@ -13,6 +13,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -335,6 +336,55 @@ TEST(Campaign, LongestFirstOrderingNeverChangesBytes) {
     EXPECT_DOUBLE_EQ(jobs[2].result.duration.value(), 7200.0);
   }
   EXPECT_EQ(all[0], all[1]);
+}
+
+TEST(Campaign, FirstPoppedBlocksReplayDistinctTraces) {
+  // Blocks of equal length are popped rank-major inside their (scenario,
+  // seed) group: the first `threads` pops each start a different trace
+  // compile instead of two siblings of one trace, one of which would wait
+  // for the other's compile. The pop order shows in the job_wait spans
+  // (every wait starts at pool start, so its length orders the pops).
+#if MSEHSIM_OBS_ENABLED
+  for (const unsigned threads : {1u, 4u}) {
+    auto spec = small_grid(threads);
+    spec.lane_width = 1;  // two one-lane blocks per (scenario, seed) pair
+    for (auto& scenario : spec.scenarios) scenario.duration = Seconds{6.0 * 3600.0};
+    auto& collector = obs::TraceCollector::instance();
+    collector.enable();
+    Campaign c(std::move(spec));
+    c.run();
+    auto events = collector.snapshot_events();
+    collector.disable();
+
+    std::erase_if(events, [](const obs::TraceEvent& e) {
+      return e.name != "campaign.job_wait";
+    });
+    ASSERT_EQ(events.size(), 8u) << "threads=" << threads;
+    std::stable_sort(events.begin(), events.end(),
+                     [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
+                       return a.dur_us < b.dur_us;
+                     });
+    const auto pair_of = [&c](const obs::TraceEvent& e) {
+      const std::string key = "\"grid_index\": ";
+      const auto at = e.args_json.find(key);
+      EXPECT_NE(at, std::string::npos) << e.args_json;
+      const auto& job = c.results()[std::stoul(e.args_json.substr(at + key.size()))];
+      return std::pair{job.scenario_index, job.seed_index};
+    };
+    // One thread pops the whole permutation in order, so both halves are
+    // checked; with four, the first four pops are the concurrent ones.
+    const std::size_t checked = threads == 1 ? 8 : 4;
+    for (std::size_t first = 0; first < checked; first += 4) {
+      std::vector<std::pair<std::size_t, std::size_t>> pairs;
+      for (std::size_t i = first; i < first + 4; ++i) pairs.push_back(pair_of(events[i]));
+      std::sort(pairs.begin(), pairs.end());
+      EXPECT_EQ(std::adjacent_find(pairs.begin(), pairs.end()), pairs.end())
+          << "threads=" << threads << " pops " << first << ".." << first + 3;
+    }
+  }
+#else
+  GTEST_SKIP() << "span tracing compiled out";
+#endif
 }
 
 TEST(Campaign, ValidatesDtUpFront) {

@@ -130,6 +130,34 @@ TEST(ModulePort, LiveTelemetryRegisters) {
   EXPECT_EQ(read_live_u32(bus, 0x11, ModulePort::kRegEnergyMj).value(), 10000u);
 }
 
+TEST(ModulePort, TelemetryFieldEvaluatesOnce) {
+  // A u32 poll reads four registers of one field; the field's telemetry
+  // callback runs once per poll, not once per byte.
+  I2cBus bus;
+  int power_calls = 0;
+  int energy_calls = 0;
+  int voltage_calls = 0;
+  ModulePort::Telemetry t;
+  t.output_power = [&] { ++power_calls; return Watts{2.5e-3}; };
+  t.stored_energy = [&] { ++energy_calls; return Joules{7.0}; };
+  t.terminal_voltage = [&] { ++voltage_calls; return Volts{3.3}; };
+  ModulePort port(0x16, cap_sheet(), std::move(t));
+  bus.attach(port);
+
+  EXPECT_EQ(read_live_u32(bus, 0x16, ModulePort::kRegPowerUw).value(), 2500u);
+  EXPECT_EQ(power_calls, 1);
+  EXPECT_EQ(read_live_u32(bus, 0x16, ModulePort::kRegEnergyMj).value(), 7000u);
+  EXPECT_EQ(energy_calls, 1);
+  EXPECT_EQ(read_live_u32(bus, 0x16, ModulePort::kRegVoltageMv).value(), 3300u);
+  EXPECT_EQ(voltage_calls, 1);
+
+  // One burst across all three fields: one call each.
+  ASSERT_TRUE(bus.read(0x16, ModulePort::kRegPowerUw, 12).has_value());
+  EXPECT_EQ(power_calls, 2);
+  EXPECT_EQ(energy_calls, 2);
+  EXPECT_EQ(voltage_calls, 2);
+}
+
 TEST(ModulePort, UnsetTelemetryReadsZero) {
   I2cBus bus;
   ModulePort port(0x12, pv_sheet(), {});

@@ -2,10 +2,15 @@
 // trace playback, compiled-trace snapshots.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <numbers>
 
 #include "core/error.hpp"
+#include "core/random.hpp"
 #include "env/channels.hpp"
 #include "env/compiled_trace.hpp"
 #include "env/environment.hpp"
@@ -66,6 +71,89 @@ TEST(SolarChannel, RejectsBadSpec) {
   SolarChannel::Params p;
   p.cloud_attenuation = 1.5;
   EXPECT_THROW(SolarChannel(p, 1), msehsim::SpecError);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// SolarChannel::clear_sky as written before it cached the per-day
+/// sin(lat)*sin(decl) and cos(lat)*cos(decl): everything per call.
+double reference_clear_sky(const SolarChannel::Params& p, Seconds now) {
+  constexpr double kDeg2Rad = std::numbers::pi / 180.0;
+  const int doy = p.day_of_year + day_index(now);
+  const double declination =
+      -23.44 * kDeg2Rad * std::cos(2.0 * std::numbers::pi * (doy + 10) / 365.0);
+  const double hour_angle = (hour_of_day(now) - 12.0) * 15.0 * kDeg2Rad;
+  const double lat = p.latitude_deg * kDeg2Rad;
+  const double sin_elev = std::sin(lat) * std::sin(declination) +
+                          std::cos(lat) * std::cos(declination) * std::cos(hour_angle);
+  if (sin_elev <= 0.0) return 0.0;
+  const double air_mass = 1.0 / std::max(sin_elev, 0.05);
+  const double atten = std::pow(0.7, std::pow(air_mass, 0.678));
+  return (p.clear_sky_peak * (sin_elev * atten / std::pow(0.7, 1.0))).value();
+}
+
+TEST(SolarChannel, ClearSkyMatchesThePerCallFormulaBitForBit) {
+  SolarChannel::Params p;
+  p.latitude_deg = -33.9;  // southern site: the declination sign matters
+  p.day_of_year = 364;     // crosses the year end inside the sweep
+  SolarChannel solar(p, 5);
+  int checked = 0;
+  // Three days forward at 60 s, then a jump back to day 0 (a stale cached
+  // day must not leak into an earlier one).
+  for (double t = 0.0; t < 3.0 * kDay; t += kStep.value(), ++checked)
+    ASSERT_EQ(bits(solar.clear_sky(Seconds{t}).value()),
+              bits(reference_clear_sky(p, Seconds{t})))
+        << "t=" << t;
+  for (const double t : {0.5 * kDay, 2.5 * kDay, 0.4 * kDay, -0.5 * kDay})
+    EXPECT_EQ(bits(solar.clear_sky(Seconds{t}).value()),
+              bits(reference_clear_sky(p, Seconds{t})))
+        << "t=" << t;
+  EXPECT_EQ(checked, 3 * 1440);
+}
+
+/// WindChannel as written before it cached rho and the innovation scale on
+/// dt: the same seeded stream, both recomputed every step.
+class ReferenceWind {
+ public:
+  ReferenceWind(WindChannel::Params p, std::uint64_t seed)
+      : p_(p), rng_(seed, stream_key("wind")) {
+    z_ = rng_.normal();
+  }
+
+  double advance(Seconds now, Seconds dt) {
+    const double rho = std::exp(-dt.value() / p_.correlation_time.value());
+    z_ = rho * z_ + std::sqrt(std::max(0.0, 1.0 - rho * rho)) * rng_.normal();
+    const double phi = 0.5 * (1.0 + std::erf(z_ / std::numbers::sqrt2));
+    const double u = std::clamp(phi, 1e-9, 1.0 - 1e-9);
+    double speed = p_.weibull_scale.value() *
+                   std::pow(-std::log(1.0 - u), 1.0 / p_.weibull_shape);
+    const double h = hour_of_day(now);
+    speed *= 1.0 + p_.diurnal_amplitude *
+                       std::cos(2.0 * std::numbers::pi * (h - 15.0) / 24.0);
+    return std::max(0.0, speed);
+  }
+
+ private:
+  WindChannel::Params p_;
+  Pcg32 rng_;
+  double z_{0.0};
+};
+
+TEST(WindChannel, AdvanceMatchesThePerStepFormulaBitForBit) {
+  WindChannel wind({}, 21);
+  ReferenceWind reference({}, 21);
+  // Three days with dt changing mid-stream, including a return to an
+  // earlier dt, so a cache keyed on the wrong step would show.
+  double t = 0.0;
+  int checked = 0;
+  for (const double dt : {60.0, 30.0, 60.0, 17.5}) {
+    const double end = t + 0.75 * kDay;
+    for (; t < end; t += dt, ++checked)
+      ASSERT_EQ(bits(wind.advance(Seconds{t}, Seconds{dt}).value()),
+                bits(reference.advance(Seconds{t}, Seconds{dt})))
+          << "t=" << t << " dt=" << dt;
+  }
+  EXPECT_GT(checked, 3 * 1440);
 }
 
 TEST(IndoorLightChannel, FollowsOfficeSchedule) {

@@ -2,12 +2,17 @@
 // presets, fuel cell semantics; parameterized invariants across all devices.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 #include <memory>
 
 #include "core/error.hpp"
+#include "core/solve.hpp"
 #include "storage/battery.hpp"
 #include "storage/fuel_cell.hpp"
 #include "storage/supercapacitor.hpp"
@@ -337,6 +342,88 @@ TEST(Battery, SohFlooredAboveZero) {
     b.discharge(Watts{0.5}, Seconds{10.0});
   }
   EXPECT_GE(b.state_of_health(), 0.1);
+}
+
+/// The 64-slice OCV integrals as written before capacity() hoisted its slice
+/// terms and stored_energy() carried each slice bound over: every slice
+/// re-derives both bounds and re-reads the derated full charge. Rebuilt from
+/// the public surface (the PWL OCV curve and the SoH-derated rated charge).
+double reference_ocv(const Battery& b, double soc) {
+  return interp_clamped(lanekernel::kSocBreaks.data(), b.params().ocv_curve.data(),
+                        static_cast<int>(lanekernel::kSocBreaks.size()),
+                        std::clamp(soc, 0.0, 1.0));
+}
+
+double reference_full_charge(const Battery& b) {
+  return to_coulombs(b.params().rated_capacity).value() * b.state_of_health();
+}
+
+double reference_stored_energy(const Battery& b) {
+  const double soc = b.charge_state().value() / reference_full_charge(b);
+  const double steps = 64;
+  double energy = 0.0;
+  for (int i = 0; i < steps; ++i) {
+    const double s0 = soc * i / steps;
+    const double s1 = soc * (i + 1) / steps;
+    const double v_mid = reference_ocv(b, 0.5 * (s0 + s1));
+    energy += v_mid * (s1 - s0) * reference_full_charge(b);
+  }
+  return energy;
+}
+
+double reference_capacity(const Battery& b) {
+  double energy = 0.0;
+  const double steps = 64;
+  for (int i = 0; i < steps; ++i) {
+    const double s_mid = (i + 0.5) / steps;
+    energy += reference_ocv(b, s_mid) / steps * reference_full_charge(b);
+  }
+  return energy;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(Battery, EnergyIntegralsMatchThePerSliceLoopsBitForBit) {
+  const auto with_fade = [](const Battery& b, double fade) {
+    Battery::Params p = b.params();
+    p.capacity_fade_per_cycle = fade;
+    return Battery(std::string(b.name()), p);
+  };
+  const std::vector<std::function<Battery(double)>> chemistries = {
+      [](double soc) { return Battery::li_ion("li", AmpHours{0.1}, soc); },
+      [](double soc) { return Battery::nimh("nimh", AmpHours{2.0}, soc); },
+      [](double soc) { return Battery::nimh_aa_pack("aa", 2, soc); },
+      [](double soc) { return Battery::thin_film("tf", AmpHours{50e-6}, soc); },
+      [](double soc) { return Battery::primary_lithium("prim", AmpHours{1.0}, soc); },
+  };
+  int checked = 0;
+  for (const auto& make : chemistries) {
+    for (const double initial_soc : {0.0, 0.013, 0.5, 0.77, 1.0}) {
+      for (const double fade : {0.0, 3e-3}) {
+        Battery b = with_fade(make(initial_soc), fade);
+        const auto expect_same = [&](const char* where) {
+          EXPECT_EQ(bits(b.capacity().value()), bits(reference_capacity(b)))
+              << b.name() << " soc0=" << initial_soc << " fade=" << fade << " " << where;
+          EXPECT_EQ(bits(b.stored_energy().value()), bits(reference_stored_energy(b)))
+              << b.name() << " soc0=" << initial_soc << " fade=" << fade << " " << where;
+          ++checked;
+        };
+        expect_same("fresh");
+        // Cycle through empty and full at about a tenth of capacity per
+        // step, so charge, throughput (and with fade, health) all move.
+        const Watts power{reference_capacity(b) / 600.0};
+        for (int i = 0; i < 120; ++i) {
+          if ((i / 30) % 2 == 0)
+            b.discharge(power, Seconds{60.0});
+          else
+            b.charge(power, Seconds{60.0});
+          if (i == 70) b.inject_capacity_fade(0.25);  // injected fault health
+          expect_same("cycling");
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 5 * 5 * 2 * 121);
 }
 
 // ---------------------------------------------------------------------------
