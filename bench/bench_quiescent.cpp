@@ -38,8 +38,8 @@ int main() {
     quiescent_day[i] = r.quiescent.value() / 7.0;
     share[i] = harvested_day > 0.0 ? quiescent_day[i] / harvested_day : 1e9;
     const auto cls = platform.classify();
-    std::string iq = (cls.quiescent_is_bound ? std::string("< ") : std::string()) +
-                     format_current(cls.quiescent_current.value());
+    std::string iq = format_current(cls.quiescent_current.value());
+    if (cls.quiescent_is_bound) iq.insert(0, "< ");
     t.add_row({std::string(platform.spec().name), iq,
                format_energy(harvested_day), format_energy(quiescent_day[i]),
                share[i] > 100.0 ? std::string("> 100x")

@@ -120,8 +120,8 @@ class BackupChain {
     node::SensorNode* node{nullptr};
     bool engaged{false};
     /// Saved task period while a load-shed stage is in.
-    std::optional<Seconds> saved_period;
-    StageStats stats;
+    std::optional<Seconds> saved_period{};
+    StageStats stats{};
   };
 
   /// A stage whose reserve is exhausted no longer blocks its successor.

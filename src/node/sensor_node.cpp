@@ -37,19 +37,16 @@ bool SensorNode::deliver_query(Volts rail_voltage) {
 
 void SensorNode::set_task_period(Seconds period) {
   work_.task_period = std::clamp(period, work_.min_period, work_.max_period);
-  avg_valid_ = false;
 }
 
 void SensorNode::inject_flash_wear(double factor) {
   require_spec(factor >= 1.0, "flash wear factor must be >= 1");
   flash_wear_factor_ *= factor;
-  avg_valid_ = false;
 }
 
 void SensorNode::inject_radio_pa_degradation(double factor) {
   require_spec(factor >= 1.0, "radio PA degradation factor must be >= 1");
   radio_pa_factor_ *= factor;
-  avg_valid_ = false;
 }
 
 Joules SensorNode::cycle_energy(Volts rail_voltage) const {
@@ -61,7 +58,7 @@ Joules SensorNode::cycle_energy(Volts rail_voltage) const {
   return processing + tx + rx + work_.sensor_energy * flash_wear_factor_;
 }
 
-Watts SensorNode::compute_average_power(Volts rail_voltage) const {
+Watts SensorNode::average_power(Volts rail_voltage) const {
   const Watts base = rail_voltage * (mcu_.sleep_current + radio_.wake_up_rx_current);
   return base + cycle_energy(rail_voltage) / work_.task_period;
 }

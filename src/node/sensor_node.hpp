@@ -8,7 +8,6 @@
 // costs a reboot (boot time at active current) before useful work resumes.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -69,19 +68,8 @@ class SensorNode {
   void set_task_period(Seconds period);
   [[nodiscard]] Seconds task_period() const { return work_.task_period; }
 
-  /// Average power at the present duty cycle with the rail up. Memoized on
-  /// the bits of @p rail_voltage: the platform asks twice per step at the
-  /// same regulated rail, and a hit returns the very double a fresh
-  /// evaluation would produce.
-  [[nodiscard]] Watts average_power(Volts rail_voltage) const {
-    const auto bits = std::bit_cast<std::uint64_t>(rail_voltage.value());
-    if (!avg_valid_ || bits != avg_key_bits_) {
-      avg_power_ = compute_average_power(rail_voltage);
-      avg_key_bits_ = bits;
-      avg_valid_ = true;
-    }
-    return avg_power_;
-  }
+  /// Average power at the present duty cycle with the rail up.
+  [[nodiscard]] Watts average_power(Volts rail_voltage) const;
 
   /// Lowest possible average power (max period, no wake-up radio losses
   /// excluded — the survey's "adjust duty cycle to conserve energy" floor).
@@ -120,8 +108,6 @@ class SensorNode {
 
   /// Energy of one sense-process-transmit cycle at @p rail_voltage.
   [[nodiscard]] Joules cycle_energy(Volts rail_voltage) const;
-  /// Uncached body of average_power.
-  [[nodiscard]] Watts compute_average_power(Volts rail_voltage) const;
 
   std::string name_;
   McuParams mcu_;
@@ -140,13 +126,6 @@ class SensorNode {
   Joules pending_response_energy_{0.0};  ///< drained into the next step's draw
   std::uint64_t queries_received_{0};
   std::uint64_t queries_answered_{0};
-  // average_power memo. Besides the rail voltage (the key) it reads the
-  // task period and the two fault factors; set_task_period,
-  // inject_flash_wear and inject_radio_pa_degradation, their only writers,
-  // clear avg_valid_.
-  mutable bool avg_valid_{false};
-  mutable std::uint64_t avg_key_bits_{0};
-  mutable Watts avg_power_{0.0};
 };
 
 }  // namespace msehsim::node

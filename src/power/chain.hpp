@@ -20,47 +20,6 @@
 
 namespace msehsim::power {
 
-namespace detail {
-
-/// Cold-start gate: returns whether the converter runs this step, updating
-/// the latched @p started flag exactly as InputChain::step does.
-MSEHSIM_ALWAYS_INLINE bool converter_gate(double startup_v, double min_input_v,
-                                          double vin_v, bool& started) {
-  if (startup_v > 0.0) {
-    if (!started && vin_v >= startup_v) started = true;
-    if (started && vin_v < min_input_v) started = false;
-    return started;
-  }
-  started = true;
-  return true;
-}
-
-/// Transducer power after the tracker's sampling duty cycle (fraction of the
-/// step lost to a Voc sample).
-MSEHSIM_ALWAYS_INLINE double effective_power(double tp_w, double interruption_s,
-                                             double dt_s) {
-  const double duty = std::clamp(1.0 - interruption_s / dt_s, 0.0, 1.0);
-  return tp_w * duty;
-}
-
-/// Tail of the chain step: net-of-overhead power plus the five ledger
-/// accumulators, in the exact statement order of the historic body.
-MSEHSIM_ALWAYS_INLINE double tail_accumulate(
-    double effective_w, double out_w, double overhead_now_w, double mpp_w,
-    double dt_s, double& delivered_j, double& conversion_loss_j,
-    double& overhead_paid_j, double& harvested_sp_j,
-    double& harvestable_mpp_j) {
-  const double net = std::max(0.0, out_w - overhead_now_w);
-  delivered_j += net * dt_s;
-  conversion_loss_j += (effective_w - out_w) * dt_s;
-  overhead_paid_j += (out_w - net) * dt_s;
-  harvested_sp_j += effective_w * dt_s;
-  harvestable_mpp_j += mpp_w * dt_s;
-  return net;
-}
-
-}  // namespace detail
-
 class InputChain {
  public:
   /// @p mppt_period how often the controller re-evaluates the setpoint.
@@ -72,8 +31,11 @@ class InputChain {
   /// returns the power delivered into the storage bus at @p bus_voltage
   /// (net of converter losses and amortized tracker overhead). Every lane of
   /// systems::BatchRunner runs this body through Platform::step.
-  Watts step(const env::AmbientConditions& conditions, Volts bus_voltage,
-             Seconds now, Seconds dt) {
+  // Forced inline: left to its heuristics, GCC 12 -O3 keeps this body out of
+  // line and inlines Platform::step_with into BatchRunner::run instead, which
+  // cost the buffer_sweep benchmark ~4% (DESIGN.md §8, "One home per formula").
+  [[gnu::always_inline]] Watts step(const env::AmbientConditions& conditions,
+                                    Volts bus_voltage, Seconds now, Seconds dt) {
     harvest::Harvester& h = *harvester_;
     h.set_conditions(conditions);
 
@@ -92,37 +54,34 @@ class InputChain {
     // Cold start: the converter cannot run until its input has once reached
     // the startup threshold; it stops (and must restart) if the input
     // collapses below its operating window.
-    if (!detail::converter_gate(converter_.params().startup_voltage.value(),
-                                converter_.params().min_input.value(),
-                                operating_voltage_.value(), started_)) {
+    const Converter::Params& cp = converter_.params();
+    if (cp.startup_voltage.value() > 0.0) {
+      if (!started_ && operating_voltage_ >= cp.startup_voltage) started_ = true;
+      if (started_ && operating_voltage_ < cp.min_input) started_ = false;
+    } else {
+      started_ = true;
+    }
+    if (!started_) {
       harvestable_at_mpp_ += h.maximum_power_point().p * dt;
       return Watts{0.0};
     }
-    const Watts effective{detail::effective_power(
-        transducer_power_.value(), interruption_s, dt.value())};
+    // The tracker's Voc sample takes its interruption out of the step.
+    const Watts effective =
+        transducer_power_ *
+        std::clamp(1.0 - interruption_s / dt.value(), 0.0, 1.0);
 
     const Watts out =
         converter_.transfer(effective, operating_voltage_, bus_voltage) *
         droop_factor_;
     // Tracker overhead is paid from the bus, amortized over this step.
-    const double overhead_now =
-        mppt_->overhead_per_update().value() / mppt_period_.value();
-
-    double delivered_j = delivered_.value();
-    double conversion_loss_j = conversion_loss_.value();
-    double overhead_paid_j = overhead_paid_.value();
-    double harvested_sp_j = harvested_at_setpoint_.value();
-    double harvestable_mpp_j = harvestable_at_mpp_.value();
-    const double net = detail::tail_accumulate(
-        effective.value(), out.value(), overhead_now,
-        h.maximum_power_point().p.value(), dt.value(), delivered_j,
-        conversion_loss_j, overhead_paid_j, harvested_sp_j, harvestable_mpp_j);
-    delivered_ = Joules{delivered_j};
-    conversion_loss_ = Joules{conversion_loss_j};
-    overhead_paid_ = Joules{overhead_paid_j};
-    harvested_at_setpoint_ = Joules{harvested_sp_j};
-    harvestable_at_mpp_ = Joules{harvestable_mpp_j};
-    return Watts{net};
+    const Watts overhead_now = mppt_->overhead_per_update() / mppt_period_;
+    const Watts net = std::max(Watts{0.0}, out - overhead_now);
+    delivered_ += net * dt;
+    conversion_loss_ += (effective - out) * dt;
+    overhead_paid_ += (out - net) * dt;
+    harvested_at_setpoint_ += effective * dt;
+    harvestable_at_mpp_ += h.maximum_power_point().p * dt;
+    return net;
   }
 
   [[nodiscard]] const harvest::Harvester& harvester() const { return *harvester_; }

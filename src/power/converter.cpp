@@ -34,24 +34,10 @@ Converter::Converter(std::string name, Params params)
 }
 
 Watts Converter::required_input(Watts output, Volts vin, Volts vout) const {
-  const detail::CvtCoef c = lane_coef();
-  const double o = output.value();
-  const double vi = vin.value();
-  const double vo = vout.value();
-  switch (params_.topology) {
-    case Topology::kDiode:
-      return Watts{detail::required_input_raw<Topology::kDiode>(c, o, vi, vo)};
-    case Topology::kLdo:
-      return Watts{detail::required_input_raw<Topology::kLdo>(c, o, vi, vo)};
-    case Topology::kBuck:
-      return Watts{detail::required_input_raw<Topology::kBuck>(c, o, vi, vo)};
-    case Topology::kBoost:
-      return Watts{detail::required_input_raw<Topology::kBoost>(c, o, vi, vo)};
-    case Topology::kBuckBoost:
-      return Watts{
-          detail::required_input_raw<Topology::kBuckBoost>(c, o, vi, vo)};
-  }
-  return Watts{0.0};
+  return Watts{with_topology([&](auto t) {
+    return required_input_as<decltype(t)::value>(output.value(), vin.value(),
+                                                 vout.value());
+  })};
 }
 
 double Converter::efficiency(Watts input, Volts vin, Volts vout) const {

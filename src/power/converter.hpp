@@ -17,16 +17,9 @@
 #include <cmath>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "core/units.hpp"
-
-#if !defined(MSEHSIM_ALWAYS_INLINE)
-#if defined(__GNUC__) || defined(__clang__)
-#define MSEHSIM_ALWAYS_INLINE inline __attribute__((always_inline))
-#else
-#define MSEHSIM_ALWAYS_INLINE inline
-#endif
-#endif
 
 namespace msehsim::power {
 
@@ -39,116 +32,6 @@ enum class Topology {
 };
 
 [[nodiscard]] std::string_view to_string(Topology t);
-
-namespace detail {
-
-/// Raw converter coefficients (exact Params fields) for the templated
-/// transfer kernels below, which Converter's members delegate to.
-struct CvtCoef {
-  double peak_efficiency;
-  double rated_power;
-  double quiescent_current;
-  double min_input;
-  double max_input;
-  double diode_drop;
-  double conduction_loss_fraction;
-};
-
-/// can_convert with the topology branch resolved at compile time (one copy
-/// per topology, selected by can_convert_dispatch).
-template <Topology T>
-MSEHSIM_ALWAYS_INLINE bool can_convert_raw(const CvtCoef& c, double vin,
-                                           double vout) {
-  if (vin < c.min_input || vin > c.max_input) return false;
-  if constexpr (T == Topology::kDiode) {
-    return vin - c.diode_drop >= vout;
-  } else if constexpr (T == Topology::kLdo || T == Topology::kBuck) {
-    return vin >= vout;
-  } else if constexpr (T == Topology::kBoost) {
-    return vin <= vout;
-  } else {
-    return true;
-  }
-}
-
-/// Forward transfer with the topology branch resolved at compile time; the
-/// expression sequence is the exact body of Converter::transfer.
-template <Topology T>
-MSEHSIM_ALWAYS_INLINE double transfer_raw(const CvtCoef& c, double input,
-                                          double vin, double vout) {
-  if (!can_convert_raw<T>(c, vin, vout)) return 0.0;
-  if (input <= 0.0) return 0.0;
-  const double pq = vin * c.quiescent_current;
-  if constexpr (T == Topology::kDiode) {
-    // Series element: the diode drop scales the power by Vout/Vin'.
-    const double ratio = vout / (vout + c.diode_drop);
-    return std::max(0.0, input * ratio);
-  } else if constexpr (T == Topology::kLdo) {
-    // All load current passes at Vin; the headroom is burned as heat.
-    const double ratio = std::min(1.0, vout / vin);
-    return std::max(0.0, (input - pq) * ratio);
-  } else {
-    const double conduction =
-        c.conduction_loss_fraction * input * input / c.rated_power;
-    const double out = c.peak_efficiency * input - pq - conduction;
-    return std::max(0.0, out);
-  }
-}
-
-/// Inverse transfer with the topology branch resolved at compile time; the
-/// body of Converter::required_input. transfer_raw is monotone increasing in
-/// input, so the fixed point converges. With a unit gain the divisions are
-/// skipped: x / 1.0 == x bit for bit, which covers the unit-efficiency
-/// nano LDO and Schottky stages.
-template <Topology T>
-MSEHSIM_ALWAYS_INLINE double required_input_raw(const CvtCoef& c,
-                                                double output, double vin,
-                                                double vout) {
-  if (!can_convert_raw<T>(c, vin, vout)) return 0.0;
-  const double floor = vin * c.quiescent_current;
-  if (output <= 0.0) return floor;
-  const double gain = std::max(0.1, c.peak_efficiency);
-  const bool unit_gain = gain == 1.0;
-  double input =
-      (unit_gain ? output : output / c.peak_efficiency) + floor;
-  for (int i = 0; i < 24; ++i) {
-    const double got = transfer_raw<T>(c, input, vin, vout);
-    const double error = output - got;
-    if (std::fabs(error) < 1e-12) break;
-    input += unit_gain ? error : error / gain;
-    input = std::max(input, 0.0);
-  }
-  return input;
-}
-
-MSEHSIM_ALWAYS_INLINE bool can_convert_dispatch(Topology t, const CvtCoef& c,
-                                                double vin, double vout) {
-  switch (t) {
-    case Topology::kDiode: return can_convert_raw<Topology::kDiode>(c, vin, vout);
-    case Topology::kLdo: return can_convert_raw<Topology::kLdo>(c, vin, vout);
-    case Topology::kBuck: return can_convert_raw<Topology::kBuck>(c, vin, vout);
-    case Topology::kBoost: return can_convert_raw<Topology::kBoost>(c, vin, vout);
-    case Topology::kBuckBoost:
-      return can_convert_raw<Topology::kBuckBoost>(c, vin, vout);
-  }
-  return false;
-}
-
-MSEHSIM_ALWAYS_INLINE double transfer_dispatch(Topology t, const CvtCoef& c,
-                                               double input, double vin,
-                                               double vout) {
-  switch (t) {
-    case Topology::kDiode: return transfer_raw<Topology::kDiode>(c, input, vin, vout);
-    case Topology::kLdo: return transfer_raw<Topology::kLdo>(c, input, vin, vout);
-    case Topology::kBuck: return transfer_raw<Topology::kBuck>(c, input, vin, vout);
-    case Topology::kBoost: return transfer_raw<Topology::kBoost>(c, input, vin, vout);
-    case Topology::kBuckBoost:
-      return transfer_raw<Topology::kBuckBoost>(c, input, vin, vout);
-  }
-  return 0.0;
-}
-
-}  // namespace detail
 
 class Converter {
  public:
@@ -179,8 +62,9 @@ class Converter {
 
   /// True if the topology can produce @p vout from @p vin at all.
   [[nodiscard]] bool can_convert(Volts vin, Volts vout) const {
-    return detail::can_convert_dispatch(params_.topology, lane_coef(),
-                                        vin.value(), vout.value());
+    return with_topology([&](auto t) {
+      return can_convert_as<decltype(t)::value>(vin.value(), vout.value());
+    });
   }
 
   /// Power always drawn from the input side, even with no load.
@@ -190,12 +74,12 @@ class Converter {
 
   /// Forward transfer: output power produced when @p input power is
   /// available at @p vin, converting to @p vout. Includes quiescent and
-  /// conversion losses; returns 0 if the conversion is infeasible. The body
-  /// lives in detail::transfer_raw.
+  /// conversion losses; returns 0 if the conversion is infeasible.
   [[nodiscard]] Watts transfer(Watts input, Volts vin, Volts vout) const {
-    return Watts{detail::transfer_dispatch(params_.topology, lane_coef(),
-                                           input.value(), vin.value(),
-                                           vout.value())};
+    return Watts{with_topology([&](auto t) {
+      return transfer_as<decltype(t)::value>(input.value(), vin.value(),
+                                             vout.value());
+    })};
   }
 
   /// Inverse transfer: input power that must be supplied to deliver
@@ -219,16 +103,80 @@ class Converter {
   static Converter boost_frontend(std::string name);
 
  private:
-  /// Raw coefficients for the detail:: transfer kernels (exact Params
-  /// fields, so the kernels see the same doubles the members do).
-  [[nodiscard]] detail::CvtCoef lane_coef() const {
-    return {params_.peak_efficiency,
-            params_.rated_power.value(),
-            params_.quiescent_current.value(),
-            params_.min_input.value(),
-            params_.max_input.value(),
-            params_.diode_drop.value(),
-            params_.conduction_loss_fraction};
+  /// Calls @p f with the topology as a std::integral_constant, so each
+  /// topology gets its own copy of the transfer bodies below with the branch
+  /// resolved at compile time. An out-of-range topology yields a
+  /// value-initialized result (false / 0.0).
+  template <typename F, typename R = std::invoke_result_t<
+                            F, std::integral_constant<Topology, Topology::kDiode>>>
+  R with_topology(F&& f) const {
+    using enum Topology;
+    switch (params_.topology) {
+      case kDiode: return f(std::integral_constant<Topology, kDiode>{});
+      case kLdo: return f(std::integral_constant<Topology, kLdo>{});
+      case kBuck: return f(std::integral_constant<Topology, kBuck>{});
+      case kBoost: return f(std::integral_constant<Topology, kBoost>{});
+      case kBuckBoost: return f(std::integral_constant<Topology, kBuckBoost>{});
+    }
+    return R{};
+  }
+
+  template <Topology T>
+  bool can_convert_as(double vin, double vout) const {
+    if (vin < params_.min_input.value() || vin > params_.max_input.value())
+      return false;
+    if constexpr (T == Topology::kDiode) {
+      return vin - params_.diode_drop.value() >= vout;
+    } else if constexpr (T == Topology::kLdo || T == Topology::kBuck) {
+      return vin >= vout;
+    } else if constexpr (T == Topology::kBoost) {
+      return vin <= vout;
+    } else {
+      return true;
+    }
+  }
+
+  template <Topology T>
+  double transfer_as(double input, double vin, double vout) const {
+    if (!can_convert_as<T>(vin, vout)) return 0.0;
+    if (input <= 0.0) return 0.0;
+    const double pq = vin * params_.quiescent_current.value();
+    if constexpr (T == Topology::kDiode) {
+      // Series element: the diode drop scales the power by Vout/Vin'.
+      const double ratio = vout / (vout + params_.diode_drop.value());
+      return std::max(0.0, input * ratio);
+    } else if constexpr (T == Topology::kLdo) {
+      // All load current passes at Vin; the headroom is burned as heat.
+      const double ratio = std::min(1.0, vout / vin);
+      return std::max(0.0, (input - pq) * ratio);
+    } else {
+      const double conduction = params_.conduction_loss_fraction * input *
+                                input / params_.rated_power.value();
+      const double out = params_.peak_efficiency * input - pq - conduction;
+      return std::max(0.0, out);
+    }
+  }
+
+  /// Fixed-point inversion of transfer_as, which is monotone increasing in
+  /// input, so the iteration converges. With a unit gain the divisions are
+  /// skipped: x / 1.0 == x bit for bit, which covers the unit-efficiency
+  /// nano LDO and Schottky stages.
+  template <Topology T>
+  double required_input_as(double output, double vin, double vout) const {
+    if (!can_convert_as<T>(vin, vout)) return 0.0;
+    const double floor = vin * params_.quiescent_current.value();
+    if (output <= 0.0) return floor;
+    const double gain = std::max(0.1, params_.peak_efficiency);
+    const bool unit_gain = gain == 1.0;
+    double input =
+        (unit_gain ? output : output / params_.peak_efficiency) + floor;
+    for (int i = 0; i < 24; ++i) {
+      const double error = output - transfer_as<T>(input, vin, vout);
+      if (std::fabs(error) < 1e-12) break;
+      input += unit_gain ? error : error / gain;
+      input = std::max(input, 0.0);
+    }
+    return input;
   }
 
   std::string name_;

@@ -51,20 +51,23 @@ double Battery::equivalent_full_cycles() const {
   return throughput_.value() / (2.0 * full_charge_.value());
 }
 
-// SoC/OCV/charge/discharge math lives in storage/lane_kernels.hpp; the
-// members here delegate to it.
 double Battery::state_of_health() const {
-  return lanekernel::bat_soh(lane_coef(), throughput_.value());
+  // Cycle fade x injected fault health, floored (cells fail first).
+  const double fade = params_.capacity_fade_per_cycle *
+                      (throughput_.value() / (2.0 * full_charge_.value()));
+  return std::max(0.1, (1.0 - fade) * fault_health_);
 }
 
 Coulombs Battery::effective_full_charge() const {
-  return Coulombs{lanekernel::bat_eff_full(lane_coef(), throughput_.value())};
+  return full_charge_ * state_of_health();
 }
 
 double Battery::soc_now() const { return charge_ / effective_full_charge(); }
 
 Volts Battery::ocv_at(double soc) const {
-  return Volts{lanekernel::bat_ocv_at(lane_coef(), soc)};
+  return Volts{interp_clamped(kSocBreaks.data(), params_.ocv_curve.data(),
+                              static_cast<int>(kSocBreaks.size()),
+                              std::clamp(soc, 0.0, 1.0))};
 }
 
 Volts Battery::voltage() const { return ocv_at(soc_now()); }
@@ -104,25 +107,42 @@ Joules Battery::capacity() const {
 }
 
 Watts Battery::charge(Watts power, Seconds dt) {
-  double charge = charge_.value();
-  double throughput = throughput_.value();
-  const double absorbed = lanekernel::bat_charge(lane_coef(), charge,
-                                                 throughput, power.value(),
-                                                 dt.value());
-  charge_ = Coulombs{charge};
-  throughput_ = Coulombs{throughput};
-  return Watts{absorbed};
+  // Constant-power charge: P = (OCV + I R) I, current-limited and capped at
+  // the headroom below the derated capacity.
+  const double p = power.value();
+  if (!params_.rechargeable || p <= 0.0) return Watts{0.0};
+  const double full = effective_full_charge().value();
+  if (charge_.value() >= full) return Watts{0.0};
+  const double ocv = voltage().value();
+  const double r = params_.internal_resistance.value();
+  const double eff = params_.coulombic_efficiency;
+  double current = (-ocv + std::sqrt(ocv * ocv + 4.0 * r * p)) / (2.0 * r);
+  current = std::min(current, params_.max_charge_current.value());
+  current = std::min(current, (full - charge_.value()) / (eff * dt.value()));
+  if (current <= 0.0) return Watts{0.0};
+  const double dq = current * eff * dt.value();
+  charge_ = Coulombs{charge_.value() + dq};
+  throughput_ = Coulombs{throughput_.value() + dq};
+  return Watts{(ocv + current * r) * current};
 }
 
 Watts Battery::discharge(Watts power, Seconds dt) {
-  double charge = charge_.value();
-  double throughput = throughput_.value();
-  const double delivered = lanekernel::bat_discharge(lane_coef(), charge,
-                                                     throughput, power.value(),
-                                                     dt.value());
-  charge_ = Coulombs{charge};
-  throughput_ = Coulombs{throughput};
-  return Watts{delivered};
+  // Constant-power discharge: P = (OCV - I R) I, capped at the matched-load
+  // power, the current limit and the remaining charge.
+  const double p = power.value();
+  if (p <= 0.0 || charge_.value() <= 0.0) return Watts{0.0};
+  const double ocv = voltage().value();
+  const double r = params_.internal_resistance.value();
+  const double p_req = std::min(p, ocv * ocv / (4.0 * r));
+  double current =
+      (ocv - std::sqrt(std::max(0.0, ocv * ocv - 4.0 * r * p_req))) / (2.0 * r);
+  current = std::min(current, params_.max_discharge_current.value());
+  current = std::min(current, charge_.value() / dt.value());
+  if (current <= 0.0) return Watts{0.0};
+  const double dq = current * dt.value();
+  charge_ = Coulombs{std::max(charge_.value() - dq, 0.0)};
+  throughput_ = Coulombs{throughput_.value() + dq};
+  return Watts{(ocv - current * r) * current};
 }
 
 void Battery::apply_leakage(Seconds dt) {
@@ -145,8 +165,14 @@ void Battery::set_leakage_multiplier(double multiplier) {
 }
 
 Watts Battery::max_discharge_power() const {
-  return Watts{lanekernel::bat_max_discharge_power(lane_coef(), charge_.value(),
-                                                   throughput_.value())};
+  // Lesser of the matched-load bound and the current-limit bound.
+  if (charge_.value() <= 0.0) return Watts{0.0};
+  const double ocv = voltage().value();
+  const double r = params_.internal_resistance.value();
+  const double i_lim = params_.max_discharge_current.value();
+  const double p_matched = ocv * ocv / (4.0 * r);
+  const double p_current = (ocv - i_lim * r) * i_lim;
+  return Watts{std::max(0.0, std::min(p_matched, p_current))};
 }
 
 // ---------------------------------------------------------------------------

@@ -10,17 +10,19 @@
 #include <array>
 #include <string>
 
-#include "storage/lane_kernels.hpp"
 #include "storage/storage.hpp"
 
 namespace msehsim::storage {
 
 class Battery final : public StorageDevice {
  public:
+  /// SoC breakpoints of Params::ocv_curve.
+  static constexpr std::array<double, 5> kSocBreaks{0.0, 0.25, 0.5, 0.75, 1.0};
+
   struct Params {
     StorageKind chemistry{StorageKind::kLiIon};
     AmpHours rated_capacity{0.100};
-    /// OCV(SoC) breakpoints at SoC = 0, 0.25, 0.5, 0.75, 1.
+    /// OCV at the kSocBreaks SoCs (0, 0.25, 0.5, 0.75, 1).
     std::array<double, 5> ocv_curve{3.0, 3.55, 3.7, 3.85, 4.2};
     Ohms internal_resistance{0.5};
     double coulombic_efficiency{0.99};     ///< charge acceptance
@@ -79,20 +81,6 @@ class Battery final : public StorageDevice {
                                  double initial_soc = 1.0);
 
  private:
-  /// Coefficient pack for the lanekernel functions (exact Params fields plus
-  /// the injected-fault health factor).
-  [[nodiscard]] lanekernel::BatCoef lane_coef() const {
-    return {full_charge_.value(),
-            params_.internal_resistance.value(),
-            params_.coulombic_efficiency,
-            params_.max_charge_current.value(),
-            params_.max_discharge_current.value(),
-            params_.capacity_fade_per_cycle,
-            fault_health_,
-            params_.rechargeable,
-            params_.ocv_curve};
-  }
-
   [[nodiscard]] Volts ocv_at(double soc) const;
   [[nodiscard]] double soc_now() const;
 

@@ -49,18 +49,21 @@ Supercapacitor Supercapacitor::lithium_ion_capacitor(std::string name,
                         Volts{2.2});
 }
 
-// The charge/discharge/redistribution math lives in storage/lane_kernels.hpp;
-// the members here delegate to it.
 double Supercapacitor::capacitance_at(double v) const {
-  return lanekernel::sc_capacitance_at(lane_coef(), v);
+  return params_.main_capacitance.value() +
+         params_.voltage_capacitance_slope * std::max(0.0, v);
 }
 
 double Supercapacitor::charge_at(double v) const {
-  return lanekernel::sc_charge_at(lane_coef(), v);
+  return params_.main_capacitance.value() * v +
+         0.5 * params_.voltage_capacitance_slope * v * v;
 }
 
 double Supercapacitor::voltage_at_charge(double q) const {
-  return lanekernel::sc_voltage_at_charge(lane_coef(), q);
+  const double c0 = params_.main_capacitance.value();
+  const double k = params_.voltage_capacitance_slope;
+  if (k <= 0.0) return std::max(0.0, q / c0);
+  return std::max(0.0, (-c0 + std::sqrt(c0 * c0 + 2.0 * k * std::max(0.0, q))) / k);
 }
 
 double Supercapacitor::energy_between(double v_lo, double v_hi) const {
@@ -90,55 +93,71 @@ Joules Supercapacitor::capacity() const {
 }
 
 void Supercapacitor::redistribute(Seconds dt) {
-  if (params_.slow_capacitance.value() <= 0.0) return;
+  const double c2 = params_.slow_capacitance.value();
+  if (c2 <= 0.0) return;
   // Charge flows between branches through R2; exact RC relaxation of the
   // voltage difference keeps the update stable for any dt.
-  const lanekernel::ScCoef coef = lane_coef();
-  const double c1 = lanekernel::sc_capacitance_at(coef, v_main_.value());
-  const double c2 = coef.c2;
+  const double c1 = capacitance_at(v_main_.value());
   if (dt.value() != redis_key_dt_ || c1 != redis_key_c1_ ||
       c2 != redis_key_c2_) {
     // With a constant-C model (slope 0) and a fixed solver dt the relaxation
     // coefficients never change, so they are memoized on their exact inputs;
     // a hit returns the very doubles a fresh computation would produce.
-    const double c_series = lanekernel::sc_c_series(coef, c1);
+    const double c_series = c1 * c2 / (c1 + c2);
     redis_alpha_ = 1.0 - redistribute_decay_(
-                             lanekernel::sc_redis_exponent(coef, c_series,
-                                                           dt.value()));
+                             -dt.value() /
+                             (params_.redistribution_resistance.value() * c_series));
     redis_c_series_ = c_series;
     redis_key_dt_ = dt.value();
     redis_key_c1_ = c1;
     redis_key_c2_ = c2;
   }
-  double v_main = v_main_.value();
-  double v_slow = v_slow_.value();
-  lanekernel::sc_redistribute(coef, {redis_alpha_, redis_c_series_}, v_main,
-                              v_slow);
-  v_main_ = Volts{v_main};
-  v_slow_ = Volts{v_slow};
+  const double dq =
+      (v_main_.value() - v_slow_.value()) * redis_alpha_ * redis_c_series_;
+  v_main_ = Volts{v_main_.value() - dq / c1};
+  v_slow_ = Volts{v_slow_.value() + dq / c2};
 }
 
 Watts Supercapacitor::charge(Watts power, Seconds dt) {
-  double v_main = v_main_.value();
-  bool advanced = false;
-  const double absorbed = lanekernel::sc_charge_core(lane_coef(), v_main,
-                                                     power.value(), dt.value(),
-                                                     advanced);
-  if (!advanced) return Watts{absorbed};
-  v_main_ = Volts{v_main};
+  // Constant-power charge through the ESR, mid-step-voltage form: the
+  // current sees the ESR plus half the step's capacitor voltage rise.
+  const double p = power.value();
+  const double v_max = params_.max_voltage.value();
+  if (p <= 0.0 || v_main_.value() >= v_max) return Watts{0.0};
+  const double v0 = std::max(0.0, v_main_.value());
+  const double r_eff = params_.esr.value() + dt.value() / (2.0 * capacitance_at(v0));
+  const double current = (-v0 + std::sqrt(v0 * v0 + 4.0 * r_eff * p)) / (2.0 * r_eff);
+  if (current <= 0.0) return Watts{0.0};
+  double dq = current * dt.value();
+  const double dq_max = charge_at(v_max) - charge_at(v0);
+  const double fraction = dq > dq_max ? dq_max / dq : 1.0;
+  dq *= fraction;
+  v_main_ = Volts{voltage_at_charge(charge_at(v0) + dq)};
   redistribute(dt);
-  return Watts{absorbed};
+  return Watts{p * fraction};
 }
 
 Watts Supercapacitor::discharge(Watts power, Seconds dt) {
-  double v_main = v_main_.value();
-  bool advanced = false;
-  const double delivered = lanekernel::sc_discharge_core(
-      lane_coef(), v_main, power.value(), dt.value(), advanced);
-  if (!advanced) return Watts{delivered};
-  v_main_ = Volts{v_main};
+  // Constant-power discharge, capped at the matched-load power and at the
+  // charge above the floor.
+  const double p = power.value();
+  if (p <= 0.0) return Watts{0.0};
+  const double vfloor = min_voltage_.value();
+  const double v0 = v_main_.value();
+  if (v0 <= vfloor + 1e-6) return Watts{0.0};
+  const double r_eff = params_.esr.value() + dt.value() / (2.0 * capacitance_at(v0));
+  const double deliverable = std::min(p, v0 * v0 / (4.0 * r_eff));
+  const double current =
+      (v0 - std::sqrt(std::max(0.0, v0 * v0 - 4.0 * r_eff * deliverable))) /
+      (2.0 * r_eff);
+  if (current <= 0.0) return Watts{0.0};
+  double dq = current * dt.value();
+  const double dq_max = charge_at(v0) - charge_at(vfloor);
+  const double fraction = dq > dq_max ? dq_max / dq : 1.0;
+  dq *= fraction;
+  v_main_ = Volts{std::max(voltage_at_charge(charge_at(v0) - dq), vfloor)};
   redistribute(dt);
-  return Watts{delivered};
+  return Watts{deliverable * fraction};
 }
 
 void Supercapacitor::apply_leakage(Seconds dt) {
@@ -172,7 +191,12 @@ void Supercapacitor::set_leakage_multiplier(double multiplier) {
 }
 
 Watts Supercapacitor::max_discharge_power() const {
-  return Watts{lanekernel::sc_max_discharge_power(lane_coef(), v_main_.value())};
+  // Matched-load bound through the ESR.
+  const double v = v_main_.value();
+  if (v <= min_voltage_.value()) return Watts{0.0};
+  const double esr = params_.esr.value();
+  if (esr <= 0.0) return Watts{1e6};
+  return Watts{v * v / (4.0 * esr)};
 }
 
 }  // namespace msehsim::storage

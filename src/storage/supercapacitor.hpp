@@ -10,7 +10,6 @@
 
 #include <string>
 
-#include "storage/lane_kernels.hpp"
 #include "storage/storage.hpp"
 
 namespace msehsim::storage {
@@ -60,19 +59,6 @@ class Supercapacitor final : public StorageDevice {
   static Supercapacitor lithium_ion_capacitor(std::string name, Farads capacitance);
 
  private:
-  /// Coefficient pack for the lanekernel functions (exact Params fields, so
-  /// the kernels see the same doubles the members do).
-  [[nodiscard]] lanekernel::ScCoef lane_coef() const {
-    return {params_.main_capacitance.value(),
-            params_.voltage_capacitance_slope,
-            params_.slow_capacitance.value(),
-            params_.redistribution_resistance.value(),
-            params_.esr.value(),
-            params_.leakage_resistance.value(),
-            params_.max_voltage.value(),
-            min_voltage_.value()};
-  }
-
   Supercapacitor(std::string name, Params params, StorageKind kind, Volts min_voltage);
   void redistribute(Seconds dt);
 

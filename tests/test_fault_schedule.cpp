@@ -87,9 +87,13 @@ TEST(ScheduleParse, CsvRoundTripIsExact) {
     EXPECT_EQ(a.fault, b.fault);
     EXPECT_EQ(a.target, b.target);
     EXPECT_EQ(std::isnan(a.a), std::isnan(b.a));
-    if (!std::isnan(a.a)) EXPECT_EQ(a.a, b.a);
+    if (!std::isnan(a.a)) {
+      EXPECT_EQ(a.a, b.a);
+    }
     EXPECT_EQ(std::isnan(a.b), std::isnan(b.b));
-    if (!std::isnan(a.b)) EXPECT_EQ(a.b, b.b);
+    if (!std::isnan(a.b)) {
+      EXPECT_EQ(a.b, b.b);
+    }
     EXPECT_EQ(a.count, b.count);
     EXPECT_EQ(a.spread.value(), b.spread.value());
   }

@@ -28,10 +28,10 @@ TEST(SensorNode, FloorPowerIsMaxPeriodPower) {
   EXPECT_DOUBLE_EQ(n.average_power(kRail).value(), n.floor_power(kRail).value());
 }
 
-/// average_power is memoized on the rail voltage's bits. After each of its
-/// inputs' writers — set_task_period and the two fault hooks — the cached
-/// value and the next step's draw must equal, bit for bit, those of a node
-/// built fresh and brought to the same state, at either rail voltage.
+/// After each writer of average_power's inputs — set_task_period and the two
+/// fault hooks — the average power and the next step's draw must equal, bit
+/// for bit, those of a node built fresh and brought to the same state, at
+/// either rail voltage (a memo of average_power must pass this too).
 TEST(SensorNode, AveragePowerCacheFollowsEveryMutator) {
   constexpr Volts kRail2{2.5};
   // The k-th mutator (1-based).

@@ -349,8 +349,8 @@ TEST(Battery, SohFlooredAboveZero) {
 /// re-derives both bounds and re-reads the derated full charge. Rebuilt from
 /// the public surface (the PWL OCV curve and the SoH-derated rated charge).
 double reference_ocv(const Battery& b, double soc) {
-  return interp_clamped(lanekernel::kSocBreaks.data(), b.params().ocv_curve.data(),
-                        static_cast<int>(lanekernel::kSocBreaks.size()),
+  return interp_clamped(Battery::kSocBreaks.data(), b.params().ocv_curve.data(),
+                        static_cast<int>(Battery::kSocBreaks.size()),
                         std::clamp(soc, 0.0, 1.0));
 }
 
@@ -424,6 +424,98 @@ TEST(Battery, EnergyIntegralsMatchThePerSliceLoopsBitForBit) {
     }
   }
   EXPECT_EQ(checked, 5 * 5 * 2 * 121);
+}
+
+// ---------------------------------------------------------------------------
+// Closed-form oracles: scenarios with an analytic solution, checked at every
+// step for solver steps from sub-second to a minute. They test the physics
+// against the formula, not one code path against another.
+// ---------------------------------------------------------------------------
+
+constexpr double kOracleDts[] = {0.25, 1.0, 5.0, 60.0};
+
+/// Ideal single-branch capacitor: no slow branch, no ESR, constant C.
+Supercapacitor ideal_cap(double farads, double volts, double leak_ohms) {
+  Supercapacitor::Params p;
+  p.main_capacitance = Farads{farads};
+  p.slow_capacitance = Farads{0.0};
+  p.esr = Ohms{0.0};
+  p.leakage_resistance = Ohms{leak_ohms};
+  p.max_voltage = Volts{5.0};
+  p.initial_voltage = Volts{volts};
+  return Supercapacitor("ideal", p);
+}
+
+TEST(StorageOracle, IdealCapConstantPowerFollowsEnergyBalance) {
+  // The mid-step form makes each step's charge move dq at the step's mean
+  // voltage, so P dt = dq (v0 + v1) / 2 = C (v1^2 - v0^2) / 2 exactly:
+  // V(t) = sqrt(V0^2 +- 2 P t / C) up to rounding (relative 1e-10).
+  constexpr double kC = 10.0, kV0 = 1.0, kP = 0.1, kT = 600.0;
+  for (const double dt : kOracleDts) {
+    SCOPED_TRACE(dt);
+    auto cap = ideal_cap(kC, kV0, 1e6);
+    const int steps = static_cast<int>(kT / dt);
+    for (int k = 1; k <= steps; ++k) {
+      ASSERT_EQ(cap.charge(Watts{kP}, Seconds{dt}).value(), kP);
+      const double expect = std::sqrt(kV0 * kV0 + 2.0 * kP * k * dt / kC);
+      ASSERT_NEAR(cap.voltage().value(), expect, 1e-10 * expect) << "charge step " << k;
+    }
+    const double v1 = cap.voltage().value();
+    for (int k = 1; k <= steps; ++k) {
+      ASSERT_EQ(cap.discharge(Watts{kP}, Seconds{dt}).value(), kP);
+      const double expect = std::sqrt(v1 * v1 - 2.0 * kP * k * dt / kC);
+      ASSERT_NEAR(cap.voltage().value(), expect, 1e-10 * expect)
+          << "discharge step " << k;
+    }
+    EXPECT_NEAR(cap.voltage().value(), kV0, 1e-10);
+  }
+}
+
+TEST(StorageOracle, IdealCapLeakageIsExponential) {
+  // Self-discharge through R alone: V(t) = V0 exp(-t / RC). The per-step
+  // factor exp(-dt / RC) compounds exactly in real arithmetic, so only
+  // rounding separates the two (relative 1e-10).
+  constexpr double kC = 2.0, kR = 100.0, kV0 = 4.0, kT = 600.0;
+  for (const double dt : kOracleDts) {
+    SCOPED_TRACE(dt);
+    auto cap = ideal_cap(kC, kV0, kR);
+    const int steps = static_cast<int>(kT / dt);
+    for (int k = 1; k <= steps; ++k) {
+      cap.apply_leakage(Seconds{dt});
+      const double expect = kV0 * std::exp(-k * dt / (kR * kC));
+      ASSERT_NEAR(cap.voltage().value(), expect, 1e-10 * expect) << "step " << k;
+    }
+    EXPECT_LT(cap.voltage().value(), kV0 * 0.05);  // three time constants
+  }
+}
+
+TEST(StorageOracle, FlatOcvBatteryCoulombCounts) {
+  // Flat OCV, lossless charge acceptance, no aging: a constant-power drain
+  // draws the fixed current I solving P = (V - I R) I, so q(t) = q0 - I t
+  // (relative 1e-10), and the stored energy is V q (relative 1e-12).
+  constexpr double kV = 3.7, kR = 0.5, kP = 0.1, kT = 3600.0;
+  Battery::Params p;
+  p.rated_capacity = AmpHours{0.1};
+  p.ocv_curve = {kV, kV, kV, kV, kV};
+  p.internal_resistance = Ohms{kR};
+  p.coulombic_efficiency = 1.0;
+  p.max_discharge_current = Amps{1.0};
+  p.initial_soc = 0.5;
+  const double current = (kV - std::sqrt(kV * kV - 4.0 * kR * kP)) / (2.0 * kR);
+  for (const double dt : kOracleDts) {
+    SCOPED_TRACE(dt);
+    Battery b("flat", p);
+    const double q0 = b.charge_state().value();
+    const int steps = static_cast<int>(kT / dt);
+    for (int k = 1; k <= steps; ++k) {
+      ASSERT_NEAR(b.discharge(Watts{kP}, Seconds{dt}).value(), kP, 1e-12);
+      const double q = b.charge_state().value();
+      ASSERT_NEAR(q, q0 - current * k * dt, 1e-10 * q0) << "step " << k;
+      ASSERT_EQ(b.voltage().value(), kV);
+      ASSERT_NEAR(b.stored_energy().value(), kV * q, 1e-12 * kV * q) << "step " << k;
+    }
+    EXPECT_LT(b.charge_state().value(), 0.6 * q0);  // the drain moved real charge
+  }
 }
 
 // ---------------------------------------------------------------------------
