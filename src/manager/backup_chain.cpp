@@ -140,7 +140,7 @@ void BackupChain::update(Seconds now, Watts primary_power, double ambient_soc) {
   }
 
   // An engaged load-shed stage re-asserts the floor period every tick so the
-  // duty-cycle controllers (which ran before us) cannot creep it back up.
+  // duty-cycle controller (which ran before us) cannot creep it back up.
   for (auto& stage : stages_)
     if (stage.engaged && stage.params.kind == BackupStageKind::kLoadShed)
       stage.node->set_task_period(stage.node->workload().max_period);

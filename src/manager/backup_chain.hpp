@@ -70,8 +70,8 @@ class BackupChain {
   void bind_stage(std::size_t i, storage::FuelCell* cell,
                   storage::SwitchedStorage* switched, node::SensorNode* node);
 
-  /// One control step (run after the duty-cycle controllers so an engaged
-  /// load-shed stage overrides their period choice). @p primary_power is the
+  /// One control step (run after the duty-cycle controller so an engaged
+  /// load-shed stage overrides its period choice). @p primary_power is the
   /// combined delivered power of the ambient input chains over the last
   /// step; @p ambient_soc the SoC of the environmentally fed stores.
   void update(Seconds now, Watts primary_power, double ambient_soc);

@@ -26,39 +26,6 @@ void DutyCycleController::update(const EnergyEstimate& estimate,
   ++adjustments_;
 }
 
-EnoPowerController::EnoPowerController(Params params) : params_(params) {
-  require_spec(params_.utilization > 0.0 && params_.utilization <= 1.0,
-               "ENO utilization must be in (0,1]");
-  require_spec(params_.base_load.value() >= 0.0, "ENO base load must be >= 0");
-  require_spec(params_.rail.value() > 0.0, "ENO rail must be > 0");
-}
-
-void EnoPowerController::update(const EnergyEstimate& estimate,
-                                node::SensorNode& node) {
-  if (!estimate.valid || !estimate.incoming_known) return;
-  const double budget =
-      params_.utilization * estimate.incoming.value() - params_.base_load.value();
-  // The node's consumption law is average_power(T) = P_base + E_cycle / T.
-  // Two observable points — the present period and the floor at T_max —
-  // recover both coefficients:
-  //   E_cycle = (P(T) - P(Tmax)) / (1/T - 1/Tmax),  P_base = P(Tmax) - E/Tmax.
-  const double p_now = node.average_power(params_.rail).value();
-  const Seconds t_now = node.task_period();
-  const double t_max = node.workload().max_period.value();
-  const double p_floor = node.floor_power(params_.rail).value();
-  const double denom = 1.0 / t_now.value() - 1.0 / t_max;
-  if (denom <= 0.0) return;
-  const double cycle_energy = (p_now - p_floor) / denom;
-  const double p_base = p_floor - cycle_energy / t_max;
-  if (budget <= p_base + 1e-12 || cycle_energy <= 0.0) {
-    node.set_task_period(node.workload().max_period);
-    ++adjustments_;
-    return;
-  }
-  node.set_task_period(Seconds{cycle_energy / (budget - p_base)});
-  ++adjustments_;
-}
-
 FailoverPolicy::FailoverPolicy(Params params) : params_(params) {
   require_spec(params_.primary_dead_below.value() >= 0.0,
                "failover dead-power threshold must be >= 0");

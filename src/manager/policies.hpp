@@ -41,32 +41,6 @@ class DutyCycleController {
   std::uint64_t adjustments_{0};
 };
 
-/// Energy-neutral-operation controller driven by *incoming power* (needs a
-/// monitor that can observe it — digital monitoring only): sets the task
-/// period so consumption matches a fraction of the measured harvest rate,
-/// the textbook ENO law. Converges in one step when the estimate is good,
-/// unlike the SoC controller's gradual walk.
-class EnoPowerController {
- public:
-  struct Params {
-    double utilization{0.8};   ///< spend this fraction of incoming power
-    Watts base_load{3e-6};     ///< node floor (sleep + wake-up radio)
-    Volts rail{3.0};           ///< rail at which cycle energy is computed
-  };
-
-  explicit EnoPowerController(Params params);
-  EnoPowerController() : EnoPowerController(Params{}) {}
-
-  /// One control step. No-op unless the estimate carries incoming power.
-  void update(const EnergyEstimate& estimate, node::SensorNode& node);
-
-  [[nodiscard]] std::uint64_t adjustments() const { return adjustments_; }
-
- private:
-  Params params_;
-  std::uint64_t adjustments_{0};
-};
-
 /// Failover from the ambient (primary) sources to the backup store (System
 /// A's hydrogen fuel cell) when the primaries *fail*, not merely when the
 /// buffer is low. The SoC hysteresis of FuelCellPolicy reacts only after the

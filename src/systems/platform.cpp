@@ -50,15 +50,6 @@ void Platform::set_duty_cycle_controller(manager::DutyCycleController controller
   duty_controller_.emplace(controller);
 }
 
-void Platform::set_eno_controller(manager::EnoPowerController controller) {
-  eno_controller_.emplace(controller);
-}
-
-void Platform::set_predictive_controller(
-    manager::PredictiveDutyController controller) {
-  predictive_controller_.emplace(std::move(controller));
-}
-
 void Platform::set_fuel_cell_policy(manager::FuelCellPolicy policy,
                                     std::size_t fuel_cell_slot) {
   require_spec(fuel_cell_slot < stores_.size(), "fuel cell slot out of range");
@@ -172,21 +163,13 @@ Joules Platform::harvested_energy() const {
 
 void Platform::management_tick(Seconds now) {
   if (monitor_ != nullptr) last_estimate_ = monitor_->estimate();
-  if (node_ != nullptr) {
-    // Most capable controller wins: forecast > ENO > reactive SoC.
-    if (predictive_controller_.has_value()) {
-      predictive_controller_->update(now, last_estimate_, *node_);
-    } else if (eno_controller_.has_value()) {
-      eno_controller_->update(last_estimate_, *node_);
-    } else if (duty_controller_.has_value()) {
-      duty_controller_->update(last_estimate_, *node_);
-    }
-  }
+  if (node_ != nullptr && duty_controller_.has_value())
+    duty_controller_->update(last_estimate_, *node_);
   // One driver per switch: the backup chain supersedes both single-stage
   // policies, and the failover policy subsumes the plain SoC hysteresis (it
   // carries its own SoC window); running two would have them fight.
   if (backup_chain_.has_value()) {
-    // After the duty controllers, so an engaged load-shed stage wins the
+    // After the duty controller, so an engaged load-shed stage wins the
     // period decision.
     backup_chain_->update(now, last_input_power_, ambient_soc());
     return;

@@ -28,7 +28,6 @@
 #include "manager/backup_chain.hpp"
 #include "manager/monitor.hpp"
 #include "manager/policies.hpp"
-#include "manager/predictor.hpp"
 #include "node/sensor_node.hpp"
 #include "obs/trace.hpp"
 #include "power/chain.hpp"
@@ -130,12 +129,6 @@ class Platform {
   void set_node(std::unique_ptr<node::SensorNode> node);
   void set_monitor(std::unique_ptr<manager::EnergyMonitor> monitor);
   void set_duty_cycle_controller(manager::DutyCycleController controller);
-  /// Incoming-power ENO control (digital monitoring only; replaces any
-  /// reactive SoC controller for period decisions).
-  void set_eno_controller(manager::EnoPowerController controller);
-  /// Forecast-driven control (digital monitoring only; takes precedence
-  /// over both other controllers).
-  void set_predictive_controller(manager::PredictiveDutyController controller);
   /// @p fuel_cell_slot index of the FuelCell in the storage bank.
   void set_fuel_cell_policy(manager::FuelCellPolicy policy,
                             std::size_t fuel_cell_slot);
@@ -433,8 +426,6 @@ class Platform {
   std::unique_ptr<node::SensorNode> node_;
   std::unique_ptr<manager::EnergyMonitor> monitor_;
   std::optional<manager::DutyCycleController> duty_controller_;
-  std::optional<manager::EnoPowerController> eno_controller_;
-  std::optional<manager::PredictiveDutyController> predictive_controller_;
   std::optional<manager::FuelCellPolicy> fuel_cell_policy_;
   std::size_t fuel_cell_slot_{0};
   std::optional<manager::FailoverPolicy> failover_policy_;

@@ -187,37 +187,20 @@ TEST(Integration, HotSwapKeepsSystemBAware) {
   EXPECT_NEAR(cap_after, actual, actual * 0.02);  // and matches reality
 }
 
-TEST(Integration, PredictiveControllerPlansForTheNight) {
-  // Two System B instances in the same indoor week: one with the reactive
-  // SoC controller, one with the EWMA-predictive controller. Both must keep
-  // the node alive; the predictive one must actually exercise its
-  // forecaster (observations accrue at every management tick).
-  auto reactive = build_system_b(kSeed);
-  auto predictive = build_system_b(kSeed);
-  manager::PredictiveDutyController::Params pp;
-  pp.rail = Volts{2.5};
-  predictive->set_predictive_controller(
-      manager::PredictiveDutyController{pp});
-  auto env1 = env::Environment::indoor_industrial(kSeed);
-  auto env2 = env::Environment::indoor_industrial(kSeed);
-  const auto r1 = run_platform(*reactive, env1, Seconds{2 * kDay}, fast_opts());
-  const auto r2 = run_platform(*predictive, env2, Seconds{2 * kDay}, fast_opts());
-  EXPECT_GT(r1.availability, 0.9);
-  EXPECT_GT(r2.availability, 0.9);
-  EXPECT_GT(r2.packets, 0u);
-}
-
-TEST(Integration, EnoControllerMatchesLoadToHarvest) {
+TEST(Integration, DutyControllerSpendsSurplus) {
+  // System B's reactive SoC controller must turn a rich indoor harvest into
+  // traffic, not merely stay alive: a controller parked at max_period would
+  // send one packet per max_period and keep availability at 1.0, so the
+  // packet floor is ten times that. The bank starts below the SoC target, so
+  // the controller rightly holds max_period for about two days while it
+  // recharges; the third day is the one that spends the surplus.
   auto b = build_system_b(kSeed);
-  manager::EnoPowerController::Params ep;
-  ep.rail = Volts{2.5};
-  b->set_eno_controller(manager::EnoPowerController{ep});
   auto env = env::Environment::indoor_industrial(kSeed);
-  const auto r = run_platform(*b, env, Seconds{2 * kDay}, fast_opts());
-  EXPECT_GT(r.packets, 0u);
+  const Seconds duration{3 * kDay};
+  const double t_max = b->node()->workload().max_period.value();
+  const auto r = run_platform(*b, env, duration, fast_opts());
   EXPECT_GT(r.availability, 0.9);
-  // Consumption stays inside the harvest budget: no brownouts.
-  EXPECT_EQ(r.brownouts, 0u);
+  EXPECT_GT(static_cast<double>(r.packets), 10.0 * duration.value() / t_max);
 }
 
 TEST(Integration, QueryTrafficReachesWakeUpRadioNodes) {

@@ -235,6 +235,34 @@ TEST_F(DigitalMonitorFixture, MonitoringEnergyGrowsWithPolls) {
   EXPECT_GT(m.monitoring_energy().value(), e0);
 }
 
+TEST(DigitalMonitor, SumsHarvesterOutputPowerAsIncoming) {
+  // Harvester modules report their output power in whole microwatts; the
+  // digital monitor's "full" capability includes that incoming power.
+  bus::I2cBus bus;
+  auto harvester = [](std::uint8_t address, const char* model, double watts) {
+    bus::ElectronicDatasheet ds;
+    ds.device_class = bus::DeviceClass::kHarvester;
+    ds.model = model;
+    bus::ModulePort::Telemetry t;
+    t.output_power = [watts] { return Watts{watts}; };
+    return std::make_unique<bus::ModulePort>(address, ds, std::move(t));
+  };
+  const double pv_watts = 0.0123456;
+  const double teg_watts = 0.0007891;
+  auto pv = harvester(0x20, "PV", pv_watts);
+  auto teg = harvester(0x21, "TEG", teg_watts);
+  bus.attach(*pv);
+  bus.attach(*teg);
+
+  DigitalBusMonitor m(bus, {0x20, 0x21});
+  const auto e = m.estimate();
+  EXPECT_TRUE(e.valid);
+  EXPECT_TRUE(e.incoming_known);
+  // Each register rounds to the nearest microwatt.
+  EXPECT_NEAR(e.incoming.value(), pv_watts + teg_watts, 1e-6);
+  EXPECT_DOUBLE_EQ(e.capacity.value(), 0.0);
+}
+
 TEST(DigitalMonitor, EstimateAllocatesNothing) {
   // System A's power-unit MCU polls every module once per management tick;
   // that poll (bus read, retry ladder, telemetry decode) must not touch the

@@ -43,6 +43,18 @@ TEST(DutyCycle, HighSocShortensPeriod) {
   EXPECT_LT(n.task_period().value(), 60.0);
 }
 
+TEST(DutyCycle, LeavesMaxPeriodWhenSocIsHigh) {
+  // A node parked at its slowest period must be able to speed up again once
+  // the store fills: a controller that cannot leave T_max latches the node
+  // at one packet per max_period for the rest of the run.
+  DutyCycleController ctl;
+  const Seconds t_max = make_node().workload().max_period;
+  auto n = make_node(t_max);
+  ctl.update(estimate_with_soc(0.95), n);
+  EXPECT_LT(n.task_period().value(), t_max.value());
+  EXPECT_EQ(ctl.adjustments(), 1u);
+}
+
 TEST(DutyCycle, DeadbandHoldsSteady) {
   DutyCycleController ctl;  // target 0.6, deadband 0.05
   auto n = make_node(Seconds{60.0});
@@ -103,66 +115,6 @@ TEST(DutyCycle, RejectsBadParams) {
   DutyCycleController::Params q;
   q.gain = 0.0;
   EXPECT_THROW(DutyCycleController{q}, SpecError);
-}
-
-EnergyEstimate estimate_with_incoming(double watts) {
-  EnergyEstimate e;
-  e.valid = true;
-  e.incoming_known = true;
-  e.incoming = Watts{watts};
-  e.capacity = Joules{100.0};
-  e.stored = Joules{60.0};
-  return e;
-}
-
-TEST(EnoPower, MatchesConsumptionToHarvest) {
-  EnoPowerController ctl;
-  auto n = make_node(Seconds{60.0});
-  const double incoming = 20e-6;  // 20 uW harvest (inside the period window)
-  ctl.update(estimate_with_incoming(incoming), n);
-  // After the jump, node average power ~ utilization * incoming.
-  const double consumption = n.average_power(Volts{3.0}).value();
-  EXPECT_NEAR(consumption, 0.8 * incoming, 0.15 * incoming);
-}
-
-TEST(EnoPower, RichHarvestShortensPeriod) {
-  EnoPowerController ctl;
-  auto rich = make_node(Seconds{600.0});
-  auto poor = make_node(Seconds{600.0});
-  ctl.update(estimate_with_incoming(1e-3), rich);
-  EnoPowerController ctl2;
-  ctl2.update(estimate_with_incoming(10e-6), poor);
-  EXPECT_LT(rich.task_period().value(), poor.task_period().value());
-}
-
-TEST(EnoPower, StarvationParksAtMaxPeriod) {
-  EnoPowerController ctl;
-  auto n = make_node(Seconds{60.0});
-  ctl.update(estimate_with_incoming(0.0), n);
-  EXPECT_DOUBLE_EQ(n.task_period().value(), n.workload().max_period.value());
-}
-
-TEST(EnoPower, IgnoresEstimatesWithoutIncomingPower) {
-  // Analog monitoring cannot observe incoming power: the ENO law is only
-  // available to digitally monitored systems (survey Sec. II.3).
-  EnoPowerController ctl;
-  auto n = make_node(Seconds{60.0});
-  EnergyEstimate soc_only;
-  soc_only.valid = true;
-  soc_only.capacity = Joules{100.0};
-  soc_only.stored = Joules{20.0};
-  ctl.update(soc_only, n);
-  EXPECT_DOUBLE_EQ(n.task_period().value(), 60.0);
-  EXPECT_EQ(ctl.adjustments(), 0u);
-}
-
-TEST(EnoPower, RejectsBadParams) {
-  EnoPowerController::Params p;
-  p.utilization = 0.0;
-  EXPECT_THROW(EnoPowerController{p}, SpecError);
-  EnoPowerController::Params q;
-  q.rail = Volts{0.0};
-  EXPECT_THROW(EnoPowerController{q}, SpecError);
 }
 
 TEST(FuelCellPolicy, SwitchesInWhenLow) {
