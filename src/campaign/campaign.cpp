@@ -3,42 +3,24 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <numeric>
 #include <thread>
 
 #include "core/error.hpp"
-#include "core/fmt.hpp"
 #include "obs/trace.hpp"
 #include "systems/batch_runner.hpp"
 
 namespace msehsim::campaign {
 
-unsigned lane_width_from_env(const char* text, unsigned fallback) {
-  if (text == nullptr) return fallback;
-  // strtoul's prefix parse accepted "8garbage" as 8 and collapsed "garbage",
-  // "", "0x8", and an overflowing "99999999999999999999" alike into silent
-  // defaults or ULONG_MAX-sized widths — in a daemon that misconfigures
-  // every request for the life of the process. Full-consumption parsing plus
-  // an explicit range gate makes every bad value loud and safe.
-  constexpr unsigned long long kMaxLaneWidth = 256;
-  const auto parsed = parse_unsigned(text);
-  if (!parsed.has_value() || *parsed == 0 || *parsed > kMaxLaneWidth) {
-    std::fprintf(stderr,
-                 "msehsim: ignoring invalid MSEHSIM_LANE_WIDTH=\"%s\" "
-                 "(want an integer in [1, %llu]); using %u\n",
-                 text, kMaxLaneWidth, fallback);
-    return fallback;
-  }
-  return static_cast<unsigned>(*parsed);
-}
+namespace {
 
-unsigned default_lane_width() {
-  static const unsigned width =
-      lane_width_from_env(std::getenv("MSEHSIM_LANE_WIDTH"));
-  return width;
-}
+/// Lanes per LaneBlock: jobs sharing a (scenario, seed) compiled trace are
+/// advanced in lockstep blocks of up to this many lanes, so the ambient slot
+/// is decoded once per step for the block and twin PV panels share their
+/// curve solves. Any grouping gives the same result bytes.
+constexpr std::size_t kLaneWidth = 8;
+
+}  // namespace
 
 FieldStats field_stats(const std::vector<JobResult>& jobs,
                        double (*get)(const systems::RunResult&)) {
@@ -228,19 +210,19 @@ const std::vector<JobResult>& Campaign::run() {
 
   // The schedulable unit: the platform-variant axis of each (scenario,
   // seed) pair — every job that replays the same compiled trace — is
-  // chunked into LaneBlocks of up to lane_width lanes, each advanced in
-  // lockstep by one BatchRunner. The kernel's byte-identity contract is
-  // what makes the width a pure scheduling decision: results land in the
-  // same grid slots with the same bytes at any width.
-  const std::size_t width = std::max(spec_.lane_width, 1u);
+  // chunked into LaneBlocks of up to kLaneWidth lanes, each advanced in
+  // lockstep by one BatchRunner. The kernel's byte-identity contract makes
+  // the block shape a pure scheduling decision: results land in the same
+  // grid slots with the same bytes however the lanes are grouped.
   std::vector<LaneBlock> units;
   for (std::size_t s = 0; s < spec_.scenarios.size(); ++s)
     for (std::size_t k = 0; k < spec_.seeds.size(); ++k)
-      for (std::size_t p0 = 0; p0 < spec_.platforms.size(); p0 += width) {
+      for (std::size_t p0 = 0; p0 < spec_.platforms.size(); p0 += kLaneWidth) {
         LaneBlock block;
         block.scenario_index = s;
         block.seed_index = k;
-        const std::size_t end = std::min(p0 + width, spec_.platforms.size());
+        const std::size_t end =
+            std::min(p0 + kLaneWidth, spec_.platforms.size());
         for (std::size_t p = p0; p < end; ++p)
           block.grid_indices.push_back(flat_index(p, s, k));
         units.push_back(std::move(block));
@@ -261,7 +243,7 @@ const std::vector<JobResult>& Campaign::run() {
     return s.duration.value() / s.options.dt.value();
   };
   const auto trace_rank = [&](std::size_t u) {
-    return results_[units[u].grid_indices.front()].platform_index / width;
+    return results_[units[u].grid_indices.front()].platform_index / kLaneWidth;
   };
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     const double steps_a = expected_steps(a);

@@ -15,7 +15,7 @@
 // schedules the blocks (longest expected run first, so a long scenario
 // cannot strand the pool tail on one worker) — to_string(RunResult) of every
 // job is byte-identical to run_platform over the scenario's live
-// environment, whether the campaign ran on 1 thread or N, at any lane width.
+// environment, whether the campaign ran on 1 thread or N.
 #pragma once
 
 #include <atomic>
@@ -83,19 +83,6 @@ struct Scenario {
   std::string trace_key;
 };
 
-/// Default for CampaignSpec::lane_width: the MSEHSIM_LANE_WIDTH environment
-/// variable (read once per process), else 8.
-[[nodiscard]] unsigned default_lane_width();
-
-/// Strict MSEHSIM_LANE_WIDTH interpretation (exposed for the bad-input
-/// matrix tests): @p text validated by core/fmt's full-consumption
-/// parse_unsigned. nullptr (unset) silently yields @p fallback; anything
-/// invalid — garbage, trailing junk, zero, > 256 — warns once on stderr and
-/// yields @p fallback, so a daemon misconfiguration is loud instead of
-/// silently reshaping every request's batching.
-[[nodiscard]] unsigned lane_width_from_env(const char* text,
-                                           unsigned fallback = 8);
-
 struct CampaignSpec {
   std::vector<PlatformVariant> platforms;
   std::vector<Scenario> scenarios;
@@ -116,17 +103,6 @@ struct CampaignSpec {
   /// cache's lifetime, not one campaign's. A per-campaign cache is
   /// std::make_shared<env::TraceCache>(dir, max_bytes).
   std::shared_ptr<env::TraceCache> shared_trace_cache;
-  /// Lanes per work unit. Jobs that share a (scenario, seed) compiled trace
-  /// — i.e. the platform-variant axis — are grouped into blocks of up to
-  /// this many lanes and advanced in lockstep by systems::BatchRunner: the
-  /// ambient slot is decoded once per step for the whole block, and twin
-  /// PV panels share their curve solves; every lane steps through
-  /// Platform::step. 1 (or 0) runs one-lane blocks; any width produces
-  /// byte-identical results (the kernel's contract), so this knob only
-  /// trades scheduling granularity for per-step cost. The default honors the
-  /// MSEHSIM_LANE_WIDTH environment variable (CI runs the whole suite at
-  /// widths 1, 2 and 8 under sanitizers); explicit assignment always wins.
-  unsigned lane_width{default_lane_width()};
 };
 
 /// One grid point's outcome, tagged with its coordinates.
@@ -219,7 +195,8 @@ class Campaign {
   [[nodiscard]] env::TraceCacheStats trace_cache_stats() const;
 
   /// Lane blocks executed. After a full run this is the grid's
-  /// (scenario x seed) pairs times ceil(platforms / lane_width).
+  /// (scenario x seed) pairs times ceil(platforms / 8): each block holds up
+  /// to 8 of the platform variants that share one compiled trace.
   [[nodiscard]] std::uint64_t lane_blocks() const {
     return lane_blocks_.load(std::memory_order_relaxed);
   }
@@ -252,7 +229,7 @@ class Campaign {
   [[nodiscard]] std::shared_ptr<const env::CompiledTrace> compiled_trace(
       std::size_t scenario_index, std::size_t seed_index);
 
-  /// The schedulable work unit: up to lane_width jobs that share a
+  /// The schedulable work unit: up to 8 jobs that share a
   /// (scenario, seed) compiled trace, identified by their flat result
   /// indices.
   struct LaneBlock {

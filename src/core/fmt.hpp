@@ -43,7 +43,7 @@ void append_double(std::string& out, double v);
 /// parse_double: leading/trailing ASCII whitespace skipped, one optional
 /// leading '+', decimal digits only (no 0x, no sign, no exponent), the rest
 /// of @p text fully consumed. Returns nullopt on empty, non-digit, trailing-
-/// junk, or > 2^64-1 input — the env-var surfaces (MSEHSIM_LANE_WIDTH)
+/// junk, or > 2^64-1 input — the daemon's numeric flags and request fields
 /// validate through this instead of strtoul's accept-anything prefix parse.
 [[nodiscard]] std::optional<unsigned long long> parse_unsigned(
     std::string_view text);

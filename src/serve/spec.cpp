@@ -92,7 +92,7 @@ CampaignRequest parse_campaign_request(const std::string& body,
                                        double max_steps) {
   const JsonValue root = parse_json(body);
   require_spec(root.is_object(), "campaign request: body must be an object");
-  require_known_keys(root, {"platforms", "scenarios", "seeds", "lane_width"},
+  require_known_keys(root, {"platforms", "scenarios", "seeds"},
                      "request");
 
   CampaignRequest req;
@@ -146,15 +146,6 @@ CampaignRequest parse_campaign_request(const std::string& body,
     req.seeds.push_back(*v);
   }
 
-  if (const JsonValue* lane = root.find("lane_width")) {
-    require_spec(lane->is_number(),
-                 "campaign request: lane_width must be a number");
-    const auto v = parse_unsigned(lane->raw_number());
-    require_spec(v.has_value() && *v >= 1 && *v <= 64,
-                 "campaign request: lane_width must be an integer in [1, 64]");
-    req.lane_width = static_cast<unsigned>(*v);
-  }
-
   // Admission control starts at the parser: bound the grid and the total
   // step budget before any factory runs, so an oversized request costs the
   // daemon one parse, not one campaign.
@@ -179,9 +170,7 @@ CampaignRequest parse_campaign_request(const std::string& body,
 std::string canonical_form(const CampaignRequest& request) {
   // Version-prefixed, newline-framed, space-separated fields; every numeric
   // in round-trip-exact core/fmt form so "3600", "3600.0", and "3.6e3" in
-  // the body all canonicalize to the same bytes. lane_width is absent by
-  // design: it cannot change a response byte (the batched kernel's
-  // contract), so including it would only split cache entries.
+  // the body all canonicalize to the same bytes.
   std::string out = "msehsim-campaign-request v1\n";
   for (const auto& p : request.platforms) out += "platform " + p + "\n";
   for (const auto& s : request.scenarios) {
@@ -199,7 +188,6 @@ campaign::CampaignSpec to_campaign_spec(
   campaign::CampaignSpec spec;
   spec.threads = threads;
   spec.shared_trace_cache = std::move(shared_cache);
-  if (request.lane_width >= 1) spec.lane_width = request.lane_width;
   for (const auto& name : request.platforms) {
     const systems::SystemId id = platform_id(name);
     spec.platforms.push_back(

@@ -12,10 +12,10 @@
 // string contains exactly the fields that can change a response byte —
 // platform names in request order, per-scenario (name, kind, duration, dt)
 // with dt/duration in round-trip-exact core/fmt form, seeds in request
-// order — and *omits* every knob that cannot (lane_width, thread count,
-// trace-cache state are all byte-neutral by the batched kernel's and the
-// exporters' contracts). Two users asking for the same study with
-// different performance knobs therefore share one cache entry.
+// order — and *omits* every knob that cannot (thread count and trace-cache
+// state are byte-neutral by the campaign's and the exporters' contracts).
+// Two users asking for the same study with different performance knobs
+// therefore share one cache entry.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +41,6 @@ struct CampaignRequest {
   std::vector<std::string> platforms;  ///< catalog names, e.g. "system-a"
   std::vector<ScenarioRequest> scenarios;
   std::vector<std::uint64_t> seeds;
-  /// Byte-neutral performance knob (see canonical()); 0 = server default.
-  unsigned lane_width{0};
 };
 
 /// The catalog names POST /v1/campaign accepts for "platforms":
@@ -64,8 +62,7 @@ struct CampaignRequest {
     double max_steps = 1e9);
 
 /// The request's canonical form — the ResultCache key material. Stable
-/// across JSON whitespace/key-order/number-spelling differences, and
-/// deliberately independent of byte-neutral knobs (lane_width).
+/// across JSON whitespace/key-order/number-spelling differences.
 [[nodiscard]] std::string canonical_form(const CampaignRequest& request);
 
 /// Materializes the named grid into a runnable spec. @p shared_cache (may

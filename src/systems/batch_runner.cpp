@@ -11,22 +11,11 @@
 
 namespace msehsim::systems {
 
-namespace {
-
-/// Hot per-lane kernel state as parallel arrays: the inner loop walks these
-/// contiguously instead of chasing into each lane's cold block.
-struct LaneState {
-  std::vector<double> next_event_s;     ///< earliest pending event per lane
-  std::vector<Platform*> platform;      ///< raw per-lane platform pointer
-  std::vector<std::uint8_t> queries;    ///< lane delivers query traffic
-};
-
-}  // namespace
-
-/// Cold per-lane block: the event engine and everything touched only at
-/// event dispatch or run end.
+/// Per-lane state: the platform, its event engine and what the run
+/// accumulates for its RunResult.
 struct BatchRunner::Lane {
   Platform* platform{nullptr};
+  double next_event_s{0.0};  ///< earliest pending event, refreshed on dispatch
   fault::FaultInjector* injector{nullptr};
   Simulation sim;
   RunningStats input_stats;
@@ -128,7 +117,6 @@ std::vector<RunResult> BatchRunner::run() {
   ran_ = true;
   OBS_SPAN("batch_runner.run", "systems");
 
-  const std::size_t n = lanes_.size();
   const Seconds dt = options_.dt;
   const bool query_traffic = options_.mean_query_interval.value() > 0.0;
   // Poisson arrivals discretized per step.
@@ -137,15 +125,8 @@ std::vector<RunResult> BatchRunner::run() {
           ? std::min(1.0, dt.value() / options_.mean_query_interval.value())
           : 0.0;
 
-  LaneState state;
-  state.next_event_s.reserve(n);
-  state.platform.reserve(n);
-  state.queries.reserve(n);
-  for (auto& lane : lanes_) {
-    state.next_event_s.push_back(lane->sim.next_scheduled().value());
-    state.platform.push_back(lane->platform);
-    state.queries.push_back(lane->deliver_queries ? 1 : 0);
-  }
+  for (auto& lane : lanes_)
+    lane->next_event_s = lane->sim.next_scheduled().value();
 
   // The clock is advanced exactly as core::Simulation advances it — the
   // k-fold accumulated sum of dt from zero — and mirrored into each lane's
@@ -159,23 +140,22 @@ std::vector<RunResult> BatchRunner::run() {
     const env::AmbientConditions conditions = environment_->advance(now, dt);
     const Seconds horizon = now + dt;
 
-    for (std::size_t l = 0; l < n; ++l) {
+    for (auto& lane_ptr : lanes_) {
+      Lane& lane = *lane_ptr;
       // An event is due iff next_scheduled() < now + dt — the dispatch
       // window test of Simulation::step. On quiet steps (the common case)
       // the lane skips its event engine entirely; dispatch is a pure
       // function of the queue and the clock, so skipping a no-op dispatch
       // cannot change a byte.
-      if (state.next_event_s[l] < horizon.value()) {
-        Lane& lane = *lanes_[l];
+      if (lane.next_event_s < horizon.value()) {
         lane.sim.sync_clock(now, steps);
         lane.sim.dispatch_events();
-        state.next_event_s[l] = lane.sim.next_scheduled().value();
+        lane.next_event_s = lane.sim.next_scheduled().value();
       }
-      Platform& platform = *state.platform[l];
+      Platform& platform = *lane.platform;
       platform.step(conditions, now, dt);
-      lanes_[l]->input_stats.add(platform.last_input_power().value(), dt);
-      if (state.queries[l] != 0 &&
-          lanes_[l]->query_rng.bernoulli(p_arrival)) {
+      lane.input_stats.add(platform.last_input_power().value(), dt);
+      if (lane.deliver_queries && lane.query_rng.bernoulli(p_arrival)) {
         platform.node()->deliver_query(platform.rail_voltage());
       }
     }
@@ -186,7 +166,7 @@ std::vector<RunResult> BatchRunner::run() {
   detach_pv_shares();
 
   std::vector<RunResult> out;
-  out.reserve(n);
+  out.reserve(lanes_.size());
   for (auto& lane : lanes_) {
     out.push_back(detail::assemble_run_result(
         *lane->platform, duration_, lane->injector, lane->initial_stored,

@@ -1,9 +1,10 @@
 // Batched lane kernel (systems::BatchRunner) correctness gate.
 //
-// The whole contract is byte-identity: a campaign run at any lane width and
-// any thread count must report exactly the bytes the independent reference
-// harness (tests/reference_run.hpp: one Simulation per job, virtual
-// Platform::step, live environment synthesis) reports. The grids below
+// The whole contract is byte-identity: a campaign run at any thread count,
+// and a BatchRunner fed its lanes in any block composition, must report
+// exactly the bytes the independent reference harness
+// (tests/reference_run.hpp: one Simulation per job, virtual Platform::step,
+// live environment synthesis) reports. The grids below
 // cover the divergence machinery the kernel must mask per lane —
 // fault-schedule onsets, backup-chain failovers, query traffic — on the
 // survey's reference platforms (Systems A and B), plus the energy-ledger
@@ -59,21 +60,19 @@ std::vector<std::string> reference_reports(const CampaignSpec& spec) {
   return reference::live_grid_reports(spec, reference::reference_run);
 }
 
-/// Runs @p spec at every (lane_width, threads) combination and asserts each
-/// one reproduces the reference harness byte for byte. The widths are the
-/// ones the CI lane-width sweep runs.
-void expect_width_invariant(const CampaignSpec& base) {
+/// Runs @p base on 1 and on 3 threads and asserts each run reproduces the
+/// reference harness byte for byte. The campaign batches the platform
+/// variants of each (scenario, seed) into blocks of up to 8 lanes; the
+/// reference runs every job alone.
+void expect_matches_reference(const CampaignSpec& base) {
   const auto reference = reference_reports(base);
   ASSERT_FALSE(reference.empty());
-  for (const unsigned width : {1u, 2u, 4u, 8u, 16u})
-    for (const unsigned threads : {1u, 3u}) {
-      CampaignSpec spec = base;
-      spec.lane_width = width;
-      spec.threads = threads;
-      Campaign c(spec);
-      EXPECT_EQ(reference, reports(c))
-          << "diverged at lane_width=" << width << " threads=" << threads;
-    }
+  for (const unsigned threads : {1u, 3u}) {
+    CampaignSpec spec = base;
+    spec.threads = threads;
+    Campaign c(spec);
+    EXPECT_EQ(reference, reports(c)) << "diverged at threads=" << threads;
+  }
 }
 
 /// Systems A and B against the same outdoor scenario: the two reference
@@ -96,7 +95,7 @@ CampaignSpec systems_grid() {
 }
 
 TEST(BatchRunner, ByteIdenticalAcrossLaneWidthsOnCleanSystemsAB) {
-  expect_width_invariant(systems_grid());
+  expect_matches_reference(systems_grid());
 }
 
 TEST(BatchRunner, ByteIdenticalUnderFaultSchedules) {
@@ -117,12 +116,12 @@ TEST(BatchRunner, ByteIdenticalUnderFaultSchedules) {
   };
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {5, 9, 13};
-  expect_width_invariant(spec);
+  expect_matches_reference(spec);
 }
 
 /// System A with its fuel cell behind a prioritized backup chain, every
 /// ambient source killed at t=1h — the chain must engage (divergent per-lane
-/// control flow) and every lane width must report the same bytes.
+/// control flow) and the campaign must report the reference bytes.
 CampaignSpec backup_chain_grid() {
   CampaignSpec spec;
   spec.platforms.push_back({"system-a-chain", [](std::uint64_t s) {
@@ -162,29 +161,31 @@ TEST(BatchRunner, ByteIdenticalThroughBackupChainFailover) {
   // The scenario must actually exercise the failover machinery, or this
   // gate proves nothing.
   {
-    CampaignSpec probe = base;
-    probe.lane_width = 8;
-    Campaign c(probe);
+    Campaign c(base);
     c.run();
     for (const auto& job : c.results())
       EXPECT_GE(job.result.faults.failovers, 1u);
   }
-  expect_width_invariant(base);
+  expect_matches_reference(base);
 }
 
 TEST(BatchRunner, LaneWidthOneRunsOneLaneBlocks) {
   CampaignSpec spec = systems_grid();  // 2 platforms x 1 scenario x 3 seeds
-  spec.lane_width = 1;
-  Campaign single(spec);
-  const auto single_reports = reports(single);
-  EXPECT_EQ(single.lane_blocks(), 6u) << "one block per job at lane_width=1";
-
-  spec.lane_width = 8;
   Campaign batched(spec);
   const auto batched_reports = reports(batched);
   EXPECT_EQ(batched.lane_blocks(), 3u) << "one block per (scenario, seed)";
-  EXPECT_EQ(single_reports, batched_reports);
   EXPECT_EQ(reference_reports(spec), batched_reports);
+
+  // One platform variant: every block holds one lane, and System A's jobs
+  // report the bytes they reported batched with System B.
+  spec.platforms.resize(1);
+  Campaign single(spec);
+  const auto single_reports = reports(single);
+  EXPECT_EQ(single.lane_blocks(), 3u) << "one one-lane block per job";
+  ASSERT_EQ(single_reports.size(), 3u);
+  EXPECT_EQ(single_reports,
+            std::vector<std::string>(batched_reports.begin(),
+                                     batched_reports.begin() + 3));
 }
 
 /// A probe platform whose supercapacitor leaks heavily: as harvest charges
@@ -494,7 +495,7 @@ TEST(RunPlatform, OneLaneRunMatchesTheReferenceHarness) {
 /// Fault schedule aimed at System B's supercap + battery bank: onsets and
 /// heals/expiries mutate per-lane coefficients (leakage-spike multiplier,
 /// droop factor, intermittent gating), and the thermal shutdown cuts the
-/// chain until the converter recovers. Bytes must not move across widths.
+/// chain until the converter recovers. Bytes must match the reference.
 TEST(BatchRunner, ByteIdenticalUnderFaultsOnSupercapBatteryLanes) {
   CampaignSpec spec;
   spec.platforms.push_back(
@@ -518,7 +519,7 @@ TEST(BatchRunner, ByteIdenticalUnderFaultsOnSupercapBatteryLanes) {
   };
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {5, 9, 13};
-  expect_width_invariant(spec);
+  expect_matches_reference(spec);
 }
 
 /// A PV front end over a NiMH cell.
@@ -575,7 +576,7 @@ TEST(BatchRunner, ByteIdenticalAcrossHeterogeneousStorageVariants) {
   sc.options.dt = Seconds{5.0};
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {4, 21};
-  expect_width_invariant(spec);
+  expect_matches_reference(spec);
 }
 
 // ---------------------------------------------------------------------------
@@ -638,12 +639,12 @@ TEST(LeakDetector, StaysQuietOnSteadyStateLoss) {
 TEST(RunTimeline, ByteIdenticalAcrossLaneWidthsWithSamplingOn) {
   CampaignSpec spec = systems_grid();
   spec.scenarios[0].options.timeline_dt = Seconds{60.0};
-  expect_width_invariant(spec);
+  expect_matches_reference(spec);
 }
 
 TEST(RunTimeline, FaultedGridByteIdenticalWithSamplingOn) {
   // The sampler's periodic is one more event on each lane — a read, never
-  // a physics one. Faults layered on top must still reproduce the width-1
+  // a physics one. Faults layered on top must still reproduce the one-lane
   // reference byte for byte.
   CampaignSpec spec;
   spec.platforms.push_back(
@@ -667,15 +668,13 @@ TEST(RunTimeline, FaultedGridByteIdenticalWithSamplingOn) {
   };
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {5, 9};
-  expect_width_invariant(spec);
+  expect_matches_reference(spec);
 }
 
 TEST(RunTimeline, SamplingOnVsOffReportsIdenticalBytesAtWidthEight) {
   CampaignSpec off = systems_grid();
-  off.lane_width = 8;
   off.threads = 3;
   CampaignSpec on = systems_grid();
-  on.lane_width = 8;
   on.threads = 3;
   on.scenarios[0].options.timeline_dt = Seconds{60.0};
   Campaign c_off(off);
@@ -733,15 +732,33 @@ TEST(RunTimeline, BatchedSamplesMatchScalarExceptResidencyColumn) {
   }
 }
 
+/// The leaky and the steady platform batched in one campaign block: the
+/// warning (and the losses it reports) must come out as each job's own
+/// one-lane run_platform ledger says.
 TEST(LeakDetector, WarningsAgreeAcrossLaneWidths) {
-  auto warnings_at = [&](unsigned width) {
-    CampaignSpec spec = leak_grid(true);
-    spec.lane_width = width;
-    Campaign c(spec);
-    c.run();
-    return c.leak_warnings().size();
-  };
-  EXPECT_EQ(warnings_at(1), warnings_at(8));
+  CampaignSpec spec = leak_grid(true);
+  spec.platforms.push_back(leak_grid(false).platforms.front());
+  Campaign c(spec);
+  c.run();
+  EXPECT_EQ(c.lane_blocks(), 1u);
+  ASSERT_EQ(c.leak_warnings().size(), 1u);
+  const auto& w = c.leak_warnings().front();
+  EXPECT_EQ(w.platform_index, 0u);
+
+  const Scenario& sc = spec.scenarios.front();
+  for (std::size_t p = 0; p < spec.platforms.size(); ++p) {
+    auto platform = spec.platforms[p].make(spec.seeds.front());
+    auto environment = sc.environment(spec.seeds.front());
+    const auto alone = systems::run_platform(*platform, *environment,
+                                             sc.duration, sc.options);
+    EXPECT_EQ(to_string(alone), to_string(c.results()[p].result));
+    if (p == 0) {
+      EXPECT_EQ(w.first_half_loss_j, alone.ledger.storage_loss_first_half_j);
+      EXPECT_EQ(w.second_half_loss_j,
+                alone.ledger.storage_loss_j -
+                    alone.ledger.storage_loss_first_half_j);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -793,7 +810,7 @@ PlatformVariant catalog_variant(const std::string& name,
   return {name, [make](std::uint64_t s) { return make(s); }};
 }
 
-/// 19 variants: width 16 runs one full block plus a 3-lane remainder.
+/// 19 variants: two full 8-lane blocks plus a 3-lane remainder.
 TEST(TwinPanelShare, BufferSweepBlocksMatchRunPlatform) {
   std::vector<PlatformVariant> variants;
   for (const double f : {0.5, 1.0, 1.5, 2.2, 3.3, 4.7, 6.8, 10.0, 15.0, 22.0,
@@ -801,16 +818,16 @@ TEST(TwinPanelShare, BufferSweepBlocksMatchRunPlatform) {
                          680.0})
     variants.push_back({"buf-" + std::to_string(f),
                         [f](std::uint64_t) { return buffer_variant(f); }});
-  expect_width_invariant(twin_grid(std::move(variants), {3, 17}));
+  expect_matches_reference(twin_grid(std::move(variants), {3, 17}));
 }
 
 TEST(TwinPanelShare, SystemATwinPanelsMatchRunPlatform) {
-  expect_width_invariant(twin_grid(
+  expect_matches_reference(twin_grid(
       {catalog_variant("system-a", systems::build_system_a)}, {3, 17}));
 }
 
 TEST(TwinPanelShare, SystemAAndSystemCInOneBlockMatchRunPlatform) {
-  expect_width_invariant(
+  expect_matches_reference(
       twin_grid({catalog_variant("system-a", systems::build_system_a),
                  catalog_variant("system-c", systems::build_system_c)},
                 {3, 17}));
@@ -845,7 +862,71 @@ TEST(TwinPanelShare, DivergentTwinsUnderTheFaultScheduleMatchRunPlatform) {
   CampaignSpec spec = twin_grid(std::move(variants), {5, 9});
   spec.scenarios[0].duration = Seconds{86400.0};
   spec.scenarios[0].injector = schedule_injector(schedule);
-  expect_width_invariant(spec);
+  expect_matches_reference(spec);
+}
+
+/// The block-composition gate on the engine itself: the same four lanes —
+/// System A under a fault injector, System B, and two single-panel buffer
+/// variants whose panels share one curve — fed to BatchRunner as one 4-lane
+/// block, as two 2-lane blocks and as four 1-lane blocks over one compiled
+/// trace. Every lane, in every composition, must report the reference
+/// harness's bytes.
+TEST(BatchRunner, EveryBlockCompositionMatchesTheReference) {
+  const Seconds duration{21600.0};  // midnight to 06:00: dark, then dawn
+  systems::RunOptions options;
+  options.dt = Seconds{5.0};
+  options.mean_query_interval = Seconds{120.0};
+  constexpr std::uint64_t kSeed = 11;
+  auto model = env::Environment::outdoor(kSeed);
+  const auto trace = env::CompiledTrace::compile(model, options.dt, duration);
+
+  using Build = std::unique_ptr<systems::Platform> (*)();
+  const std::vector<Build> builds = {
+      [] { return systems::build_system_a(kSeed); },
+      [] { return systems::build_system_b(kSeed); },
+      [] { return buffer_variant(4.7); },
+      [] { return buffer_variant(47.0); },
+  };
+  // Lane 0 carries the injector: an intermittent PV1 that heals, and a
+  // leakage spike on its supercapacitor.
+  const auto injector_for = [](systems::Platform& p) {
+    auto inj = std::make_unique<fault::FaultInjector>(std::uint64_t{kSeed});
+    inj->harvester_intermittent(Seconds{1800.0}, p.input(0), 0.5);
+    inj->harvester_heal(Seconds{9000.0}, p.input(0));
+    inj->storage_leakage_spike(Seconds{3600.0}, p.store(0), 25.0,
+                               Seconds{1800.0});
+    return inj;
+  };
+
+  std::vector<std::string> reference;
+  for (std::size_t l = 0; l < builds.size(); ++l) {
+    auto p = builds[l]();
+    auto inj = l == 0 ? injector_for(*p) : nullptr;
+    env::CompiledEnvironment environment(trace);
+    const auto result =
+        reference::reference_run(*p, environment, duration, options, inj.get());
+    if (l == 0) {
+      EXPECT_GE(result.faults.injected.harvester, 1u);
+    }
+    reference.push_back(to_string(result));
+  }
+
+  for (const std::size_t block_lanes : {4u, 2u, 1u}) {
+    std::vector<std::string> got;
+    for (std::size_t first = 0; first < builds.size(); first += block_lanes) {
+      std::vector<std::unique_ptr<systems::Platform>> platforms;
+      std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
+      systems::BatchRunner runner(trace, duration, options);
+      for (std::size_t l = first; l < first + block_lanes; ++l) {
+        platforms.push_back(builds[l]());
+        injectors.push_back(l == 0 ? injector_for(*platforms.back())
+                                   : nullptr);
+        runner.add_lane(*platforms.back(), injectors.back().get());
+      }
+      for (const auto& result : runner.run()) got.push_back(to_string(result));
+    }
+    EXPECT_EQ(reference, got) << block_lanes << "-lane blocks";
+  }
 }
 
 /// add_lane attaches one share per distinct panel Params to every panel of

@@ -347,7 +347,8 @@ TEST(Campaign, FirstPoppedBlocksReplayDistinctTraces) {
 #if MSEHSIM_OBS_ENABLED
   for (const unsigned threads : {1u, 4u}) {
     auto spec = small_grid(threads);
-    spec.lane_width = 1;  // two one-lane blocks per (scenario, seed) pair
+    // Nine variants: an 8-lane and a 1-lane block per (scenario, seed) pair.
+    spec.platforms.resize(9, spec.platforms.front());
     for (auto& scenario : spec.scenarios) scenario.duration = Seconds{6.0 * 3600.0};
     auto& collector = obs::TraceCollector::instance();
     collector.enable();
@@ -481,29 +482,25 @@ TEST(Campaign, SpanTracingNeverChangesBytes) {
   // Span tracing is wall-clock diagnostics only: running the same faulted
   // grid with the collector enabled must not change one reported byte, and
   // with observability compiled in it must actually capture the job spans.
-  Campaign quiet(faulted_grid(2));
+  auto spec = faulted_grid(2);
+  // Nine variants: an 8-lane and a 1-lane block per seed.
+  spec.platforms.resize(9, spec.platforms.front());
+  Campaign quiet(spec);
   quiet.run();
 
   auto& collector = obs::TraceCollector::instance();
   collector.enable();
-  auto traced_spec = faulted_grid(2);
-  traced_spec.lane_width = 8;  // pin: the block-span assertion needs batching
-  Campaign traced(traced_spec);
+  Campaign traced(spec);
   traced.run();
-  auto single_spec = faulted_grid(2);
-  single_spec.lane_width = 1;  // one-lane blocks: one block span per job
-  Campaign single(single_spec);
-  single.run();
   const auto events = collector.event_count();
   const auto json = collector.chrome_trace_json();
   collector.disable();
 
   EXPECT_EQ(reports(quiet), reports(traced));
-  EXPECT_EQ(reports(quiet), reports(single));  // lane_width is byte-inert
 #if MSEHSIM_OBS_ENABLED
-  // >= one block span per one-lane block plus the width-8 block span.
-  EXPECT_EQ(single.lane_blocks(), single.results().size());
-  EXPECT_GE(events, single.results().size() + 1);
+  // >= one block span per block, plus the job_wait spans.
+  EXPECT_EQ(traced.lane_blocks(), 6u);
+  EXPECT_GE(events, traced.lane_blocks() + 1);
   EXPECT_NE(json.find("\"campaign.block\""), std::string::npos);
   EXPECT_NE(json.find("\"campaign.job_wait\""), std::string::npos);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -816,31 +813,6 @@ TEST(CampaignTimelines, FileWriterRoundTrips) {
   EXPECT_EQ(buffer.str(), timelines_json(c));
   EXPECT_THROW(write_timelines_json(c, ::testing::TempDir() + "/no/dir/x.json"),
                SpecError);
-}
-
-// ---------------------------------------------------------------------------
-// MSEHSIM_LANE_WIDTH parsing: the long-lived-process bugfix matrix
-// ---------------------------------------------------------------------------
-
-TEST(CampaignLaneWidth, EnvParsingRejectsEveryKindOfGarbage) {
-  // Before the fix, atoi-style parsing read "8junk" as 8 and "junk" as 0
-  // (which then disabled batching silently). Each bad spelling must warn and
-  // fall back; each good spelling must parse exactly.
-  const unsigned fallback = 8;
-  for (const char* bad : {"", " ", "junk", "8junk", "junk8", "8.5", "0x10",
-                          "-4", "0", "257", "99999999999999999999", "+",
-                          "1e2", " 8 9 "}) {
-    EXPECT_EQ(lane_width_from_env(bad, fallback), fallback) << '"' << bad
-                                                            << '"';
-  }
-  EXPECT_EQ(lane_width_from_env(nullptr, fallback), fallback);
-  EXPECT_EQ(lane_width_from_env("1", fallback), 1u);
-  EXPECT_EQ(lane_width_from_env("16", fallback), 16u);
-  EXPECT_EQ(lane_width_from_env("256", fallback), 256u);
-  // Full-consumption rules still allow the benign spellings from_chars
-  // accepts after trimming: surrounding whitespace and a single leading '+'.
-  EXPECT_EQ(lane_width_from_env(" 8 ", fallback), 8u);
-  EXPECT_EQ(lane_width_from_env("+8", fallback), 8u);
 }
 
 // ---------------------------------------------------------------------------

@@ -348,7 +348,6 @@ TEST(PrometheusText, CampaignScrapeCarriesLeakRows) {
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {3, 5, 9};
   spec.threads = 2;
-  spec.lane_width = 8;
   campaign::Campaign c(std::move(spec));
   c.run();
 

@@ -136,7 +136,6 @@ TEST(ServeSpec, ParsesAValidRequest) {
   EXPECT_DOUBLE_EQ(req.scenarios[0].duration_s, 600.0);
   EXPECT_DOUBLE_EQ(req.scenarios[0].dt_s, 5.0);
   EXPECT_EQ(req.seeds, std::vector<std::uint64_t>{7});
-  EXPECT_EQ(req.lane_width, 0u);  // server default
 }
 
 TEST(ServeSpec, SeedsSpanTheFullU64Range) {
@@ -176,9 +175,9 @@ TEST(ServeSpec, RejectsInvalidRequests) {
       R"({"platforms": [], "seeds": [],
           "scenarios": [{"name": "s", "kind": "office", "duration_s": 1,
                          "dt_s": 5}]})",
-      // lane_width out of range
-      R"({"platforms": [], "scenarios": [], "seeds": [], "lane_width": 0})",
-      R"({"platforms": [], "scenarios": [], "seeds": [], "lane_width": 65})",
+      // the retired lane-width knob is an unknown key like any other
+      R"({"platforms": [], "scenarios": [], "seeds": [], "lane_)"
+      R"(width": 8})",
       // missing required arrays
       R"({"scenarios": [], "seeds": []})",
       R"({"platforms": [], "seeds": []})",
@@ -209,14 +208,13 @@ TEST(ServeSpec, EmptyAxesAreAValidZeroJobGrid) {
 
 TEST(ServeSpec, CanonicalFormIsSpellingInvariant) {
   // Same study, hostile formatting: key order shuffled, whitespace mangled,
-  // numbers respelled, byte-neutral lane_width added. One cache entry.
+  // numbers respelled. One cache entry.
   const auto a = parse_campaign_request(kSmallBody);
   const auto b = parse_campaign_request(
-      R"({"seeds":[7],"lane_width":4,"scenarios":[{"dt_s":5.0,)"
+      R"({"seeds":[7],"scenarios":[{"dt_s":5.0,)"
       R"("duration_s":6e2,"kind":"outdoor","name":"hour"}],)"
       R"("platforms":["system-a"]})");
   EXPECT_EQ(canonical_form(a), canonical_form(b));
-  EXPECT_EQ(canonical_form(a).find("lane_width"), std::string::npos);
 
   // And every byte-affecting field separates keys.
   auto c = a;
@@ -259,7 +257,7 @@ const std::vector<std::string>& fuzz_bodies() {
                          "dt_s": 5.0},
                         {"name": "farm-1", "kind": "agricultural",
                          "duration_s": 3600}],
-          "seeds": [0, 1, 18446744073709551615], "lane_width": 16})",
+          "seeds": [0, 1, 18446744073709551615]})",
       "{\"seeds\":[3],\"scenarios\":[{\"dt_s\":1,\"duration_s\":60,"
       "\"kind\":\"indoor-industrial\",\"name\":\"\\u0061b\"}],"
       "\"platforms\":[\"system-c\"]}\r\n",

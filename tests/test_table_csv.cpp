@@ -164,6 +164,24 @@ TEST(Fmt, ParseDoubleIsStrictAboutJunk) {
   EXPECT_DOUBLE_EQ(parse_double("-1e-3").value(), -1e-3);
 }
 
+TEST(Fmt, ParseUnsignedRejectsEveryKindOfGarbage) {
+  // strtoul's prefix parse read "8junk" as 8 and "junk" as 0; the daemon's
+  // numeric flags, Content-Length and request seeds parse through this
+  // instead. Each bad spelling must be refused; each good one parse exactly.
+  for (const char* bad : {"", " ", "junk", "8junk", "junk8", "8.5", "0x10",
+                          "-4", "+", "1e2", " 8 9 ", "18446744073709551616",
+                          "99999999999999999999"}) {
+    EXPECT_FALSE(parse_unsigned(bad).has_value()) << '"' << bad << '"';
+  }
+  EXPECT_EQ(parse_unsigned("0").value(), 0u);
+  EXPECT_EQ(parse_unsigned("256").value(), 256u);
+  EXPECT_EQ(parse_unsigned("18446744073709551615").value(),
+            18446744073709551615ull);
+  // Surrounding whitespace and a single leading '+' are benign.
+  EXPECT_EQ(parse_unsigned(" 8 ").value(), 8u);
+  EXPECT_EQ(parse_unsigned("+8").value(), 8u);
+}
+
 TEST(Fmt, JsonEscapeCoversQuotesBackslashesAndControlBytes) {
   EXPECT_EQ(json_escape("say \"hi\""), "say \\\"hi\\\"");
   EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
