@@ -6,7 +6,8 @@
 //      https://ui.perfetto.dev (or chrome://tracing): one track per worker,
 //      one "campaign.block" span per lane block with its scenario, seed and
 //      lane count in the args, "campaign.job_wait" showing queue time, and
-//      sampled "platform.step" / "harvest.mpp_solve" spans inside each block.
+//      sampled "platform.step" spans (1 in every 1024 lane-steps of the
+//      block's run) inside each block.
 //   2. campaign_metrics.csv — every job's metrics snapshot merged in grid
 //      order plus campaign-level counters, via Campaign::metrics().
 //
@@ -43,7 +44,7 @@ int main(int argc, char** argv) {
   spec.threads = 4;
 
   auto& collector = obs::TraceCollector::instance();
-  collector.enable();  // default 1-in-1024 sampling for hot spans
+  collector.enable();
 
   campaign::Campaign c(std::move(spec));
   c.run();
@@ -59,8 +60,5 @@ int main(int argc, char** argv) {
   std::printf("trace:   %s  (open in https://ui.perfetto.dev)\n",
               trace_path.c_str());
   std::printf("metrics: %s\n", metrics_path.c_str());
-#if !MSEHSIM_OBS_ENABLED
-  std::printf("note: built with MSEHSIM_OBS=OFF — the trace is empty.\n");
-#endif
   return 0;
 }

@@ -74,7 +74,7 @@ std::shared_ptr<const env::CompiledTrace> Campaign::compiled_trace(
     std::size_t scenario_index, std::size_t seed_index) {
   auto& slot = trace_slots_[scenario_index * spec_.seeds.size() + seed_index];
   std::call_once(slot.once, [&] {
-    OBS_SPAN("campaign.compile_trace", "campaign");
+    obs::Span span{"campaign.compile_trace", "campaign"};
     try {
       const auto& scenario = spec_.scenarios[scenario_index];
       env::TraceCache* cache = spec_.shared_trace_cache.get();

@@ -28,7 +28,7 @@ void write_text(const std::string& path, const std::string& text) {
 }  // namespace
 
 std::string results_csv(const Campaign& campaign) {
-  OBS_SPAN("campaign.export_results_csv", "campaign");
+  obs::Span span{"campaign.export_results_csv", "campaign"};
   const auto& fields = run_result_fields();
   std::string out = "platform,scenario,seed_index,seed";
   for (const auto& f : fields) {
@@ -87,7 +87,7 @@ std::string seed_stats_csv(const Campaign& campaign) {
 }
 
 std::string results_json(const Campaign& campaign) {
-  OBS_SPAN("campaign.export_results_json", "campaign");
+  obs::Span span{"campaign.export_results_json", "campaign"};
   const auto& fields = run_result_fields();
   const auto& spec = campaign.spec();
   std::string out = "{\n  \"platforms\": [";
@@ -185,7 +185,7 @@ void write_results_json(const Campaign& campaign, const std::string& path) {
 }
 
 std::string metrics_csv(const Campaign& campaign) {
-  OBS_SPAN("campaign.export_metrics_csv", "campaign");
+  obs::Span span{"campaign.export_metrics_csv", "campaign"};
   return campaign.metrics().csv();
 }
 
@@ -194,7 +194,7 @@ void write_metrics_csv(const Campaign& campaign, const std::string& path) {
 }
 
 std::string timelines_json(const Campaign& campaign) {
-  OBS_SPAN("campaign.export_timelines", "campaign");
+  obs::Span span{"campaign.export_timelines", "campaign"};
   std::string out = "{\n  \"timelines\": [";
   bool first = true;
   for (const auto& job : campaign.results()) {

@@ -126,7 +126,7 @@ std::string TraceCache::entry_path(const TraceCacheKey& key) const {
 }
 
 std::shared_ptr<const CompiledTrace> TraceCache::load(const TraceCacheKey& key) {
-  OBS_SPAN("env.trace_cache.probe", "env");
+  obs::Span span{"env.trace_cache.probe", "env"};
   const auto miss = [this]() -> std::shared_ptr<const CompiledTrace> {
     const std::lock_guard<std::mutex> lock(mu_);
     ++stats_.misses;
@@ -147,7 +147,7 @@ std::shared_ptr<const CompiledTrace> TraceCache::load(const TraceCacheKey& key) 
 
   void* base = nullptr;
   {
-    OBS_SPAN("env.trace_cache.map", "env");
+    obs::Span map_span{"env.trace_cache.map", "env"};
     base = ::mmap(nullptr, file_bytes, PROT_READ, MAP_PRIVATE, fd, 0);
   }
   ::close(fd);
@@ -204,7 +204,7 @@ std::shared_ptr<const CompiledTrace> TraceCache::load(const TraceCacheKey& key) 
 }
 
 void TraceCache::store(const TraceCacheKey& key, const CompiledTrace& trace) {
-  OBS_SPAN("env.trace_cache.write", "env");
+  obs::Span span{"env.trace_cache.write", "env"};
   std::error_code ec;
   fs::create_directories(dir_, ec);
   if (ec) return;

@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "core/solve.hpp"
-#include "obs/trace.hpp"
 
 namespace msehsim::harvest {
 

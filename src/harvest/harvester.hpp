@@ -26,7 +26,6 @@
 
 #include "core/units.hpp"
 #include "env/conditions.hpp"
-#include "obs/trace.hpp"
 
 namespace msehsim::harvest {
 
@@ -172,11 +171,10 @@ class Harvester {
   }
 
  private:
-  /// Cold half of maximum_power_point(): span-sampled solve + cache fill.
-  /// Conditions change every step in trace-driven runs, so this is the
+  /// Cold half of maximum_power_point(): solve + cache fill. Conditions
+  /// change every step in trace-driven runs, so this is the
   /// per-lane-per-step path.
   [[nodiscard]] OperatingPoint recompute_mpp() const {
-    OBS_SPAN_SAMPLED("harvest.mpp_solve", "harvest");
     const OperatingPoint mpp = compute_mpp();
     ++mpp_recomputes_;
     if (mpp_cache_enabled()) {

@@ -17,9 +17,6 @@ std::string num(double v) {
 }
 
 /// One event as a Chrome trace_event JSON object, no trailing separator.
-/// Both the in-memory drain and the disk spill files serialize through this
-/// helper, so a replayed spill line is byte-identical to the object an
-/// uncapped in-memory drain would have emitted.
 std::string event_json(const TraceEvent& e) {
   std::string out = "{\"name\": \"" + json_escape(e.name) + "\", \"cat\": \"" +
                     json_escape(e.category) + "\", \"ph\": \"X\", \"ts\": " +
@@ -32,31 +29,16 @@ std::string event_json(const TraceEvent& e) {
 
 }  // namespace
 
-TraceCollector::ThreadBuffer::ThreadBuffer() = default;
-TraceCollector::ThreadBuffer::~ThreadBuffer() = default;
-
-void TraceCollector::enable(std::uint32_t sample_every) {
-#if MSEHSIM_OBS_ENABLED
+void TraceCollector::enable() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& buffer : buffers_) {
     std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
     buffer->events.clear();
-    // A fresh trace forgets the previous run's spill file: closing the
-    // stream here means the drain never replays stale events, and the next
-    // spill reopens the path with truncation.
-    buffer->spill.reset();
-    buffer->spill_path.clear();
   }
   thread_names_.clear();
   dropped_.store(0, std::memory_order_relaxed);
-  spilled_.store(0, std::memory_order_relaxed);
-  sample_every_.store(sample_every == 0 ? 1 : sample_every,
-                      std::memory_order_relaxed);
   epoch_ = std::chrono::steady_clock::now();
   enabled_.store(true, std::memory_order_relaxed);
-#else
-  (void)sample_every;  // compiled out: tracing stays off
-#endif
 }
 
 void TraceCollector::disable() {
@@ -100,43 +82,10 @@ void TraceCollector::record(TraceEvent event) {
   // the lock is uncontended on the hot path — no cross-thread traffic.
   std::lock_guard<std::mutex> lock(buffer.mutex);
   if (buffer.events.size() >= capacity_) {
-    if (stream_.load(std::memory_order_relaxed)) {
-      spill_locked(buffer);  // drain to disk, keep recording
-    } else {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
   buffer.events.push_back(std::move(event));
-}
-
-void TraceCollector::spill_locked(ThreadBuffer& buffer) {
-  if (buffer.spill == nullptr) {
-    // spill_dir_ is read without mutex_ (lock order forbids taking it under
-    // buffer.mutex); stream_to_disk's call-before-recording contract makes
-    // that safe.
-    buffer.spill_path =
-        spill_dir_ + "/spans-" + std::to_string(buffer.tid) + ".jsonl";
-    buffer.spill = std::make_unique<std::ofstream>(
-        buffer.spill_path, std::ios::binary | std::ios::trunc);
-    require_spec(buffer.spill->good(),
-                 "trace spill: cannot open '" + buffer.spill_path + "'");
-  }
-  for (const auto& e : buffer.events) *buffer.spill << event_json(e) << '\n';
-  require_spec(buffer.spill->good(),
-               "trace spill: write to '" + buffer.spill_path + "' failed");
-  spilled_.fetch_add(buffer.events.size(), std::memory_order_relaxed);
-  buffer.events.clear();
-}
-
-void TraceCollector::stream_to_disk(const std::string& dir) {
-#if MSEHSIM_OBS_ENABLED
-  std::lock_guard<std::mutex> lock(mutex_);
-  spill_dir_ = dir;
-  stream_.store(!dir.empty(), std::memory_order_relaxed);
-#else
-  (void)dir;  // compiled out: nothing ever records, nothing ever spills
-#endif
 }
 
 std::size_t TraceCollector::event_count() const {
@@ -149,20 +98,10 @@ std::size_t TraceCollector::event_count() const {
   return count;
 }
 
-std::string TraceCollector::chrome_trace_json() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string out = "{\n\"traceEvents\": [";
-  bool first = true;
-  for (const auto& [tid, name] : thread_names_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": " +
-           std::to_string(tid) + ", \"args\": {\"name\": \"" +
-           json_escape(name) + "\"}}";
-  }
-  // Drain buffers in thread-id order: deterministic for any thread count,
-  // and byte-identical to the old single-vector layout for single-threaded
-  // runs (one buffer, events in record order).
+template <typename Visit>
+void TraceCollector::drain_locked(Visit&& visit) const {
+  // Thread-id order: deterministic for any thread count, and a
+  // single-threaded run is its one buffer in record order.
   std::vector<const ThreadBuffer*> ordered;
   ordered.reserve(buffers_.size());
   for (const auto& buffer : buffers_) ordered.push_back(buffer.get());
@@ -172,46 +111,36 @@ std::string TraceCollector::chrome_trace_json() const {
             });
   for (const ThreadBuffer* buffer : ordered) {
     std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-    // A streaming thread's spilled prefix replays from disk first — spill
-    // lines are rendered by the same event_json the in-memory tail uses, so
-    // the document is byte-identical to an uncapped in-memory drain.
-    if (buffer->spill != nullptr) {
-      buffer->spill->flush();
-      std::ifstream replay(buffer->spill_path, std::ios::binary);
-      require_spec(replay.good(),
-                   "trace spill: cannot replay '" + buffer->spill_path + "'");
-      std::string line;
-      while (std::getline(replay, line)) {
-        if (line.empty()) continue;
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += line;
-      }
-    }
-    for (const auto& e : buffer->events) {
-      out += first ? "\n" : ",\n";
-      first = false;
-      out += event_json(e);
-    }
+    for (const auto& e : buffer->events) visit(e);
   }
+}
+
+std::string TraceCollector::chrome_trace_json() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::string out = "{\n\"traceEvents\": [";
+  bool first = true;
+  const auto separate = [&] {
+    out += first ? "\n" : ",\n";
+    first = false;
+  };
+  for (const auto& [tid, name] : thread_names_) {
+    separate();
+    out += "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": " +
+           std::to_string(tid) + ", \"args\": {\"name\": \"" +
+           json_escape(name) + "\"}}";
+  }
+  drain_locked([&](const TraceEvent& e) {
+    separate();
+    out += event_json(e);
+  });
   out += "\n],\n\"displayTimeUnit\": \"ms\"\n}\n";
   return out;
 }
 
 std::vector<TraceEvent> TraceCollector::snapshot_events() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<const ThreadBuffer*> ordered;
-  ordered.reserve(buffers_.size());
-  for (const auto& buffer : buffers_) ordered.push_back(buffer.get());
-  std::sort(ordered.begin(), ordered.end(),
-            [](const ThreadBuffer* a, const ThreadBuffer* b) {
-              return a->tid < b->tid;
-            });
   std::vector<TraceEvent> out;
-  for (const ThreadBuffer* buffer : ordered) {
-    std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-    out.insert(out.end(), buffer->events.begin(), buffer->events.end());
-  }
+  drain_locked([&](const TraceEvent& e) { out.push_back(e); });
   return out;
 }
 

@@ -62,9 +62,10 @@ struct Daemon::Impl {
   std::condition_variable admission_cv;
   unsigned running_campaigns{0};
 
-  // Single-flight: canonical-key -> the run to wait for.
+  // Single-flight: canonical form -> the run to wait for. Keyed by the
+  // full form, so only byte-equal requests ever coalesce.
   std::mutex flights_mu;
-  std::map<std::uint64_t, std::shared_ptr<Flight>> flights;
+  std::map<std::string, std::shared_ptr<Flight>> flights;
 
   // The shared registry's raw material, all under one lock: serve.*
   // counters plus every finished campaign's merged metrics snapshot.
@@ -166,12 +167,11 @@ HttpResponse Daemon::handle_campaign(const HttpRequest& request) {
 
   // Single-flight: if an identical request is already running, park on it
   // instead of spending a second campaign on the same bytes.
-  const std::uint64_t flight_key = ResultCache::key(canonical);
   std::shared_ptr<Flight> flight;
   bool leader = false;
   {
     const std::lock_guard<std::mutex> lock(impl_->flights_mu);
-    auto& slot = impl_->flights[flight_key];
+    auto& slot = impl_->flights[canonical];
     if (!slot) {
       slot = std::make_shared<Flight>();
       leader = true;
@@ -200,7 +200,7 @@ HttpResponse Daemon::handle_campaign(const HttpRequest& request) {
                                  std::string error) {
     {
       const std::lock_guard<std::mutex> lock(impl_->flights_mu);
-      impl_->flights.erase(flight_key);
+      impl_->flights.erase(canonical);
     }
     const std::lock_guard<std::mutex> lock(flight->mu);
     flight->body = std::move(body);

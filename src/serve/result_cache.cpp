@@ -5,55 +5,14 @@
 
 namespace msehsim::serve {
 
-namespace {
-
-/// Must match the trace cache's notion of a release: a new library version
-/// may change any generator's or component's numerics, so memoized
-/// responses from an old binary must stop matching. Keep in sync with the
-/// CMake project version.
-constexpr const char* kLibraryVersion = "msehsim/1.0.0";
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv_bytes(std::uint64_t& h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-}
-
-/// Length-prefixed, like the trace cache's string hashing.
-void fnv_string(std::uint64_t& h, const std::string& s) {
-  const std::uint64_t n = s.size();
-  fnv_bytes(h, &n, sizeof(n));
-  fnv_bytes(h, s.data(), s.size());
-}
-
-}  // namespace
-
 ResultCache::ResultCache(std::size_t max_entries, std::uint64_t max_bytes)
     : max_entries_(max_entries), max_bytes_(max_bytes) {}
 
-std::uint64_t ResultCache::key(const std::string& canonical) {
-  std::uint64_t h = kFnvOffset;
-  fnv_string(h, kLibraryVersion);
-  const std::uint64_t version = kFormatVersion;
-  fnv_bytes(h, &version, sizeof(version));
-  fnv_string(h, canonical);
-  return h;
-}
-
 std::shared_ptr<const std::string> ResultCache::load(
     const std::string& canonical) {
-  const std::uint64_t k = key(canonical);
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(k);
-  if (it == entries_.end() || it->second.canonical != canonical) {
-    // A canonical mismatch under an equal key is an FNV collision: serving
-    // the stored body would hand user A user B's study. Silent miss — the
-    // campaign re-runs, correctness never rides on the hash.
+  const auto it = entries_.find(canonical);
+  if (it == entries_.end()) {
     ++stats_.misses;
     return nullptr;
   }
@@ -63,11 +22,9 @@ std::shared_ptr<const std::string> ResultCache::load(
 }
 
 void ResultCache::store(const std::string& canonical, std::string body) {
-  const std::uint64_t k = key(canonical);
   const std::lock_guard<std::mutex> lock(mu_);
-  auto& entry = entries_[k];
+  auto& entry = entries_[canonical];
   if (entry.body) stats_.bytes -= entry.body->size();
-  entry.canonical = canonical;
   entry.body = std::make_shared<const std::string>(std::move(body));
   entry.last_used = ++clock_;
   stats_.bytes += entry.body->size();

@@ -9,14 +9,14 @@
 // million users are one campaign run and N-1 cache hits; that dedup is the
 // daemon's entire scaling story.
 //
-// Same key and validation discipline as the trace cache:
-//   - key = FNV-1a 64 over (library version, entry format version,
-//     canonical request form) — anything that could change a response byte
-//     is in the canonical form by construction (serve::canonical_form).
-//   - every entry stores the full canonical form alongside the body, and a
-//     probe whose canonical form mismatches the stored one (a hash
-//     collision) is a *silent miss* that re-runs the campaign — a
-//     collision can cost time, never correctness.
+// Discipline:
+//   - key = the canonical request form itself — anything that could change
+//     a response byte is in it by construction (serve::canonical_form), and
+//     two requests share an entry only if their canonical forms are equal,
+//     so one user can never be handed another's study. No version enters
+//     the key: the memo lives in memory and dies with its binary (the
+//     on-disk env::TraceCache, which outlives binaries, hashes a library
+//     version into its keys).
 //   - bounded: max_entries / max_bytes caps evict least-recently-used
 //     entries, so a daemon fed a stream of distinct specs stays flat.
 //
@@ -36,7 +36,7 @@ namespace msehsim::serve {
 /// Monotone counters, surfaced on /metrics as serve.result_cache.*.
 struct ResultCacheStats {
   std::uint64_t hits{0};
-  std::uint64_t misses{0};      ///< absent entries + collision validation misses
+  std::uint64_t misses{0};
   std::uint64_t insertions{0};
   std::uint64_t evictions{0};
   std::uint64_t bytes{0};       ///< bodies currently resident
@@ -51,8 +51,7 @@ class ResultCache {
                        std::uint64_t max_bytes = 256ull << 20);
 
   /// Probes for the response to @p canonical. A hit returns the stored
-  /// body and refreshes its recency; any miss (absent, or a key collision
-  /// whose stored canonical form differs) returns nullptr.
+  /// body and refreshes its recency; a miss returns nullptr.
   [[nodiscard]] std::shared_ptr<const std::string> load(
       const std::string& canonical);
 
@@ -63,15 +62,8 @@ class ResultCache {
   [[nodiscard]] ResultCacheStats stats() const;
   [[nodiscard]] std::size_t size() const;
 
-  /// FNV-1a 64 over (library version, format version, canonical form).
-  [[nodiscard]] static std::uint64_t key(const std::string& canonical);
-
-  /// Bump when the entry layout or key recipe changes.
-  static constexpr std::uint32_t kFormatVersion = 1;
-
  private:
   struct Entry {
-    std::string canonical;                     ///< collision validation
     std::shared_ptr<const std::string> body;
     std::uint64_t last_used{0};
   };
@@ -81,7 +73,7 @@ class ResultCache {
   std::size_t max_entries_;
   std::uint64_t max_bytes_;
   mutable std::mutex mu_;
-  std::unordered_map<std::uint64_t, Entry> entries_;
+  std::unordered_map<std::string, Entry> entries_;  ///< by canonical form
   std::uint64_t clock_{0};
   ResultCacheStats stats_;
 };

@@ -115,7 +115,12 @@ std::size_t BatchRunner::add_lane(Platform& platform,
 std::vector<RunResult> BatchRunner::run() {
   require_spec(!ran_, "BatchRunner::run: already ran");
   ran_ = true;
-  OBS_SPAN("batch_runner.run", "systems");
+  obs::Span run_span{"batch_runner.run", "systems"};
+  // Span tracing is read once per run; when it is on, 1 in every
+  // kStepSampleStride lane-steps is timed as "platform.step", counted here
+  // so concurrent runs share no counter.
+  const bool traced = obs::TraceCollector::instance().enabled();
+  std::uint64_t lane_steps = 0;
 
   const Seconds dt = options_.dt;
   const bool query_traffic = options_.mean_query_interval.value() > 0.0;
@@ -153,7 +158,13 @@ std::vector<RunResult> BatchRunner::run() {
         lane.next_event_s = lane.sim.next_scheduled().value();
       }
       Platform& platform = *lane.platform;
-      platform.step(conditions, now, dt);
+      {
+        const bool timed =
+            traced &&
+            lane_steps++ % obs::TraceCollector::kStepSampleStride == 0;
+        obs::Span step_span{timed ? "platform.step" : nullptr, "systems"};
+        platform.step(conditions, now, dt);
+      }
       lane.input_stats.add(platform.last_input_power().value(), dt);
       if (lane.deliver_queries && lane.query_rng.bernoulli(p_arrival)) {
         platform.node()->deliver_query(platform.rail_voltage());

@@ -85,7 +85,9 @@ class BatchRunner {
   [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
 
   /// Advances every lane in lockstep to @p duration and returns one
-  /// RunResult per lane, in add_lane order. Runs once.
+  /// RunResult per lane, in add_lane order. Runs once. While span tracing
+  /// is enabled, 1 in every obs::TraceCollector::kStepSampleStride
+  /// lane-steps is recorded as a "platform.step" span.
   std::vector<RunResult> run();
 
  private:

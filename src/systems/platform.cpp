@@ -4,7 +4,6 @@
 
 #include "core/error.hpp"
 #include "fault/schedule.hpp"
-#include "obs/trace.hpp"
 #include "storage/switched.hpp"
 
 namespace msehsim::systems {

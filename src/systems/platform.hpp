@@ -29,7 +29,6 @@
 #include "manager/monitor.hpp"
 #include "manager/policies.hpp"
 #include "node/sensor_node.hpp"
-#include "obs/trace.hpp"
 #include "power/chain.hpp"
 #include "storage/fuel_cell.hpp"
 #include "storage/storage.hpp"
@@ -174,7 +173,6 @@ class Platform {
   template <typename Ops>
   void step_with(const Ops& ops, const env::AmbientConditions& conditions,
                  Seconds now, Seconds dt) {
-    OBS_SPAN_SAMPLED("platform.step", "systems");
     const Volts bus_v = bus_voltage_with(ops);
 
     // 1. Input chains deliver into the bus.

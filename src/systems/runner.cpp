@@ -266,7 +266,7 @@ const std::vector<RunResultField>& run_result_fields() {
 RunResult run_platform(Platform& platform, env::EnvironmentModel& environment,
                        Seconds duration, const RunOptions& options,
                        fault::FaultInjector* injector) {
-  OBS_SPAN("run_platform", "systems");
+  obs::Span span{"run_platform", "systems"};
   BatchRunner runner(environment, duration, options);
   runner.add_lane(platform, injector);
   return std::move(runner.run().front());

@@ -34,6 +34,7 @@
 #include "storage/supercapacitor.hpp"
 #include "storage/switched.hpp"
 #include "obs/timeline.hpp"
+#include "obs/trace.hpp"
 #include "systems/batch_runner.hpp"
 #include "systems/catalog.hpp"
 #include "systems/platform.hpp"
@@ -865,6 +866,37 @@ TEST(TwinPanelShare, DivergentTwinsUnderTheFaultScheduleMatchRunPlatform) {
   expect_matches_reference(spec);
 }
 
+constexpr std::uint64_t kBlockSeed = 11;
+const Seconds kBlockDuration{21600.0};  // midnight to 06:00: dark, then dawn
+
+systems::RunOptions block_options() {
+  systems::RunOptions options;
+  options.dt = Seconds{5.0};
+  options.mean_query_interval = Seconds{120.0};
+  return options;
+}
+
+/// The System A lane's injector: an intermittent PV1 that heals, and a
+/// leakage spike on its supercapacitor.
+std::unique_ptr<fault::FaultInjector> block_injector(systems::Platform& p) {
+  auto inj = std::make_unique<fault::FaultInjector>(kBlockSeed);
+  inj->harvester_intermittent(Seconds{1800.0}, p.input(0), 0.5);
+  inj->harvester_heal(Seconds{9000.0}, p.input(0));
+  inj->storage_leakage_spike(Seconds{3600.0}, p.store(0), 25.0,
+                             Seconds{1800.0});
+  return inj;
+}
+
+/// to_string of the reference harness's run of @p platform over @p trace.
+std::string reference_report(const std::shared_ptr<const env::CompiledTrace>& trace,
+                             systems::Platform& platform,
+                             fault::FaultInjector* injector) {
+  env::CompiledEnvironment environment(trace);
+  return to_string(reference::reference_run(platform, environment,
+                                            kBlockDuration, block_options(),
+                                            injector));
+}
+
 /// The block-composition gate on the engine itself: the same four lanes —
 /// System A under a fault injector, System B, and two single-panel buffer
 /// variants whose panels share one curve — fed to BatchRunner as one 4-lane
@@ -872,43 +904,27 @@ TEST(TwinPanelShare, DivergentTwinsUnderTheFaultScheduleMatchRunPlatform) {
 /// trace. Every lane, in every composition, must report the reference
 /// harness's bytes.
 TEST(BatchRunner, EveryBlockCompositionMatchesTheReference) {
-  const Seconds duration{21600.0};  // midnight to 06:00: dark, then dawn
-  systems::RunOptions options;
-  options.dt = Seconds{5.0};
-  options.mean_query_interval = Seconds{120.0};
-  constexpr std::uint64_t kSeed = 11;
-  auto model = env::Environment::outdoor(kSeed);
+  const Seconds duration = kBlockDuration;
+  const systems::RunOptions options = block_options();
+  auto model = env::Environment::outdoor(kBlockSeed);
   const auto trace = env::CompiledTrace::compile(model, options.dt, duration);
 
   using Build = std::unique_ptr<systems::Platform> (*)();
   const std::vector<Build> builds = {
-      [] { return systems::build_system_a(kSeed); },
-      [] { return systems::build_system_b(kSeed); },
+      [] { return systems::build_system_a(kBlockSeed); },
+      [] { return systems::build_system_b(kBlockSeed); },
       [] { return buffer_variant(4.7); },
       [] { return buffer_variant(47.0); },
-  };
-  // Lane 0 carries the injector: an intermittent PV1 that heals, and a
-  // leakage spike on its supercapacitor.
-  const auto injector_for = [](systems::Platform& p) {
-    auto inj = std::make_unique<fault::FaultInjector>(std::uint64_t{kSeed});
-    inj->harvester_intermittent(Seconds{1800.0}, p.input(0), 0.5);
-    inj->harvester_heal(Seconds{9000.0}, p.input(0));
-    inj->storage_leakage_spike(Seconds{3600.0}, p.store(0), 25.0,
-                               Seconds{1800.0});
-    return inj;
   };
 
   std::vector<std::string> reference;
   for (std::size_t l = 0; l < builds.size(); ++l) {
     auto p = builds[l]();
-    auto inj = l == 0 ? injector_for(*p) : nullptr;
-    env::CompiledEnvironment environment(trace);
-    const auto result =
-        reference::reference_run(*p, environment, duration, options, inj.get());
+    auto inj = l == 0 ? block_injector(*p) : nullptr;  // lane 0 is faulted
+    reference.push_back(reference_report(trace, *p, inj.get()));
     if (l == 0) {
-      EXPECT_GE(result.faults.injected.harvester, 1u);
+      EXPECT_GE(inj->counters().harvester, 1u);
     }
-    reference.push_back(to_string(result));
   }
 
   for (const std::size_t block_lanes : {4u, 2u, 1u}) {
@@ -919,7 +935,7 @@ TEST(BatchRunner, EveryBlockCompositionMatchesTheReference) {
       systems::BatchRunner runner(trace, duration, options);
       for (std::size_t l = first; l < first + block_lanes; ++l) {
         platforms.push_back(builds[l]());
-        injectors.push_back(l == 0 ? injector_for(*platforms.back())
+        injectors.push_back(l == 0 ? block_injector(*platforms.back())
                                    : nullptr);
         runner.add_lane(*platforms.back(), injectors.back().get());
       }
@@ -927,6 +943,65 @@ TEST(BatchRunner, EveryBlockCompositionMatchesTheReference) {
     }
     EXPECT_EQ(reference, got) << block_lanes << "-lane blocks";
   }
+}
+
+/// The one per-step span site: a traced BatchRunner times exactly 1 in
+/// every kStepSampleStride lane-steps of its run as "platform.step" — the
+/// first lane-step and every stride-th after it — and tracing moves no
+/// result byte. Three lanes (System A under the injector, System B, and a
+/// buffer variant whose panel is System A's twin) over N steps give
+/// ceil(3N / stride) spans.
+TEST(TraceCollector, BatchRunnerTimesOneInEveryStrideLaneSteps) {
+  const systems::RunOptions options = block_options();
+  auto model = env::Environment::outdoor(kBlockSeed);
+  const auto trace =
+      env::CompiledTrace::compile(model, options.dt, kBlockDuration);
+  const std::uint64_t steps = trace->step_count();
+  ASSERT_EQ(steps, 4320u);
+
+  auto& collector = obs::TraceCollector::instance();
+  const auto run_block = [&](bool traced) {
+    std::vector<std::unique_ptr<systems::Platform>> platforms;
+    platforms.push_back(systems::build_system_a(kBlockSeed));
+    platforms.push_back(systems::build_system_b(kBlockSeed));
+    platforms.push_back(buffer_variant(4.7));
+    const auto injector = block_injector(*platforms[0]);
+    systems::BatchRunner runner(trace, kBlockDuration, options);
+    for (auto& p : platforms)
+      runner.add_lane(*p, p == platforms[0] ? injector.get() : nullptr);
+    if (traced) collector.enable();
+    const auto results = runner.run();
+    collector.disable();
+    std::vector<std::string> out;
+    for (const auto& r : results) out.push_back(to_string(r));
+    return out;
+  };
+
+  const auto traced = run_block(true);
+  const auto events = collector.snapshot_events();
+  const auto untraced = run_block(false);
+  EXPECT_EQ(traced, untraced);
+
+  std::vector<std::string> reference;
+  {
+    auto a = systems::build_system_a(kBlockSeed);
+    const auto injector = block_injector(*a);
+    reference.push_back(reference_report(trace, *a, injector.get()));
+    auto b = systems::build_system_b(kBlockSeed);
+    reference.push_back(reference_report(trace, *b, nullptr));
+    auto buffer = buffer_variant(4.7);
+    reference.push_back(reference_report(trace, *buffer, nullptr));
+  }
+  EXPECT_EQ(traced, reference);
+
+  constexpr std::uint64_t kStride = obs::TraceCollector::kStepSampleStride;
+  const std::uint64_t lane_steps = 3 * steps;
+  const auto step_spans = static_cast<std::uint64_t>(std::count_if(
+      events.begin(), events.end(),
+      [](const obs::TraceEvent& e) { return e.name == "platform.step"; }));
+  EXPECT_EQ(step_spans, (lane_steps + kStride - 1) / kStride);
+  EXPECT_EQ(step_spans, 13u);
+  for (const auto& e : events) EXPECT_GE(e.dur_us, 0.0) << e.name;
 }
 
 /// add_lane attaches one share per distinct panel Params to every panel of

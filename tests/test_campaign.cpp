@@ -344,7 +344,6 @@ TEST(Campaign, FirstPoppedBlocksReplayDistinctTraces) {
   // compile instead of two siblings of one trace, one of which would wait
   // for the other's compile. The pop order shows in the job_wait spans
   // (every wait starts at pool start, so its length orders the pops).
-#if MSEHSIM_OBS_ENABLED
   for (const unsigned threads : {1u, 4u}) {
     auto spec = small_grid(threads);
     // Nine variants: an 8-lane and a 1-lane block per (scenario, seed) pair.
@@ -383,9 +382,6 @@ TEST(Campaign, FirstPoppedBlocksReplayDistinctTraces) {
           << "threads=" << threads << " pops " << first << ".." << first + 3;
     }
   }
-#else
-  GTEST_SKIP() << "span tracing compiled out";
-#endif
 }
 
 TEST(Campaign, ValidatesDtUpFront) {
@@ -481,7 +477,7 @@ TEST(Campaign, RunIsIdempotent) {
 TEST(Campaign, SpanTracingNeverChangesBytes) {
   // Span tracing is wall-clock diagnostics only: running the same faulted
   // grid with the collector enabled must not change one reported byte, and
-  // with observability compiled in it must actually capture the job spans.
+  // it must actually capture the block spans.
   auto spec = faulted_grid(2);
   // Nine variants: an 8-lane and a 1-lane block per seed.
   spec.platforms.resize(9, spec.platforms.front());
@@ -497,16 +493,12 @@ TEST(Campaign, SpanTracingNeverChangesBytes) {
   collector.disable();
 
   EXPECT_EQ(reports(quiet), reports(traced));
-#if MSEHSIM_OBS_ENABLED
   // >= one block span per block, plus the job_wait spans.
   EXPECT_EQ(traced.lane_blocks(), 6u);
   EXPECT_GE(events, traced.lane_blocks() + 1);
   EXPECT_NE(json.find("\"campaign.block\""), std::string::npos);
   EXPECT_NE(json.find("\"campaign.job_wait\""), std::string::npos);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-#else
-  EXPECT_EQ(events, 0u);
-#endif
 }
 
 TEST(Campaign, MetricsMergeDeterministicAcrossThreadCounts) {

@@ -578,12 +578,6 @@ TEST(ServeResultCache, EvictedBodyStaysValidForInFlightReaders) {
   EXPECT_EQ(*held, "held body");
 }
 
-TEST(ServeResultCache, KeyIsStableAndCanonicalSensitive) {
-  const auto k1 = ResultCache::key("canonical-a");
-  EXPECT_EQ(k1, ResultCache::key("canonical-a"));
-  EXPECT_NE(k1, ResultCache::key("canonical-b"));
-}
-
 // ---------------------------------------------------------------------------
 // Live daemon round-trips
 // ---------------------------------------------------------------------------
