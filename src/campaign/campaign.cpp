@@ -275,7 +275,6 @@ const std::vector<JobResult>& Campaign::run() {
         wait.category = "campaign";
         wait.ts_us = pool_start_us;
         wait.dur_us = collector.now_us() - pool_start_us;
-        wait.tid = collector.thread_id();
         wait.args_json =
             "\"grid_index\": " + std::to_string(unit.grid_indices.front()) +
             ", \"lanes\": " + std::to_string(unit.grid_indices.size());

@@ -3,14 +3,10 @@
 // The root/extremum searches are header-only templates on the callable so
 // hot-path callers (the MPP oracle runs once per chain per step) get the
 // function object inlined instead of paying a std::function dispatch per
-// evaluation. The std::function overloads below remain as thin wrappers for
-// ABI and test compatibility and are guaranteed to return bit-identical
-// results: they forward to the same template instantiated with the erased
-// callable.
+// evaluation.
 #pragma once
 
 #include <cmath>
-#include <functional>
 
 namespace msehsim {
 
@@ -68,13 +64,6 @@ double golden_max_fn(F&& f, double lo, double hi, int iterations = 80) {
   }
   return 0.5 * (a + b);
 }
-
-/// Type-erased wrappers around bisect_fn / golden_max_fn (kept for ABI and
-/// so existing call sites and tests keep compiling unchanged).
-double bisect(const std::function<double(double)>& f, double lo, double hi,
-              int iterations = 60);
-double golden_max(const std::function<double(double)>& f, double lo, double hi,
-                  int iterations = 80);
 
 /// Linear interpolation of y(x) over sorted breakpoints; clamps outside the
 /// table. Used for OCV-SoC curves and converter efficiency maps. Inline: the

@@ -109,38 +109,34 @@ double Histogram::quantile(double q) const {
   return max_;  // q*count beyond the last occupied bucket (rounding dust)
 }
 
-Counter& Registry::counter(const std::string& name) {
-  auto [it, inserted] = metrics_.try_emplace(name, Slot{MetricKind::kCounter,
-                                                        {}, {}, {}});
-  require_spec(it->second.kind == MetricKind::kCounter,
-               "metric '" + name + "' already registered as " +
-                   std::string(kind_name(it->second.kind)));
-  return it->second.counter;
+Registry::Slot& Registry::slot(std::string name, MetricKind kind) {
+  const auto it =
+      metrics_.try_emplace(std::move(name), Slot{kind, {}, {}, {}}).first;
+  // The message is built only on a mismatch: registration runs on every
+  // daemon construction and every run's metrics snapshot.
+  if (it->second.kind != kind)
+    throw SpecError("metric '" + it->first + "' already registered as " +
+                    std::string(kind_name(it->second.kind)));
+  return it->second;
 }
 
-Gauge& Registry::gauge(const std::string& name) {
-  auto [it, inserted] =
-      metrics_.try_emplace(name, Slot{MetricKind::kGauge, {}, {}, {}});
-  require_spec(it->second.kind == MetricKind::kGauge,
-               "metric '" + name + "' already registered as " +
-                   std::string(kind_name(it->second.kind)));
-  return it->second.gauge;
+Counter& Registry::counter(std::string name) {
+  return slot(std::move(name), MetricKind::kCounter).counter;
 }
 
-Histogram& Registry::histogram(const std::string& name,
+Gauge& Registry::gauge(std::string name) {
+  return slot(std::move(name), MetricKind::kGauge).gauge;
+}
+
+Histogram& Registry::histogram(std::string name,
                                std::vector<double> upper_bounds) {
-  auto [it, inserted] =
-      metrics_.try_emplace(name, Slot{MetricKind::kHistogram, {}, {}, {}});
-  require_spec(it->second.kind == MetricKind::kHistogram,
-               "metric '" + name + "' already registered as " +
-                   std::string(kind_name(it->second.kind)));
-  if (inserted) {
-    it->second.histogram.emplace_back(std::move(upper_bounds));
-  } else {
-    require_spec(it->second.histogram.front().bounds() == upper_bounds,
-                 "metric '" + name + "' re-registered with different bounds");
-  }
-  return it->second.histogram.front();
+  Slot& s = slot(name, MetricKind::kHistogram);
+  if (s.histogram.empty())
+    s.histogram.emplace_back(std::move(upper_bounds));
+  else if (s.histogram.front().bounds() != upper_bounds)
+    throw SpecError("metric '" + name +
+                    "' re-registered with different bounds");
+  return s.histogram.front();
 }
 
 MetricsSnapshot Registry::snapshot() const {

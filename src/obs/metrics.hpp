@@ -121,10 +121,9 @@ struct MetricsSnapshot {
 /// merged after the fact, mirroring the campaign isolation model.
 class Registry {
  public:
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name,
-                       std::vector<double> upper_bounds);
+  Counter& counter(std::string name);
+  Gauge& gauge(std::string name);
+  Histogram& histogram(std::string name, std::vector<double> upper_bounds);
 
   [[nodiscard]] std::size_t size() const { return metrics_.size(); }
   [[nodiscard]] MetricsSnapshot snapshot() const;
@@ -136,6 +135,9 @@ class Registry {
     Gauge gauge;
     std::vector<Histogram> histogram;  ///< 0 or 1; Histogram lacks default ctor
   };
+  /// The slot named @p name, created as @p kind on first use; throws
+  /// SpecError if it exists with another kind.
+  Slot& slot(std::string name, MetricKind kind);
   // std::map keeps iteration name-sorted, which is what makes snapshot()
   // deterministic without a separate sort.
   std::map<std::string, Slot> metrics_;

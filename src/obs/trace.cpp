@@ -31,11 +31,9 @@ std::string event_json(const TraceEvent& e) {
 
 void TraceCollector::enable() {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& buffer : buffers_) {
-    std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-    buffer->events.clear();
-  }
+  events_.clear();
   thread_names_.clear();
+  thread_ids_.clear();
   dropped_.store(0, std::memory_order_relaxed);
   epoch_ = std::chrono::steady_clock::now();
   enabled_.store(true, std::memory_order_relaxed);
@@ -50,69 +48,47 @@ double TraceCollector::now_us() const {
   return std::chrono::duration<double, std::micro>(elapsed).count();
 }
 
-TraceCollector::ThreadBuffer& TraceCollector::local_buffer() {
-  // One registration per thread for the process lifetime; the cached
-  // pointer stays valid because enable() clears buffers without ever
-  // destroying them.
-  thread_local ThreadBuffer* cached = nullptr;
-  if (cached == nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, inserted] = thread_ids_.try_emplace(
-        std::this_thread::get_id(),
-        static_cast<std::uint32_t>(thread_ids_.size()));
-    auto buffer = std::make_unique<ThreadBuffer>();
-    buffer->tid = it->second;
-    cached = buffer.get();
-    buffers_.push_back(std::move(buffer));
-  }
-  return *cached;
+std::uint32_t TraceCollector::thread_id_locked() {
+  return thread_ids_
+      .try_emplace(std::this_thread::get_id(),
+                   static_cast<std::uint32_t>(thread_ids_.size()))
+      .first->second;
 }
 
-std::uint32_t TraceCollector::thread_id() { return local_buffer().tid; }
+std::uint32_t TraceCollector::thread_id() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return thread_id_locked();
+}
 
 void TraceCollector::set_thread_name(const std::string& name) {
-  const std::uint32_t tid = thread_id();
   std::lock_guard<std::mutex> lock(mutex_);
-  thread_names_.emplace_back(tid, name);
+  thread_names_[thread_id_locked()] = name;
 }
 
 void TraceCollector::record(TraceEvent event) {
-  ThreadBuffer& buffer = local_buffer();
-  // The buffer mutex is private to this thread except during drains, so
-  // the lock is uncontended on the hot path — no cross-thread traffic.
-  std::lock_guard<std::mutex> lock(buffer.mutex);
-  if (buffer.events.size() >= capacity_) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (events_.size() >= capacity_) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  buffer.events.push_back(std::move(event));
+  event.tid = thread_id_locked();
+  events_.push_back(std::move(event));
 }
 
 std::size_t TraceCollector::event_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t count = 0;
-  for (const auto& buffer : buffers_) {
-    std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-    count += buffer->events.size();
-  }
-  return count;
+  return events_.size();
 }
 
-template <typename Visit>
-void TraceCollector::drain_locked(Visit&& visit) const {
+std::vector<TraceEvent> TraceCollector::ordered_locked() const {
   // Thread-id order: deterministic for any thread count, and a
-  // single-threaded run is its one buffer in record order.
-  std::vector<const ThreadBuffer*> ordered;
-  ordered.reserve(buffers_.size());
-  for (const auto& buffer : buffers_) ordered.push_back(buffer.get());
-  std::sort(ordered.begin(), ordered.end(),
-            [](const ThreadBuffer* a, const ThreadBuffer* b) {
-              return a->tid < b->tid;
-            });
-  for (const ThreadBuffer* buffer : ordered) {
-    std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-    for (const auto& e : buffer->events) visit(e);
-  }
+  // single-threaded export is the log in record order.
+  std::vector<TraceEvent> out = events_;
+  std::stable_sort(out.begin(), out.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.tid < b.tid;
+                   });
+  return out;
 }
 
 std::string TraceCollector::chrome_trace_json() const {
@@ -129,19 +105,17 @@ std::string TraceCollector::chrome_trace_json() const {
            std::to_string(tid) + ", \"args\": {\"name\": \"" +
            json_escape(name) + "\"}}";
   }
-  drain_locked([&](const TraceEvent& e) {
+  for (const TraceEvent& e : ordered_locked()) {
     separate();
     out += event_json(e);
-  });
+  }
   out += "\n],\n\"displayTimeUnit\": \"ms\"\n}\n";
   return out;
 }
 
 std::vector<TraceEvent> TraceCollector::snapshot_events() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<TraceEvent> out;
-  drain_locked([&](const TraceEvent& e) { out.push_back(e); });
-  return out;
+  return ordered_locked();
 }
 
 void TraceCollector::write_chrome_trace(const std::string& path) const {
@@ -159,7 +133,6 @@ void Span::finish() {
   event.category = category_;
   event.ts_us = start_us_;
   event.dur_us = collector.now_us() - start_us_;
-  event.tid = collector.thread_id();
   event.args_json = std::move(args_json_);
   collector.record(std::move(event));
 }

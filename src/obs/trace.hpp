@@ -1,8 +1,8 @@
 // Span tracing — pillar 3 of the observability layer.
 //
 // Scoped wall-clock timers around campaign jobs, trace compilation, cache
-// probes, exports and platform steps, collected into a process-wide buffer
-// and exported as Chrome trace_event JSON ("ph":"X" complete events) that
+// probes, exports and platform steps, collected into a process-wide event
+// log and exported as Chrome trace_event JSON ("ph":"X" complete events) that
 // loads directly in Perfetto / chrome://tracing. The campaign pool's
 // per-job queue-wait and run spans land on one track per worker, which
 // makes the LPT schedule visible.
@@ -16,7 +16,9 @@
 //    always record. The one per-step span, "platform.step", is timed by
 //    BatchRunner::run for 1 in every kStepSampleStride lane-steps, counted
 //    locally to the run, so a day-scale run emits hundreds of spans, not
-//    hundreds of thousands, and worker threads share no counter.
+//    hundreds of thousands, and worker threads share no counter. Every
+//    record appends to one event log under one mutex; at a few thousand
+//    spans per second across all workers that lock is uncontended.
 //
 // Wall-clock timestamps are inherently nondeterministic, so spans never
 // feed RunResult or any exported metric — they are a diagnostic stream
@@ -27,7 +29,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -47,12 +49,12 @@ struct TraceEvent {
   std::string args_json;  ///< pre-rendered `"k": v` pairs, may be empty
 };
 
-/// Process-wide span sink. Thread-safe: each thread records into its own
-/// buffer (registered once, under the collector mutex), so recording never
-/// contends across threads — span *sites* pay only a relaxed atomic load
-/// while disabled, and a record touches only the calling thread's buffer.
-/// The buffers are drained (in thread-id order) when the trace is
-/// serialized. One collector per process keeps span sites dependency-free;
+/// Process-wide span sink. Thread-safe: every thread records into one
+/// event log under the collector mutex, stamped with the caller's dense
+/// thread id. Span *sites* pay only a relaxed atomic load while disabled.
+/// A trace session runs from one enable() to the next: enable() clears the
+/// log, the thread names and the thread ids, so nothing a session records
+/// outlives it. One collector per process keeps span sites dependency-free;
 /// campaigns own it for the duration of a traced run.
 class TraceCollector {
  public:
@@ -64,7 +66,8 @@ class TraceCollector {
     return collector;
   }
 
-  /// Starts collecting: clears the buffers and re-anchors the epoch.
+  /// Starts a session: clears events, thread names and thread ids, and
+  /// re-anchors the epoch.
   void enable();
   void disable();
   [[nodiscard]] bool enabled() const {
@@ -74,14 +77,16 @@ class TraceCollector {
   /// Microseconds since the last enable() (monotonic).
   [[nodiscard]] double now_us() const;
 
-  /// Dense id for the calling thread (first call assigns).
+  /// Dense id for the calling thread (first call in a session assigns).
   [[nodiscard]] std::uint32_t thread_id();
 
-  /// Perfetto track label for the calling thread ("ph":"M" metadata).
+  /// Perfetto track label for the calling thread ("ph":"M" metadata); one
+  /// name per thread id, the last one set wins.
   void set_thread_name(const std::string& name);
 
-  /// Appends one complete event. Silently drops (and counts) events beyond
-  /// the buffer cap so a runaway trace cannot exhaust memory.
+  /// Appends one complete event, stamped with the caller's thread id.
+  /// Silently drops (and counts) events beyond the session cap so a runaway
+  /// trace cannot exhaust memory.
   void record(TraceEvent event);
 
   [[nodiscard]] std::size_t event_count() const;
@@ -89,7 +94,7 @@ class TraceCollector {
     return dropped_.load(std::memory_order_relaxed);
   }
 
-  /// The whole buffer as a Chrome trace_event JSON document.
+  /// The whole log as a Chrome trace_event JSON document.
   [[nodiscard]] std::string chrome_trace_json() const;
 
   /// Copies every event out, in the order chrome_trace_json() emits them
@@ -100,41 +105,29 @@ class TraceCollector {
   /// Writes chrome_trace_json() to @p path (throws SpecError on I/O error).
   void write_chrome_trace(const std::string& path) const;
 
-  /// Per-thread buffer cap (events). Applies from the next record().
-  void set_capacity(std::size_t events) { capacity_ = events; }
+  /// Session cap (events, all threads). Applies from the next record().
+  void set_capacity(std::size_t events) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    capacity_ = events;
+  }
 
  private:
   TraceCollector() = default;
 
-  /// One recording lane per thread. The owning thread appends under the
-  /// buffer's own (uncontended) mutex; serialization takes the same lock
-  /// per buffer, so drains are safe even against a still-recording thread
-  /// without any cross-thread contention on the hot path.
-  struct ThreadBuffer {
-    mutable std::mutex mutex;  ///< locked by const drains too
-    std::uint32_t tid{0};
-    std::vector<TraceEvent> events;
-  };
+  /// Dense id for the calling thread. Caller holds mutex_.
+  [[nodiscard]] std::uint32_t thread_id_locked();
 
-  /// The calling thread's buffer (registered under mutex_ on first use,
-  /// cached in a thread_local afterwards). Buffers live for the process
-  /// lifetime — enable() clears their contents, never destroys them — so
-  /// the cached pointer can never dangle.
-  [[nodiscard]] ThreadBuffer& local_buffer();
-
-  /// The tid-ordered drain both exports share: calls @p visit on every
-  /// event, buffers in thread-id order, each in record order. Caller holds
-  /// mutex_.
-  template <typename Visit>
-  void drain_locked(Visit&& visit) const;
+  /// The log in export order: a stable sort by thread id, so each thread's
+  /// events keep their record order. Caller holds mutex_.
+  [[nodiscard]] std::vector<TraceEvent> ordered_locked() const;
 
   std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> dropped_{0};
-  std::size_t capacity_{1u << 20};
   std::chrono::steady_clock::time_point epoch_{};
-  mutable std::mutex mutex_;  ///< registration, names, drain ordering
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
-  std::vector<std::pair<std::uint32_t, std::string>> thread_names_;
+  mutable std::mutex mutex_;  ///< guards everything below
+  std::size_t capacity_{1u << 20};
+  std::vector<TraceEvent> events_;
+  std::map<std::uint32_t, std::string> thread_names_;
   std::unordered_map<std::thread::id, std::uint32_t> thread_ids_;
 };
 

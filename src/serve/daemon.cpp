@@ -67,20 +67,28 @@ struct Daemon::Impl {
   std::mutex flights_mu;
   std::map<std::string, std::shared_ptr<Flight>> flights;
 
-  // The shared registry's raw material, all under one lock: serve.*
-  // counters plus every finished campaign's merged metrics snapshot.
+  // The serve.* counters and the request latency histogram, registered up
+  // front so an idle scrape lists every row at 0, plus every finished
+  // campaign's merged metrics snapshot; all under one lock. The references
+  // resolve each row once (map nodes never move).
   mutable std::mutex metrics_mu;
-  std::uint64_t requests{0};
-  std::uint64_t responses_ok{0};
-  std::uint64_t responses_client_error{0};
-  std::uint64_t responses_server_error{0};
-  std::uint64_t campaign_requests{0};
-  std::uint64_t campaign_runs{0};
-  std::uint64_t campaign_jobs{0};
-  std::uint64_t coalesced_waits{0};
-  std::uint64_t admission_rejected{0};
-  std::uint64_t scrapes{0};
-  obs::Histogram latency{kLatencyBounds};
+  obs::Registry metrics;
+  obs::Counter& requests = metrics.counter("serve.requests");
+  obs::Counter& responses_ok = metrics.counter("serve.responses.ok");
+  obs::Counter& responses_client_error =
+      metrics.counter("serve.responses.client_error");
+  obs::Counter& responses_server_error =
+      metrics.counter("serve.responses.server_error");
+  obs::Counter& campaign_requests = metrics.counter("serve.campaign.requests");
+  obs::Counter& campaign_runs = metrics.counter("serve.campaign.runs");
+  obs::Counter& campaign_jobs = metrics.counter("serve.campaign.jobs");
+  obs::Counter& coalesced_waits =
+      metrics.counter("serve.campaign.coalesced_waits");
+  obs::Counter& admission_rejected =
+      metrics.counter("serve.admission.rejected");
+  obs::Counter& scrapes = metrics.counter("serve.metrics.scrapes");
+  obs::Histogram& latency =
+      metrics.histogram("serve.request_latency_s", kLatencyBounds);
   obs::MetricsSnapshot campaign_metrics;  ///< merged across finished runs
 
   Impl(const DaemonOptions& options)
@@ -127,10 +135,10 @@ HttpResponse Daemon::handle(const HttpRequest& request) {
     resp = json_error(404, "no such endpoint: " + request.target);
   }
   const std::lock_guard<std::mutex> lock(impl_->metrics_mu);
-  ++impl_->requests;
-  if (resp.status < 400) ++impl_->responses_ok;
-  else if (resp.status < 500) ++impl_->responses_client_error;
-  else ++impl_->responses_server_error;
+  impl_->requests.add();
+  if (resp.status < 400) impl_->responses_ok.add();
+  else if (resp.status < 500) impl_->responses_client_error.add();
+  else impl_->responses_server_error.add();
   return resp;
 }
 
@@ -141,7 +149,7 @@ HttpResponse Daemon::handle_campaign(const HttpRequest& request) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
     const std::lock_guard<std::mutex> lock(impl_->metrics_mu);
-    ++impl_->campaign_requests;
+    impl_->campaign_requests.add();
     impl_->latency.observe(seconds);
   };
 
@@ -182,7 +190,7 @@ HttpResponse Daemon::handle_campaign(const HttpRequest& request) {
   if (!leader) {
     {
       const std::lock_guard<std::mutex> lock(impl_->metrics_mu);
-      ++impl_->coalesced_waits;
+      impl_->coalesced_waits.add();
     }
     std::unique_lock<std::mutex> lock(flight->mu);
     flight->cv.wait(lock, [&] { return flight->done; });
@@ -218,7 +226,7 @@ HttpResponse Daemon::handle_campaign(const HttpRequest& request) {
     if (!admitted) {
       {
         const std::lock_guard<std::mutex> mlock(impl_->metrics_mu);
-        ++impl_->admission_rejected;
+        impl_->admission_rejected.add();
       }
       finish_flight(nullptr, "server saturated, retry later");
       observe_latency();
@@ -238,8 +246,8 @@ HttpResponse Daemon::handle_campaign(const HttpRequest& request) {
     obs::MetricsSnapshot metrics = campaign.metrics();
     {
       const std::lock_guard<std::mutex> lock(impl_->metrics_mu);
-      ++impl_->campaign_runs;
-      impl_->campaign_jobs += campaign.results().size();
+      impl_->campaign_runs.add();
+      impl_->campaign_jobs.add(campaign.results().size());
       // Campaign snapshots embed the shared trace cache's *lifetime*
       // counters; merging those across campaigns would double-count every
       // prior request. Drop them here — the scrape re-adds live totals
@@ -275,21 +283,9 @@ HttpResponse Daemon::handle_campaign(const HttpRequest& request) {
 }
 
 obs::MetricsSnapshot Daemon::snapshot_locked() const {
-  // Caller holds metrics_mu.
-  obs::Registry reg;
-  reg.counter("serve.requests").add(impl_->requests);
-  reg.counter("serve.responses.ok").add(impl_->responses_ok);
-  reg.counter("serve.responses.client_error")
-      .add(impl_->responses_client_error);
-  reg.counter("serve.responses.server_error")
-      .add(impl_->responses_server_error);
-  reg.counter("serve.campaign.requests").add(impl_->campaign_requests);
-  reg.counter("serve.campaign.runs").add(impl_->campaign_runs);
-  reg.counter("serve.campaign.jobs").add(impl_->campaign_jobs);
-  reg.counter("serve.campaign.coalesced_waits").add(impl_->coalesced_waits);
-  reg.counter("serve.admission.rejected").add(impl_->admission_rejected);
-  reg.counter("serve.metrics.scrapes").add(impl_->scrapes);
-
+  // Caller holds metrics_mu. The cache rows are live reads, added to a
+  // copy of the serve.* registry.
+  obs::Registry reg = impl_->metrics;
   const ResultCacheStats rc = impl_->result_cache.stats();
   reg.counter("serve.result_cache.hits").add(rc.hits);
   reg.counter("serve.result_cache.misses").add(rc.misses);
@@ -306,21 +302,7 @@ obs::MetricsSnapshot Daemon::snapshot_locked() const {
         .set(static_cast<double>(tc.bytes_mapped));
   }
 
-  // Request latency as a histogram the scrape expands into cumulative
-  // buckets. Registry rejects re-registration with different state, so the
-  // sample replays into a fresh histogram row.
-  auto& lat = reg.histogram("serve.request_latency_s", kLatencyBounds);
-  (void)lat;
   obs::MetricsSnapshot snap = reg.snapshot();
-  for (auto& row : snap.rows) {
-    if (row.name == "serve.request_latency_s") {
-      row.count = impl_->latency.count();
-      row.sum = impl_->latency.sum();
-      row.min = impl_->latency.min();
-      row.max = impl_->latency.max();
-      row.buckets = impl_->latency.buckets();
-    }
-  }
   snap.merge(impl_->campaign_metrics);
   return snap;
 }
@@ -329,7 +311,7 @@ std::string Daemon::scrape() const {
   obs::MetricsSnapshot snap;
   {
     const std::lock_guard<std::mutex> lock(impl_->metrics_mu);
-    ++impl_->scrapes;
+    impl_->scrapes.add();
     snap = snapshot_locked();
   }
   return obs::prometheus_text(snap);

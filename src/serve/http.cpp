@@ -183,9 +183,13 @@ HttpServer::HttpServer(HttpServerOptions options, HttpHandler handler)
   require_spec(static_cast<bool>(handler_), "HttpServer: null handler");
   require_spec(options_.workers >= 1, "HttpServer: needs >= 1 worker");
 
+  // Each error message is built only on failure, after errno is set: every
+  // daemon construction binds, and an eager message costs several string
+  // allocations on the success path.
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  require_spec(fd >= 0, std::string("HttpServer: socket(): ") +
-                            std::strerror(errno));
+  if (fd < 0)
+    throw SpecError(std::string("HttpServer: socket(): ") +
+                    std::strerror(errno));
   impl_->listen_fd = fd;
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -193,22 +197,22 @@ HttpServer::HttpServer(HttpServerOptions options, HttpHandler handler)
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(options_.port);
-  require_spec(
-      ::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) == 1,
-      "HttpServer: bad bind address '" + options_.bind_address + "'");
-  require_spec(::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)) == 0,
-               "HttpServer: bind(" + options_.bind_address + ":" +
-                   std::to_string(options_.port) +
-                   "): " + std::strerror(errno));
-  require_spec(::listen(fd, 128) == 0,
-               std::string("HttpServer: listen(): ") + std::strerror(errno));
+  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) != 1)
+    throw SpecError("HttpServer: bad bind address '" + options_.bind_address +
+                    "'");
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0)
+    throw SpecError("HttpServer: bind(" + options_.bind_address + ":" +
+                    std::to_string(options_.port) +
+                    "): " + std::strerror(errno));
+  if (::listen(fd, 128) != 0)
+    throw SpecError(std::string("HttpServer: listen(): ") +
+                    std::strerror(errno));
 
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
-  require_spec(::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0,
-               std::string("HttpServer: getsockname(): ") +
-                   std::strerror(errno));
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0)
+    throw SpecError(std::string("HttpServer: getsockname(): ") +
+                    std::strerror(errno));
   port_ = ntohs(bound.sin_port);
 }
 

@@ -29,25 +29,46 @@ bool valid_scenario_name(const std::string& name) {
   return true;
 }
 
+/// The request's platform names, in known_platforms() order.
+struct NamedPlatform { const char* name; systems::SystemId id; };
+constexpr NamedPlatform kPlatforms[] = {
+    {"system-a", systems::SystemId::kSmartPowerUnit},
+    {"system-b", systems::SystemId::kPlugAndPlay},
+    {"system-c", systems::SystemId::kAmbiMax},
+    {"system-d", systems::SystemId::kMpWiNode},
+    {"system-e", systems::SystemId::kMax17710Eval},
+    {"system-f", systems::SystemId::kCymbetEval09},
+    {"system-g", systems::SystemId::kEhLink},
+    {"smart-harvester", systems::SystemId::kSmartHarvester},
+};
+
+/// The request's scenario kinds, in known_scenario_kinds() order.
+using PresetFn = env::Environment (*)(std::uint64_t seed);
+struct NamedPreset { const char* name; PresetFn make; };
+constexpr NamedPreset kPresets[] = {
+    {"outdoor", &env::Environment::outdoor},
+    {"indoor-industrial", &env::Environment::indoor_industrial},
+    {"agricultural", &env::Environment::agricultural},
+    {"office", &env::Environment::office},
+};
+
 systems::SystemId platform_id(const std::string& name) {
-  if (name == "system-a") return systems::SystemId::kSmartPowerUnit;
-  if (name == "system-b") return systems::SystemId::kPlugAndPlay;
-  if (name == "system-c") return systems::SystemId::kAmbiMax;
-  if (name == "system-d") return systems::SystemId::kMpWiNode;
-  if (name == "system-e") return systems::SystemId::kMax17710Eval;
-  if (name == "system-f") return systems::SystemId::kCymbetEval09;
-  if (name == "system-g") return systems::SystemId::kEhLink;
-  if (name == "smart-harvester") return systems::SystemId::kSmartHarvester;
+  for (const NamedPlatform& row : kPlatforms)
+    if (name == row.name) return row.id;
   throw SpecError("campaign request: unknown platform \"" + name + "\"");
 }
 
-env::Environment make_preset(const std::string& kind, std::uint64_t seed) {
-  if (kind == "outdoor") return env::Environment::outdoor(seed);
-  if (kind == "indoor-industrial")
-    return env::Environment::indoor_industrial(seed);
-  if (kind == "agricultural") return env::Environment::agricultural(seed);
-  if (kind == "office") return env::Environment::office(seed);
+PresetFn preset(const std::string& kind) {
+  for (const NamedPreset& row : kPresets)
+    if (kind == row.name) return row.make;
   throw SpecError("campaign request: unknown scenario kind \"" + kind + "\"");
+}
+
+template <typename Row, std::size_t N>
+std::vector<std::string> names_of(const Row (&table)[N]) {
+  std::vector<std::string> names;
+  for (const Row& row : table) names.emplace_back(row.name);
+  return names;
 }
 
 /// Strict member accessor: the body may only contain keys this schema
@@ -75,15 +96,12 @@ double positive_finite(const JsonValue& v, const char* what) {
 }  // namespace
 
 const std::vector<std::string>& known_platforms() {
-  static const std::vector<std::string> names = {
-      "system-a", "system-b", "system-c", "system-d",
-      "system-e", "system-f", "system-g", "smart-harvester"};
+  static const std::vector<std::string> names = names_of(kPlatforms);
   return names;
 }
 
 const std::vector<std::string>& known_scenario_kinds() {
-  static const std::vector<std::string> kinds = {
-      "outdoor", "indoor-industrial", "agricultural", "office"};
+  static const std::vector<std::string> kinds = names_of(kPresets);
   return kinds;
 }
 
@@ -122,7 +140,7 @@ CampaignRequest parse_campaign_request(const std::string& body,
     const JsonValue* kind = s.find("kind");
     require_spec(kind != nullptr, "campaign request: scenario missing \"kind\"");
     sr.kind = kind->as_string();
-    (void)make_preset(sr.kind, 0);  // validates the kind
+    (void)preset(sr.kind);  // validates the kind
     const JsonValue* duration = s.find("duration_s");
     require_spec(duration != nullptr,
                  "campaign request: scenario missing \"duration_s\"");
@@ -203,8 +221,8 @@ campaign::CampaignSpec to_campaign_spec(
     scenario.trace_key = "preset:" + s.kind;
     scenario.duration = Seconds{s.duration_s};
     scenario.options.dt = Seconds{s.dt_s};
-    scenario.environment = [kind = s.kind](std::uint64_t seed) {
-      return std::make_unique<env::Environment>(make_preset(kind, seed));
+    scenario.environment = [make = preset(s.kind)](std::uint64_t seed) {
+      return std::make_unique<env::Environment>(make(seed));
     };
     spec.scenarios.push_back(std::move(scenario));
   }

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -414,9 +415,9 @@ TEST(TraceCollector, EnableResetsBufferAndCapacityCapsIt) {
 }
 
 TEST(TraceCollector, DrainsPerThreadBuffersInThreadIdOrder) {
-  // Each thread records into its own buffer; serialization drains them in
-  // thread-id order, so spans from a worker thread land after the main
-  // thread's regardless of wall-clock interleaving.
+  // Every thread records into the one log; the exports order it by thread
+  // id, so spans from a worker thread land after the main thread's
+  // regardless of wall-clock interleaving.
   auto& collector = obs::TraceCollector::instance();
   collector.enable();
   const std::uint32_t main_tid = collector.thread_id();
@@ -441,6 +442,68 @@ TEST(TraceCollector, DrainsPerThreadBuffersInThreadIdOrder) {
   else
     EXPECT_GT(main_pos, worker_pos);
   EXPECT_NE(json.find("\"worker\""), std::string::npos);
+}
+
+TEST(TraceCollector, OneSessionKeepsOneNamePerThreadAcrossThreadPools) {
+  // A traced campaign names its workers on every run: fresh pool threads,
+  // or the calling thread when it runs single-threaded. Over several such
+  // rounds under one enable(), the export must still carry one thread_name
+  // row per tid, in tid order, with each thread's events in record order.
+  auto& collector = obs::TraceCollector::instance();
+  collector.enable();
+  constexpr int kRounds = 5;
+  constexpr int kThreads = 4;
+  constexpr int kSpans = 3;
+  for (int round = 0; round < kRounds; ++round) {
+    collector.set_thread_name("caller");
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) {
+      pool.emplace_back([&collector, round, t] {
+        collector.set_thread_name("worker-" + std::to_string(t));
+        for (int i = 0; i < kSpans; ++i)
+          obs::Span span{"pool_span", "test",
+                         "\"seq\": " + std::to_string(round * kSpans + i)};
+      });
+    }
+    for (auto& thread : pool) thread.join();
+  }
+  const auto json = collector.chrome_trace_json();
+  const auto events = collector.snapshot_events();
+  collector.disable();
+
+  std::vector<std::uint32_t> named;
+  const std::string row = "{\"name\": \"thread_name\", \"ph\": \"M\", "
+                          "\"pid\": 1, \"tid\": ";
+  for (auto at = json.find(row); at != std::string::npos;
+       at = json.find(row, at + 1))
+    named.push_back(static_cast<std::uint32_t>(
+        std::stoul(json.substr(at + row.size()))));
+  ASSERT_FALSE(named.empty());
+  for (std::size_t i = 1; i < named.size(); ++i)
+    EXPECT_LT(named[i - 1], named[i]) << "one thread_name row per tid";
+
+  ASSERT_EQ(events.size(),
+            static_cast<std::size_t>(kRounds * kThreads * kSpans));
+  std::map<std::uint32_t, int> last_seq;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const auto& e = events[i];
+    if (i > 0) {
+      EXPECT_GE(e.tid, events[i - 1].tid);
+    }
+    EXPECT_TRUE(std::binary_search(named.begin(), named.end(), e.tid))
+        << "tid " << e.tid << " has no thread_name row";
+    const int seq = std::stoi(e.args_json.substr(e.args_json.find(':') + 1));
+    const auto [it, first] = last_seq.try_emplace(e.tid, seq);
+    if (!first) {
+      EXPECT_GT(seq, it->second) << "tid " << e.tid;
+    }
+    it->second = seq;
+  }
+
+  // Thread ids belong to the session: the next one numbers from zero.
+  collector.enable();
+  EXPECT_EQ(collector.thread_id(), 0u);
+  collector.disable();
 }
 
 TEST(TraceCollector, RunPlatformEmitsSpansWhenEnabled) {

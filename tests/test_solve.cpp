@@ -9,70 +9,47 @@ namespace msehsim {
 namespace {
 
 TEST(Bisect, FindsSimpleRoot) {
-  const double r = bisect([](double x) { return x * x - 2.0; }, 0.0, 2.0);
+  const double r = bisect_fn([](double x) { return x * x - 2.0; }, 0.0, 2.0);
   EXPECT_NEAR(r, std::sqrt(2.0), 1e-10);
 }
 
 TEST(Bisect, ExactEndpointRoots) {
-  EXPECT_DOUBLE_EQ(bisect([](double x) { return x; }, 0.0, 1.0), 0.0);
-  EXPECT_DOUBLE_EQ(bisect([](double x) { return x - 1.0; }, 0.0, 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(bisect_fn([](double x) { return x; }, 0.0, 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(bisect_fn([](double x) { return x - 1.0; }, 0.0, 1.0), 1.0);
 }
 
 TEST(Bisect, NoSignChangeReturnsBetterEndpoint) {
   // f > 0 everywhere on [1,2]; f(1) is smaller.
-  const double r = bisect([](double x) { return x * x + 1.0; }, 1.0, 2.0);
+  const double r = bisect_fn([](double x) { return x * x + 1.0; }, 1.0, 2.0);
   EXPECT_DOUBLE_EQ(r, 1.0);
 }
 
 TEST(Bisect, DecreasingFunction) {
-  const double r = bisect([](double x) { return 5.0 - x; }, 0.0, 10.0);
+  const double r = bisect_fn([](double x) { return 5.0 - x; }, 0.0, 10.0);
   EXPECT_NEAR(r, 5.0, 1e-10);
 }
 
 TEST(GoldenMax, FindsParabolaPeak) {
-  const double x = golden_max([](double v) { return -(v - 3.0) * (v - 3.0); },
-                              0.0, 10.0);
+  const double x = golden_max_fn(
+      [](double v) { return -(v - 3.0) * (v - 3.0); }, 0.0, 10.0);
   EXPECT_NEAR(x, 3.0, 1e-6);
 }
 
 TEST(GoldenMax, FindsPvStylePowerKnee) {
   // P(v) = v * (1 - exp(v - 5)) has its max strictly inside (0, 5).
   auto p = [](double v) { return v * (1.0 - std::exp(v - 5.0)); };
-  const double x = golden_max(p, 0.0, 5.0);
+  const double x = golden_max_fn(p, 0.0, 5.0);
   // Verify local optimality numerically.
   EXPECT_GT(p(x), p(x - 0.01));
   EXPECT_GT(p(x), p(x + 0.01));
 }
 
 TEST(GoldenMax, MonotoneIncreasingPicksUpperEnd) {
-  const double x = golden_max([](double v) { return v; }, 0.0, 1.0);
+  const double x = golden_max_fn([](double v) { return v; }, 0.0, 1.0);
   EXPECT_NEAR(x, 1.0, 1e-6);
 }
 
-// --- Templated solver forms (bisect_fn / golden_max_fn) ---------------------
-// The std::function overloads are thin wrappers over the templates, so the
-// two forms must agree to the last bit on every path, including the
-// degenerate ones.
-
-TEST(SolveFn, BisectTemplateMatchesStdFunctionBitForBit) {
-  auto f = [](double x) { return std::cos(x) - x * x * x; };
-  EXPECT_EQ(bisect_fn(f, 0.0, 2.0), bisect(f, 0.0, 2.0));
-  EXPECT_EQ(bisect_fn(f, 0.0, 2.0, 13), bisect(f, 0.0, 2.0, 13));
-}
-
-TEST(SolveFn, BisectTemplateMatchesOnNonBracketingInterval) {
-  // No sign change on [1, 2]: both forms must fall back to the endpoint with
-  // the smaller |f| and agree exactly.
-  auto f = [](double x) { return x * x + 1.0; };
-  EXPECT_EQ(bisect_fn(f, 1.0, 2.0), bisect(f, 1.0, 2.0));
-  EXPECT_DOUBLE_EQ(bisect_fn(f, 1.0, 2.0), 1.0);
-}
-
-TEST(SolveFn, GoldenMaxTemplateMatchesStdFunctionBitForBit) {
-  auto p = [](double v) { return v * (1.0 - std::exp(v - 5.0)); };
-  EXPECT_EQ(golden_max_fn(p, 0.0, 5.0), golden_max(p, 0.0, 5.0));
-  EXPECT_EQ(golden_max_fn(p, 0.0, 5.0, 40), golden_max(p, 0.0, 5.0, 40));
-}
+// --- Degenerate shapes, iteration depth, callable forwarding ----------------
 
 TEST(SolveFn, GoldenMaxPlateauStaysInsidePlateau) {
   // Flat top over [2, 4] (a clipped tent): any point in the plateau is a
