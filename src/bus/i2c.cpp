@@ -4,12 +4,6 @@
 
 namespace msehsim::bus {
 
-I2cBus::I2cBus(Params params)
-    : params_(params), fault_rng_(params.fault_seed, stream_key("i2c.fault")) {
-  require_spec(params_.energy_per_byte.value() >= 0.0,
-               "I2C energy per byte must be >= 0");
-}
-
 void I2cBus::attach(I2cSlave& slave) {
   const auto [it, inserted] = slaves_.emplace(slave.address(), &slave);
   (void)it;
@@ -24,7 +18,7 @@ bool I2cBus::present(std::uint8_t address) const {
 
 void I2cBus::bill(std::size_t payload_bytes) {
   // Address byte + register byte + payload.
-  energy_ += params_.energy_per_byte * static_cast<double>(payload_bytes + 2);
+  energy_ += kEnergyPerByte * static_cast<double>(payload_bytes + 2);
   ++transactions_;
 }
 

@@ -42,15 +42,11 @@ class I2cSlave {
 
 class I2cBus {
  public:
-  struct Params {
-    Joules energy_per_byte{100e-9};  ///< pull-up + driver energy at 100 kHz
-    /// Seeds the bit-error stream (src/fault); consumed only while a nonzero
-    /// bit-error rate is active, so fault-free runs are unaffected by it.
-    std::uint64_t fault_seed{0x12c};
-  };
-
-  explicit I2cBus(Params params);
-  I2cBus() : I2cBus(Params{}) {}
+  /// Pull-up + driver energy per transferred byte at 100 kHz.
+  static constexpr Joules kEnergyPerByte{100e-9};
+  /// Seeds the bit-error stream (src/fault); consumed only while a nonzero
+  /// bit-error rate is active, so fault-free runs are unaffected by it.
+  static constexpr std::uint64_t kFaultSeed = 0x12c;
 
   /// Attaches @p slave (non-owning). Throws SpecError on address collision.
   void attach(I2cSlave& slave);
@@ -112,7 +108,6 @@ class I2cBus {
   bool injected_failure();
   [[nodiscard]] std::uint8_t corrupt(std::uint8_t value);
 
-  Params params_;
   std::map<std::uint8_t, I2cSlave*> slaves_;
   Joules energy_{0.0};
   std::uint64_t transactions_{0};
@@ -121,7 +116,7 @@ class I2cBus {
   double bit_error_rate_{0.0};
   bool stuck_{false};
   std::uint64_t fault_hits_{0};
-  Pcg32 fault_rng_;
+  Pcg32 fault_rng_{kFaultSeed, stream_key("i2c.fault")};
 };
 
 }  // namespace msehsim::bus

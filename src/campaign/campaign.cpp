@@ -390,8 +390,8 @@ std::vector<FieldStats> Campaign::seed_stats(std::size_t platform,
   for (std::size_t k = 0; k < spec_.seeds.size(); ++k)
     cell.push_back(results_[flat_index(platform, scenario, k)]);
   std::vector<FieldStats> out;
-  out.reserve(run_result_fields().size());
-  for (const auto& field : run_result_fields())
+  out.reserve(systems::run_result_fields().size());
+  for (const auto& field : systems::run_result_fields())
     out.push_back(field_stats(cell, field.get));
   return out;
 }

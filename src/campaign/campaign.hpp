@@ -136,18 +136,6 @@ struct FieldStats {
   double max{0.0};
 };
 
-/// The authoritative field table lives with RunResult itself
-/// (systems::run_result_fields) so to_string, the exporters, and the
-/// metrics snapshot can never disagree; campaign re-exports it under its
-/// historical names.
-using RunResultField = systems::RunResultField;
-
-/// The full field table (duration through fault counters and ledger rows),
-/// in to_string(RunResult) order.
-[[nodiscard]] inline const std::vector<RunResultField>& run_result_fields() {
-  return systems::run_result_fields();
-}
-
 /// Aggregates @p get over @p jobs. Plain sequential code over the
 /// deterministic grid order, so aggregates are as reproducible as the runs.
 [[nodiscard]] FieldStats field_stats(const std::vector<JobResult>& jobs,
@@ -178,7 +166,7 @@ class Campaign {
                                     std::size_t seed_index) const;
 
   /// Per-(platform, scenario) cell statistics across seeds: one FieldStats
-  /// per run_result_fields() entry.
+  /// per systems::run_result_fields() entry.
   [[nodiscard]] std::vector<FieldStats> seed_stats(std::size_t platform,
                                                    std::size_t scenario) const;
 

@@ -29,7 +29,7 @@ void write_text(const std::string& path, const std::string& text) {
 
 std::string results_csv(const Campaign& campaign) {
   obs::Span span{"campaign.export_results_csv", "campaign"};
-  const auto& fields = run_result_fields();
+  const auto& fields = systems::run_result_fields();
   std::string out = "platform,scenario,seed_index,seed";
   for (const auto& f : fields) {
     out += ',';
@@ -54,7 +54,7 @@ std::string results_csv(const Campaign& campaign) {
 }
 
 std::string seed_stats_csv(const Campaign& campaign) {
-  const auto& fields = run_result_fields();
+  const auto& fields = systems::run_result_fields();
   std::string out = "platform,scenario";
   for (const auto& f : fields) {
     for (const char* stat : {".mean", ".stddev", ".min", ".max"}) {
@@ -88,7 +88,7 @@ std::string seed_stats_csv(const Campaign& campaign) {
 
 std::string results_json(const Campaign& campaign) {
   obs::Span span{"campaign.export_results_json", "campaign"};
-  const auto& fields = run_result_fields();
+  const auto& fields = systems::run_result_fields();
   const auto& spec = campaign.spec();
   std::string out = "{\n  \"platforms\": [";
   for (std::size_t p = 0; p < spec.platforms.size(); ++p) {

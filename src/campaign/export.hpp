@@ -15,13 +15,13 @@
 namespace msehsim::campaign {
 
 /// One row per job in grid order:
-/// `platform,scenario,seed_index,seed,<run_result_fields...>`.
+/// `platform,scenario,seed_index,seed,<systems::run_result_fields()...>`.
 /// Numeric-only (indices, not names) so parse_csv round-trips it.
 [[nodiscard]] std::string results_csv(const Campaign& campaign);
 
 /// One row per (platform, scenario) cell:
 /// `platform,scenario,<field>.mean,<field>.stddev,<field>.min,<field>.max`
-/// for every run_result_fields() entry, aggregated across seeds.
+/// for every systems::run_result_fields() entry, aggregated across seeds.
 [[nodiscard]] std::string seed_stats_csv(const Campaign& campaign);
 
 /// The whole campaign as one JSON document: platform/scenario/seed axes by

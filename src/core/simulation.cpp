@@ -12,11 +12,9 @@ Simulation::Simulation(Seconds dt) : dt_(dt) {
 
 void Simulation::on_step(StepFn fn) { step_fns_.push_back(std::move(fn)); }
 
-void Simulation::every(Seconds period, EventFn fn, Seconds phase) {
+void Simulation::every(Seconds period, EventFn fn) {
   require_spec(period.value() > 0.0, "Periodic task period must be > 0");
-  require_spec(phase.value() >= 0.0, "Periodic task phase must be >= 0");
-  Seconds first = now_ + phase;
-  periodics_.push_back(Periodic{period, first, std::move(fn)});
+  periodics_.push_back(Periodic{period, now_, std::move(fn)});
 }
 
 void Simulation::at(Seconds when, EventFn fn) {
@@ -61,12 +59,8 @@ void Simulation::step() {
 void Simulation::run_for(Seconds duration) { run_until(now_ + duration); }
 
 void Simulation::run_until(Seconds time) {
-  stop_requested_ = false;
   // Half-step tolerance avoids an extra step from floating-point drift.
-  while (now_ + dt_ * 0.5 < time) {
-    step();
-    if (stop_requested_) break;
-  }
+  while (now_ + dt_ * 0.5 < time) step();
 }
 
 }  // namespace msehsim

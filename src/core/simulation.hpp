@@ -36,9 +36,9 @@ class Simulation {
   /// which defines the intra-step causality (environment -> power -> load).
   void on_step(StepFn fn);
 
-  /// Runs @p fn every @p period of simulated time, first at @p phase.
+  /// Runs @p fn every @p period of simulated time, first at now().
   /// Periodic tasks fire at the *start* of the step whose time they fall in.
-  void every(Seconds period, EventFn fn, Seconds phase = Seconds{0.0});
+  void every(Seconds period, EventFn fn);
 
   /// Runs @p fn once at simulated time @p when (start of enclosing step).
   ///
@@ -62,9 +62,6 @@ class Simulation {
 
   /// Executes exactly one step.
   void step();
-
-  /// Requests run_for/run_until to return after the current step.
-  void stop() { stop_requested_ = true; }
 
   // ---- Event-engine interface (systems::BatchRunner) ----------------------
   // The batched lane kernel drives many platforms in lockstep with its own
@@ -116,7 +113,6 @@ class Simulation {
   Seconds now_{0.0};
   std::uint64_t steps_{0};
   std::uint64_t event_sequence_{0};
-  bool stop_requested_{false};
   std::vector<StepFn> step_fns_;
   std::vector<Periodic> periodics_;
   std::priority_queue<OneShot, std::vector<OneShot>, OneShotLater> one_shots_;

@@ -57,42 +57,12 @@ Joules AnalogVoltageMonitor::monitoring_energy() const {
 }
 
 // ---------------------------------------------------------------------------
-// RetryBackoff
-// ---------------------------------------------------------------------------
-
-RetryBackoff::RetryBackoff(Params params)
-    : params_(params),
-      rng_(params.jitter_seed, stream_key("retry.backoff")) {
-  require_spec(params_.max_attempts >= 1, "retry needs at least one attempt");
-  require_spec(params_.initial_backoff.value() >= 0.0,
-               "retry backoff must be >= 0");
-  require_spec(params_.multiplier >= 1.0, "retry multiplier must be >= 1");
-  require_spec(params_.max_backoff.value() >= 0.0,
-               "retry backoff cap must be >= 0");
-  require_spec(params_.jitter >= 0.0 && params_.jitter < 1.0,
-               "retry jitter must be in [0,1)");
-}
-
-void RetryBackoff::settle(Seconds& wait) {
-  ++retries_;
-  Seconds pause = wait;
-  if (params_.max_backoff.value() > 0.0) pause = std::min(pause, params_.max_backoff);
-  // Full jitter in [1 - jitter, 1]: the RNG advances only on the jittered
-  // path, so jitter == 0 byte-preserves the old fixed ladder.
-  if (params_.jitter > 0.0)
-    pause = pause * (1.0 - params_.jitter * rng_.next_double());
-  total_backoff_ += pause;
-  wait = wait * params_.multiplier;
-}
-
-// ---------------------------------------------------------------------------
 // DigitalBusMonitor
 // ---------------------------------------------------------------------------
 
 DigitalBusMonitor::DigitalBusMonitor(bus::I2cBus& bus,
-                                     std::vector<std::uint8_t> addresses,
-                                     RetryBackoff::Params retry)
-    : bus_(&bus), addresses_(std::move(addresses)), retry_(retry) {
+                                     std::vector<std::uint8_t> addresses)
+    : bus_(&bus), addresses_(std::move(addresses)) {
   require_spec(!addresses_.empty(), "DigitalBusMonitor needs at least one socket");
   enumerate();
 }
@@ -103,7 +73,7 @@ void DigitalBusMonitor::enumerate() {
     // A datasheet read is long (66 bytes) and CRC-protected, so bit errors
     // surface as CRC failures here; retry until a clean image or give-up.
     std::optional<bus::ElectronicDatasheet> ds;
-    retry_.run([&] {
+    retry([&] {
       ds = bus::read_datasheet(*bus_, addr);
       return ds.has_value();
     });
@@ -114,7 +84,7 @@ void DigitalBusMonitor::enumerate() {
 std::optional<std::uint32_t> DigitalBusMonitor::poll_u32(std::uint8_t address,
                                                          std::uint8_t base_reg) {
   std::optional<std::uint32_t> value;
-  retry_.run([&] {
+  retry([&] {
     value = bus::read_live_u32(*bus_, address, base_reg);
     return value.has_value();
   });

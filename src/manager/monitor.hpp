@@ -17,7 +17,6 @@
 #include "bus/i2c.hpp"
 #include "bus/module_port.hpp"
 #include "bus/sense.hpp"
-#include "core/random.hpp"
 #include "core/units.hpp"
 #include "storage/storage.hpp"
 #include "taxonomy/taxonomy.hpp"
@@ -106,69 +105,6 @@ class AnalogVoltageMonitor final : public EnergyMonitor {
   bus::AdcLine adc_;
 };
 
-/// Bounded retry with exponential backoff for bus transactions (monitor
-/// polls under NAK bursts / EMI, src/fault). The backoff delays model the
-/// settle time firmware inserts between attempts; in the quasi-static model
-/// they are accounted as an aggregate counter rather than advancing the
-/// clock, since a full retry ladder (a few ms) is far shorter than a step.
-class RetryBackoff {
- public:
-  struct Params {
-    int max_attempts{3};             ///< total tries, including the first
-    Seconds initial_backoff{1e-3};   ///< wait after the first failure
-    double multiplier{2.0};          ///< backoff growth per further failure
-    /// Cap on any single settle wait; 0 (the default) leaves the ladder
-    /// uncapped, as before.
-    Seconds max_backoff{0.0};
-    /// Full-jitter fraction in [0, 1): each settle wait is scaled by a
-    /// seeded-uniform draw from [1 - jitter, 1]. Identical nodes retrying
-    /// after a shared stuck-bus fault then de-synchronize instead of
-    /// hammering the bus in lockstep. 0 (the default) draws nothing and
-    /// byte-preserves the old fixed ladder.
-    double jitter{0.0};
-    /// Seed for the jitter stream (ignored while jitter == 0).
-    std::uint64_t jitter_seed{0x5eed};
-  };
-
-  explicit RetryBackoff(Params params);
-  RetryBackoff() : RetryBackoff(Params{}) {}
-
-  /// Runs @p attempt (any callable returning bool) until it reports
-  /// success or attempts are exhausted. Returns true on success. A template,
-  /// so a per-poll lambda is called directly rather than through a
-  /// std::function built on every poll.
-  template <typename Attempt>
-  bool run(Attempt&& attempt) {
-    Seconds wait = params_.initial_backoff;
-    for (int i = 0; i < params_.max_attempts; ++i) {
-      ++attempts_;
-      if (i > 0) settle(wait);
-      if (attempt()) return true;
-    }
-    ++give_ups_;
-    return false;
-  }
-
-  [[nodiscard]] std::uint64_t attempts() const { return attempts_; }
-  /// Attempts beyond the first of each run() call.
-  [[nodiscard]] std::uint64_t retries() const { return retries_; }
-  /// run() calls that exhausted every attempt.
-  [[nodiscard]] std::uint64_t give_ups() const { return give_ups_; }
-  /// Total settle time spent waiting between attempts.
-  [[nodiscard]] Seconds total_backoff() const { return total_backoff_; }
-
- private:
-  /// Books one retry and its settle wait, then grows @p wait for the next.
-  void settle(Seconds& wait);
-
-  Params params_;
-  Pcg32 rng_;  ///< advanced only when jitter > 0
-  std::uint64_t attempts_{0};
-  std::uint64_t retries_{0};
-  std::uint64_t give_ups_{0};
-  Seconds total_backoff_{0.0};
-};
-
 /// Digital monitor reading electronic datasheets + live telemetry over the
 /// bus (System A on-power-unit MCU; System B node-side driver).
 class DigitalBusMonitor final : public EnergyMonitor {
@@ -178,10 +114,12 @@ class DigitalBusMonitor final : public EnergyMonitor {
     bus::ElectronicDatasheet datasheet;
   };
 
-  /// @p addresses the module sockets to scan. @p retry governs how stubborn
-  /// the firmware is about NAKed polls before declaring the value unknown.
-  DigitalBusMonitor(bus::I2cBus& bus, std::vector<std::uint8_t> addresses,
-                    RetryBackoff::Params retry = {});
+  /// Tries per bus transaction, including the first, before the firmware
+  /// declares the value unknown.
+  static constexpr int kMaxAttempts = 3;
+
+  /// @p addresses the module sockets to scan.
+  DigitalBusMonitor(bus::I2cBus& bus, std::vector<std::uint8_t> addresses);
 
   [[nodiscard]] taxonomy::MonitoringCapability capability() const override {
     return taxonomy::MonitoringCapability::kFull;
@@ -198,11 +136,30 @@ class DigitalBusMonitor final : public EnergyMonitor {
     return inventory_;
   }
 
-  /// Retry bookkeeping (attempts / retries / give-ups / settle time) for the
-  /// fault report.
-  [[nodiscard]] const RetryBackoff& retry() const { return retry_; }
+  // Retry bookkeeping for the fault report.
+  [[nodiscard]] std::uint64_t attempts() const { return attempts_; }
+  /// Attempts beyond the first of each transaction.
+  [[nodiscard]] std::uint64_t retries() const { return retries_; }
+  /// Transactions that failed all kMaxAttempts tries.
+  [[nodiscard]] std::uint64_t give_ups() const { return give_ups_; }
 
  private:
+  /// Runs @p attempt (a callable returning bool) up to kMaxAttempts times
+  /// until it succeeds. Bus faults (NAK bursts, EMI, a stuck bus) surface
+  /// as failed attempts. A ladder of a few ms is far shorter than a step,
+  /// so the quasi-static model does not advance the clock by it. A template,
+  /// so the per-poll lambda is called directly, not through a std::function.
+  template <typename Attempt>
+  bool retry(Attempt&& attempt) {
+    for (int i = 0; i < kMaxAttempts; ++i) {
+      ++attempts_;
+      if (i > 0) ++retries_;
+      if (attempt()) return true;
+    }
+    ++give_ups_;
+    return false;
+  }
+
   /// Polls one live register through the retry ladder; empty on give-up.
   std::optional<std::uint32_t> poll_u32(std::uint8_t address,
                                         std::uint8_t base_reg);
@@ -210,7 +167,9 @@ class DigitalBusMonitor final : public EnergyMonitor {
   bus::I2cBus* bus_;
   std::vector<std::uint8_t> addresses_;
   std::vector<ModuleRecord> inventory_;
-  RetryBackoff retry_;
+  std::uint64_t attempts_{0};
+  std::uint64_t retries_{0};
+  std::uint64_t give_ups_{0};
 };
 
 /// Activity-flag monitor (Cymbet EVAL-09): "allows the system to see which

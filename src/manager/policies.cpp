@@ -7,21 +7,13 @@
 
 namespace msehsim::manager {
 
-DutyCycleController::DutyCycleController(Params params) : params_(params) {
-  require_spec(params_.target_soc > 0.0 && params_.target_soc < 1.0,
-               "duty-cycle target SoC must be in (0,1)");
-  require_spec(params_.gain > 0.0, "duty-cycle gain must be > 0");
-  require_spec(params_.deadband >= 0.0 && params_.deadband < 0.5,
-               "duty-cycle deadband must be in [0, 0.5)");
-}
-
 void DutyCycleController::update(const EnergyEstimate& estimate,
                                  node::SensorNode& node) {
   if (!estimate.valid || estimate.capacity.value() <= 0.0) return;
-  const double error = params_.target_soc - estimate.soc();
-  if (std::fabs(error) <= params_.deadband) return;
+  const double error = kTargetSoc - estimate.soc();
+  if (std::fabs(error) <= kDeadband) return;
   // error > 0 (store below target): lengthen the period; error < 0: shorten.
-  const double factor = std::clamp(1.0 + params_.gain * error, 0.5, 2.0);
+  const double factor = std::clamp(1.0 + kGain * error, 0.5, 2.0);
   node.set_task_period(node.task_period() * factor);
   ++adjustments_;
 }

@@ -20,14 +20,11 @@ namespace msehsim::manager {
 /// Multiplicative update with clamped step keeps the loop stable.
 class DutyCycleController {
  public:
-  struct Params {
-    double target_soc{0.6};
-    double gain{1.5};          ///< aggressiveness of the multiplicative step
-    double deadband{0.05};     ///< no action within +-deadband of the target
-  };
-
-  explicit DutyCycleController(Params params);
-  DutyCycleController() : DutyCycleController(Params{}) {}
+  static constexpr double kTargetSoc = 0.6;
+  /// Aggressiveness of the multiplicative step.
+  static constexpr double kGain = 1.5;
+  /// No action within +-kDeadband of the target.
+  static constexpr double kDeadband = 0.05;
 
   /// One control step: adjusts @p node's task period from the monitor's
   /// belief. A blind system (invalid estimate) cannot adapt — the node
@@ -37,7 +34,6 @@ class DutyCycleController {
   [[nodiscard]] std::uint64_t adjustments() const { return adjustments_; }
 
  private:
-  Params params_;
   std::uint64_t adjustments_{0};
 };
 

@@ -37,30 +37,6 @@ double EnergyLedger::source_residual_j(std::size_t i) const {
          (s.conversion_loss_j + s.tracker_overhead_j + s.delivered_j);
 }
 
-std::string EnergyLedger::to_string() const {
-  std::string out;
-  line(out, "ledger.harvested_j", harvested_j);
-  line(out, "ledger.storage_discharged_j", storage_discharged_j);
-  line(out, "ledger.unserved_j", unserved_j);
-  line(out, "ledger.quiescent_j", quiescent_j);
-  line(out, "ledger.bus_load_j", bus_load_j);
-  line(out, "ledger.storage_charged_j", storage_charged_j);
-  line(out, "ledger.wasted_j", wasted_j);
-  line(out, "ledger.rail_load_j", rail_load_j);
-  line(out, "ledger.output_loss_j", output_loss_j);
-  line(out, "ledger.initial_stored_j", initial_stored_j);
-  line(out, "ledger.final_stored_j", final_stored_j);
-  line(out, "ledger.storage_delta_j", storage_delta_j);
-  line(out, "ledger.storage_loss_j", storage_loss_j);
-  line(out, "ledger.storage_loss_first_half_j", storage_loss_first_half_j);
-  line(out, "ledger.transducer_j", transducer_j);
-  line(out, "ledger.conversion_loss_j", conversion_loss_j);
-  line(out, "ledger.tracker_overhead_j", tracker_overhead_j);
-  line(out, "ledger.residual_j", residual_j());
-  out += sources_to_string();
-  return out;
-}
-
 std::string EnergyLedger::sources_to_string() const {
   std::string out;
   for (std::size_t i = 0; i < sources.size(); ++i) {

@@ -91,14 +91,10 @@ struct EnergyLedger {
   /// Signed transducer-boundary residual for source @p i.
   [[nodiscard]] double source_residual_j(std::size_t i) const;
 
-  /// `ledger.x=<round-trip-exact double>` lines plus per-source blocks
-  /// (locale-independent via core/fmt), byte-comparable across
-  /// runs (the same determinism contract as to_string(RunResult)).
-  [[nodiscard]] std::string to_string() const;
-
-  /// Just the variable-length `ledger.source[i].*` blocks — what
-  /// to_string(RunResult) appends after its table-driven scalar lines
-  /// (the aggregate rows above are already in the field table).
+  /// The variable-length `ledger.source[i].*` blocks that
+  /// to_string(RunResult) appends after its table-driven scalar lines (the
+  /// aggregate `ledger.*` rows live in systems::run_result_fields()).
+  /// Locale-independent via core/fmt and byte-comparable across runs.
   [[nodiscard]] std::string sources_to_string() const;
 };
 

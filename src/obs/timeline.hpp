@@ -32,11 +32,6 @@ namespace msehsim::obs {
 
 class Timeline {
  public:
-  /// The documented default cadence (one sample per simulated minute) used
-  /// by the overhead benchmark and the quick-start examples. RunOptions
-  /// leaves the timeline off (cadence 0) unless asked.
-  static constexpr double kDefaultCadenceS = 60.0;
-
   /// @p cadence the sampling period in simulated seconds (> 0);
   /// @p columns the channel names, fixed for the Timeline's lifetime.
   Timeline(Seconds cadence, std::vector<std::string> columns);

@@ -35,7 +35,8 @@ void TraceCollector::enable() {
   thread_names_.clear();
   thread_ids_.clear();
   dropped_.store(0, std::memory_order_relaxed);
-  epoch_ = std::chrono::steady_clock::now();
+  epoch_.store(std::chrono::steady_clock::now().time_since_epoch().count(),
+               std::memory_order_relaxed);
   enabled_.store(true, std::memory_order_relaxed);
 }
 
@@ -44,7 +45,9 @@ void TraceCollector::disable() {
 }
 
 double TraceCollector::now_us() const {
-  const auto elapsed = std::chrono::steady_clock::now() - epoch_;
+  const std::chrono::steady_clock::duration elapsed(
+      std::chrono::steady_clock::now().time_since_epoch().count() -
+      epoch_.load(std::memory_order_relaxed));
   return std::chrono::duration<double, std::micro>(elapsed).count();
 }
 

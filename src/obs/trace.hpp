@@ -123,7 +123,9 @@ class TraceCollector {
 
   std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> dropped_{0};
-  std::chrono::steady_clock::time_point epoch_{};
+  /// steady_clock ticks at the last enable(). Atomic because span sites
+  /// read it through now_us() without the mutex while enable() resets it.
+  std::atomic<std::chrono::steady_clock::rep> epoch_{0};
   mutable std::mutex mutex_;  ///< guards everything below
   std::size_t capacity_{1u << 20};
   std::vector<TraceEvent> events_;

@@ -73,6 +73,7 @@ std::vector<std::string> names_of(const Row (&table)[N]) {
 
 /// Strict member accessor: the body may only contain keys this schema
 /// names, so a typo ("lanewidth") is a 400, never a silently-ignored knob.
+/// Like every check below, it builds its message only when it fails.
 void require_known_keys(const JsonValue& object,
                         std::initializer_list<std::string_view> known,
                         const char* where) {
@@ -80,16 +81,17 @@ void require_known_keys(const JsonValue& object,
     (void)value;
     bool ok = false;
     for (const std::string_view k : known) ok = ok || key == k;
-    require_spec(ok, std::string("campaign request: unknown ") + where +
-                         " key \"" + key + "\"");
+    if (!ok)
+      throw SpecError(std::string("campaign request: unknown ") + where +
+                      " key \"" + key + "\"");
   }
 }
 
 double positive_finite(const JsonValue& v, const char* what) {
   const double x = v.as_double();
-  require_spec(std::isfinite(x) && x > 0.0,
-               std::string("campaign request: ") + what +
-                   " must be a positive finite number");
+  if (!(std::isfinite(x) && x > 0.0))
+    throw SpecError(std::string("campaign request: ") + what +
+                    " must be a positive finite number");
   return x;
 }
 
@@ -109,58 +111,64 @@ CampaignRequest parse_campaign_request(const std::string& body,
                                        std::uint64_t max_jobs,
                                        double max_steps) {
   const JsonValue root = parse_json(body);
-  require_spec(root.is_object(), "campaign request: body must be an object");
+  if (!root.is_object())
+    throw SpecError("campaign request: body must be an object");
   require_known_keys(root, {"platforms", "scenarios", "seeds"},
                      "request");
 
   CampaignRequest req;
 
   const JsonValue* platforms = root.find("platforms");
-  require_spec(platforms != nullptr,
-               "campaign request: missing \"platforms\" array");
+  if (platforms == nullptr)
+    throw SpecError("campaign request: missing \"platforms\" array");
   for (const JsonValue& p : platforms->as_array()) {
     (void)platform_id(p.as_string());  // validates the name
     req.platforms.push_back(p.as_string());
   }
 
   const JsonValue* scenarios = root.find("scenarios");
-  require_spec(scenarios != nullptr,
-               "campaign request: missing \"scenarios\" array");
+  if (scenarios == nullptr)
+    throw SpecError("campaign request: missing \"scenarios\" array");
   for (const JsonValue& s : scenarios->as_array()) {
-    require_spec(s.is_object(),
-                 "campaign request: each scenario must be an object");
+    if (!s.is_object())
+      throw SpecError("campaign request: each scenario must be an object");
     require_known_keys(s, {"name", "kind", "duration_s", "dt_s"}, "scenario");
     ScenarioRequest sr;
     const JsonValue* name = s.find("name");
-    require_spec(name != nullptr, "campaign request: scenario missing \"name\"");
+    if (name == nullptr)
+      throw SpecError("campaign request: scenario missing \"name\"");
     sr.name = name->as_string();
-    require_spec(valid_scenario_name(sr.name),
-                 "campaign request: scenario name \"" + sr.name +
-                     "\" must be 1-64 chars of [A-Za-z0-9._-]");
+    if (!valid_scenario_name(sr.name))
+      throw SpecError("campaign request: scenario name \"" + sr.name +
+                      "\" must be 1-64 chars of [A-Za-z0-9._-]");
     const JsonValue* kind = s.find("kind");
-    require_spec(kind != nullptr, "campaign request: scenario missing \"kind\"");
+    if (kind == nullptr)
+      throw SpecError("campaign request: scenario missing \"kind\"");
     sr.kind = kind->as_string();
     (void)preset(sr.kind);  // validates the kind
     const JsonValue* duration = s.find("duration_s");
-    require_spec(duration != nullptr,
-                 "campaign request: scenario missing \"duration_s\"");
+    if (duration == nullptr)
+      throw SpecError("campaign request: scenario missing \"duration_s\"");
     sr.duration_s = positive_finite(*duration, "duration_s");
     if (const JsonValue* dt = s.find("dt_s"))
       sr.dt_s = positive_finite(*dt, "dt_s");
-    require_spec(sr.duration_s >= sr.dt_s,
-                 "campaign request: duration_s must be >= dt_s");
+    if (!(sr.duration_s >= sr.dt_s))
+      throw SpecError("campaign request: duration_s must be >= dt_s");
     req.scenarios.push_back(std::move(sr));
   }
 
   const JsonValue* seeds = root.find("seeds");
-  require_spec(seeds != nullptr, "campaign request: missing \"seeds\" array");
+  if (seeds == nullptr)
+    throw SpecError("campaign request: missing \"seeds\" array");
   for (const JsonValue& s : seeds->as_array()) {
-    require_spec(s.is_number(), "campaign request: seeds must be numbers");
+    if (!s.is_number())
+      throw SpecError("campaign request: seeds must be numbers");
     // Re-parse the raw spelling: seeds span the full u64 range, where a
     // double round-trip would silently quantize above 2^53.
     const auto v = parse_unsigned(s.raw_number());
-    require_spec(v.has_value(), "campaign request: seed \"" + s.raw_number() +
-                                    "\" must be an unsigned integer");
+    if (!v.has_value())
+      throw SpecError("campaign request: seed \"" + s.raw_number() +
+                      "\" must be an unsigned integer");
     req.seeds.push_back(*v);
   }
 
@@ -169,19 +177,19 @@ CampaignRequest parse_campaign_request(const std::string& body,
   // daemon one parse, not one campaign.
   const std::uint64_t jobs = static_cast<std::uint64_t>(req.platforms.size()) *
                              req.scenarios.size() * req.seeds.size();
-  require_spec(jobs <= max_jobs,
-               "campaign request: grid of " + std::to_string(jobs) +
-                   " jobs exceeds the server cap of " +
-                   std::to_string(max_jobs));
+  if (!(jobs <= max_jobs))
+    throw SpecError("campaign request: grid of " + std::to_string(jobs) +
+                    " jobs exceeds the server cap of " +
+                    std::to_string(max_jobs));
   double total_steps = 0.0;
   for (const auto& s : req.scenarios)
     total_steps += (s.duration_s / s.dt_s) *
                    static_cast<double>(req.platforms.size()) *
                    static_cast<double>(req.seeds.size());
-  require_spec(total_steps <= max_steps,
-               "campaign request: expected step count " +
-                   format_double(total_steps) + " exceeds the server cap of " +
-                   format_double(max_steps));
+  if (!(total_steps <= max_steps))
+    throw SpecError("campaign request: expected step count " +
+                    format_double(total_steps) + " exceeds the server cap of " +
+                    format_double(max_steps));
   return req;
 }
 

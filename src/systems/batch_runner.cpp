@@ -25,8 +25,8 @@ struct BatchRunner::Lane {
   Joules initial_stored{0.0};
   bool deliver_queries{false};
 
-  Lane(Seconds dt, std::uint64_t query_seed)
-      : sim(dt), query_rng(query_seed, stream_key("queries")) {}
+  explicit Lane(Seconds dt)
+      : sim(dt), query_rng(kQuerySeed, stream_key("queries")) {}
 };
 
 BatchRunner::BatchRunner(env::EnvironmentModel& environment, Seconds duration,
@@ -72,7 +72,7 @@ void BatchRunner::detach_pv_shares() {
 std::size_t BatchRunner::add_lane(Platform& platform,
                                   fault::FaultInjector* injector) {
   require_spec(!ran_, "BatchRunner::add_lane after run()");
-  auto lane = std::make_unique<Lane>(options_.dt, options_.query_seed);
+  auto lane = std::make_unique<Lane>(options_.dt);
   lane->platform = &platform;
   lane->injector = injector;
   lane->initial_stored = platform.total_stored();

@@ -30,9 +30,9 @@ FaultReport collect_faults(Platform& platform,
   f.bus_naks = platform.i2c().nak_count();
   if (const auto* digital =
           dynamic_cast<const manager::DigitalBusMonitor*>(platform.monitor())) {
-    f.retry_attempts = digital->retry().attempts();
-    f.retry_retries = digital->retry().retries();
-    f.retry_give_ups = digital->retry().give_ups();
+    f.retry_attempts = digital->attempts();
+    f.retry_retries = digital->retries();
+    f.retry_give_ups = digital->give_ups();
   }
   if (const auto* failover = platform.failover_policy()) {
     f.failovers = failover->failovers();

@@ -151,6 +151,9 @@ struct RunResultField {
 /// and mergeable across a campaign's jobs.
 [[nodiscard]] obs::MetricsSnapshot metrics_snapshot(const RunResult& result);
 
+/// Seeds every run's query-arrival stream (RunOptions::mean_query_interval).
+inline constexpr std::uint64_t kQuerySeed = 0x5eed;
+
 struct RunOptions {
   Seconds dt{1.0};
   Seconds management_period{60.0};
@@ -158,15 +161,13 @@ struct RunOptions {
   /// process with this mean interval and are delivered to the node (the
   /// wake-up-radio use case). Zero disables query traffic.
   Seconds mean_query_interval{0.0};
-  std::uint64_t query_seed{0x5eed};
   /// When positive, a fixed-cadence run-health timeline (SoC, stored energy,
   /// bus voltage, unserved energy, backup-chain stage, per-source
   /// harvested/delivered power) is sampled every timeline_dt of simulated
   /// time and attached as RunResult::timeline — the run's only time-series
   /// recorder. Sampling is read-only — results are byte-identical
   /// with it on or off — but every sample is an event dispatch on its lane,
-  /// so prefer coarse cadences on long campaigns
-  /// (obs::Timeline::kDefaultCadenceS is the documented default).
+  /// so prefer coarse cadences on long campaigns.
   Seconds timeline_dt{0.0};
 };
 

@@ -44,7 +44,7 @@ inline systems::RunResult reference_run(
   });
   sim.every(options.management_period,
             [&](Seconds now) { platform.management_tick(now); });
-  Pcg32 query_rng(options.query_seed, stream_key("queries"));
+  Pcg32 query_rng(systems::kQuerySeed, stream_key("queries"));
   if (options.mean_query_interval.value() > 0.0 && platform.node() != nullptr) {
     sim.on_step([&](Seconds, Seconds dt) {
       // Poisson arrivals discretized per step.

@@ -101,9 +101,7 @@ TEST(I2cBus, ScanListsAddressesAscending) {
 }
 
 TEST(I2cBus, EnergyBilledPerByte) {
-  I2cBus::Params params;
-  params.energy_per_byte = Joules{100e-9};
-  I2cBus bus(params);
+  I2cBus bus;
   RamSlave dev(0x42);
   bus.attach(dev);
   bus.read(0x42, 0, 8);

@@ -205,13 +205,14 @@ TEST(Campaign, SeedStatsMatchHandComputedAggregates) {
   Campaign c(small_grid(2));
   c.run();
   const auto stats = c.seed_stats(0, 0);
-  ASSERT_EQ(stats.size(), run_result_fields().size());
+  const auto& fields = systems::run_result_fields();
+  ASSERT_EQ(stats.size(), fields.size());
   for (std::size_t f = 0; f < stats.size(); ++f) {
-    const auto get = run_result_fields()[f].get;
+    const auto get = fields[f].get;
     const double a = get(c.at(0, 0, 0).result);
     const double b = get(c.at(0, 0, 1).result);
     const double mean = (a + b) / 2.0;
-    EXPECT_DOUBLE_EQ(stats[f].mean, mean) << run_result_fields()[f].name;
+    EXPECT_DOUBLE_EQ(stats[f].mean, mean) << fields[f].name;
     EXPECT_DOUBLE_EQ(stats[f].min, std::min(a, b));
     EXPECT_DOUBLE_EQ(stats[f].max, std::max(a, b));
     EXPECT_NEAR(stats[f].stddev, std::fabs(a - mean), 1e-12);
@@ -238,7 +239,7 @@ TEST(Campaign, FieldTableCoversEveryReportLine) {
   const systems::RunResult r{};
   const std::string report = to_string(r);
   std::size_t cursor = 0;
-  for (const auto& field : run_result_fields()) {
+  for (const auto& field : systems::run_result_fields()) {
     const auto pos = report.find(std::string(field.name) + "=", cursor);
     EXPECT_NE(pos, std::string::npos) << field.name;
     cursor = pos;
@@ -397,7 +398,7 @@ TEST(CampaignExport, ResultsCsvRoundTripsBitExactly) {
   Campaign c(small_grid(2));
   c.run();
   const auto csv = parse_csv(results_csv(c));
-  const auto& fields = run_result_fields();
+  const auto& fields = systems::run_result_fields();
   ASSERT_EQ(csv.headers.size(), 4 + fields.size());
   EXPECT_EQ(csv.headers[0], "platform");
   EXPECT_EQ(csv.headers[3], "seed");
@@ -422,7 +423,7 @@ TEST(CampaignExport, SeedStatsCsvRoundTripsBitExactly) {
   Campaign c(small_grid(2));
   c.run();
   const auto csv = parse_csv(seed_stats_csv(c));
-  const auto& fields = run_result_fields();
+  const auto& fields = systems::run_result_fields();
   ASSERT_EQ(csv.headers.size(), 2 + 4 * fields.size());
   ASSERT_EQ(csv.rows.size(), 4u);  // 2 platforms x 2 scenarios
   std::size_t row_i = 0;
@@ -740,7 +741,7 @@ TEST(CampaignExport, ByteIdenticalUnderCommaDecimalLocale) {
   // ("3.14" would silently truncate to 3 through a de_DE strtod).
   const auto parsed = parse_csv(csv_c);
   ASSERT_EQ(parsed.rows.size(), reference.results().size());
-  const auto& fields = run_result_fields();
+  const auto& fields = systems::run_result_fields();
   for (std::size_t f = 0; f < fields.size(); ++f)
     EXPECT_EQ(parsed.rows[0][4 + f],
               fields[f].get(reference.results()[0].result))

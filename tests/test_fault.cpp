@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 
@@ -327,123 +328,54 @@ TEST_F(BusFaultFixture, FaultFreeBusUnaffectedByRngPlumbing) {
 }
 
 // ---------------------------------------------------------------------------
-// RetryBackoff + monitor integration
+// DigitalBusMonitor retry ladder
 // ---------------------------------------------------------------------------
 
-TEST(RetryBackoff, FirstTrySuccessCostsNothingExtra) {
-  manager::RetryBackoff retry;
-  EXPECT_TRUE(retry.run([] { return true; }));
-  EXPECT_EQ(retry.attempts(), 1u);
-  EXPECT_EQ(retry.retries(), 0u);
-  EXPECT_DOUBLE_EQ(retry.total_backoff().value(), 0.0);
-}
+/// One DigitalBusMonitor::estimate() call and its retry-counter deltas.
+struct Poll {
+  manager::EnergyEstimate estimate;
+  std::uint64_t attempts;
+  std::uint64_t retries;
+  std::uint64_t give_ups;
+};
 
-TEST(RetryBackoff, RetriesUntilSuccessWithGeometricBackoff) {
-  manager::RetryBackoff::Params p;
-  p.max_attempts = 4;
-  p.initial_backoff = Seconds{1e-3};
-  p.multiplier = 2.0;
-  manager::RetryBackoff retry(p);
-  int failures_left = 2;
-  EXPECT_TRUE(retry.run([&] { return failures_left-- <= 0; }));
-  EXPECT_EQ(retry.attempts(), 3u);
-  EXPECT_EQ(retry.retries(), 2u);
-  EXPECT_EQ(retry.give_ups(), 0u);
-  EXPECT_NEAR(retry.total_backoff().value(), 1e-3 + 2e-3, 1e-12);
-}
-
-TEST(RetryBackoff, GivesUpAfterMaxAttempts) {
-  manager::RetryBackoff::Params p;
-  p.max_attempts = 3;
-  manager::RetryBackoff retry(p);
-  EXPECT_FALSE(retry.run([] { return false; }));
-  EXPECT_EQ(retry.attempts(), 3u);
-  EXPECT_EQ(retry.give_ups(), 1u);
-}
-
-TEST(RetryBackoff, Validation) {
-  manager::RetryBackoff::Params p;
-  p.max_attempts = 0;
-  EXPECT_THROW(manager::RetryBackoff{p}, SpecError);
-  p.max_attempts = 3;
-  p.multiplier = 0.5;
-  EXPECT_THROW(manager::RetryBackoff{p}, SpecError);
-  p.multiplier = 2.0;
-  p.jitter = 1.0;  // must stay strictly below 1
-  EXPECT_THROW(manager::RetryBackoff{p}, SpecError);
-  p.jitter = -0.1;
-  EXPECT_THROW(manager::RetryBackoff{p}, SpecError);
-  p.jitter = 0.0;
-  p.max_backoff = Seconds{-1.0};
-  EXPECT_THROW(manager::RetryBackoff{p}, SpecError);
-}
-
-TEST(RetryBackoff, MaxBackoffCapsEachSettleWait) {
-  manager::RetryBackoff::Params p;
-  p.max_attempts = 4;
-  p.initial_backoff = Seconds{1.0};
-  p.multiplier = 10.0;
-  p.max_backoff = Seconds{2.0};
-  manager::RetryBackoff retry(p);
-  EXPECT_FALSE(retry.run([] { return false; }));
-  // Uncapped ladder would be 1 + 10 + 100; the cap clamps each wait.
-  EXPECT_NEAR(retry.total_backoff().value(), 1.0 + 2.0 + 2.0, 1e-12);
-}
-
-TEST(RetryBackoff, JitterIsBoundedAndSeedDeterministic) {
-  manager::RetryBackoff::Params p;
-  p.max_attempts = 4;
-  p.initial_backoff = Seconds{1e-3};
-  p.multiplier = 2.0;
-  p.jitter = 0.5;
-  p.jitter_seed = 99;
-  const double full = 1e-3 + 2e-3 + 4e-3;  // the jitter-free ladder
-  manager::RetryBackoff a(p);
-  EXPECT_FALSE(a.run([] { return false; }));
-  // Each wait is scaled into [1 - jitter, 1] of its nominal value.
-  EXPECT_LE(a.total_backoff().value(), full);
-  EXPECT_GE(a.total_backoff().value(), 0.5 * full);
-  // Same seed, same draws.
-  manager::RetryBackoff b(p);
-  EXPECT_FALSE(b.run([] { return false; }));
-  EXPECT_DOUBLE_EQ(a.total_backoff().value(), b.total_backoff().value());
-  // A different seed de-synchronizes the ladder.
-  p.jitter_seed = 100;
-  manager::RetryBackoff c(p);
-  EXPECT_FALSE(c.run([] { return false; }));
-  EXPECT_NE(a.total_backoff().value(), c.total_backoff().value());
-}
-
-TEST(RetryBackoff, ZeroJitterPreservesTheFixedLadder) {
-  // jitter = 0 must not draw from the RNG at all, so the accounted settle
-  // time is exactly the historical deterministic ladder.
-  manager::RetryBackoff::Params p;
-  p.max_attempts = 3;
-  p.initial_backoff = Seconds{1e-3};
-  p.multiplier = 2.0;
-  manager::RetryBackoff retry(p);
-  EXPECT_FALSE(retry.run([] { return false; }));
-  EXPECT_DOUBLE_EQ(retry.total_backoff().value(), 1e-3 + 2e-3);
+Poll poll_once(manager::DigitalBusMonitor& monitor) {
+  const std::uint64_t attempts = monitor.attempts();
+  const std::uint64_t retries = monitor.retries();
+  const std::uint64_t give_ups = monitor.give_ups();
+  const manager::EnergyEstimate e = monitor.estimate();
+  return Poll{e, monitor.attempts() - attempts, monitor.retries() - retries,
+              monitor.give_ups() - give_ups};
 }
 
 TEST_F(BusFaultFixture, MonitorRetryRidesThroughNakBurst) {
   manager::DigitalBusMonitor monitor(bus_, {0x10});
-  // One NAK: the first poll attempt fails, the retry succeeds.
-  bus_.inject_nak_burst(1);
-  const auto e = monitor.estimate();
-  EXPECT_TRUE(e.valid);
-  EXPECT_NEAR(e.stored.value(), 40.0, 1e-3);
-  EXPECT_GE(monitor.retry().retries(), 1u);
-  EXPECT_EQ(monitor.retry().give_ups(), 0u);
+  // Clean bus: one attempt for the one polled module, no retries.
+  const Poll clean = poll_once(monitor);
+  EXPECT_EQ(clean.attempts, 1u);
+  EXPECT_EQ(clean.retries, 0u);
+  EXPECT_EQ(clean.give_ups, 0u);
+  // Two NAKs: the first two attempts fail, the third and last succeeds.
+  bus_.inject_nak_burst(2);
+  const Poll retried = poll_once(monitor);
+  EXPECT_EQ(retried.attempts, 3u);
+  EXPECT_EQ(retried.retries, 2u);
+  EXPECT_EQ(retried.give_ups, 0u);
+  EXPECT_TRUE(retried.estimate.valid);
+  EXPECT_NEAR(retried.estimate.stored.value(), 40.0, 1e-3);
 }
 
 TEST_F(BusFaultFixture, MonitorGivesUpOnStuckBusWithoutThrowing) {
   manager::DigitalBusMonitor monitor(bus_, {0x10});
   bus_.set_stuck(true);
-  const auto e = monitor.estimate();  // runtime anomaly, not an exception
-  EXPECT_TRUE(e.valid);
-  EXPECT_DOUBLE_EQ(e.stored.value(), 0.0);  // poll abandoned -> unknown reads 0
-  EXPECT_GT(monitor.retry().give_ups(), 0u);
+  // Runtime anomaly, not an exception: every try fails, then one give-up.
+  const Poll stuck = poll_once(monitor);
+  EXPECT_EQ(stuck.attempts, 3u);
+  EXPECT_EQ(stuck.retries, 2u);
+  EXPECT_EQ(stuck.give_ups, 1u);
+  EXPECT_TRUE(stuck.estimate.valid);
+  // Poll abandoned -> unknown reads 0.
+  EXPECT_DOUBLE_EQ(stuck.estimate.stored.value(), 0.0);
 }
 
 // ---------------------------------------------------------------------------

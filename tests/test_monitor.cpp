@@ -282,7 +282,7 @@ TEST(DigitalMonitor, EstimateAllocatesNothing) {
   EXPECT_EQ(after - before, 0u);
   EXPECT_TRUE(clean.valid);
   EXPECT_GT(clean.capacity.value(), 0.0);
-  EXPECT_GT(monitor->retry().retries(), 0u);
+  EXPECT_GT(monitor->retries(), 0u);
   EXPECT_EQ(retried.stored.value(), clean.stored.value());
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -263,14 +264,11 @@ TEST(EnergyLedger, ToStringCarriesAggregateAndSourceRows) {
   systems::RunOptions o;
   o.dt = Seconds{5.0};
   const auto r = systems::run_platform(*a, env, Seconds{3600.0}, o);
-  const auto text = r.ledger.to_string();
+  const auto text = systems::to_string(r);
   for (const char* needle :
        {"ledger.harvested_j=", "ledger.residual_j=", "ledger.source[0].name=",
         "ledger.source[0].share=", "ledger.source[0].mpp_cache_hits="})
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
-  // And the canonical report embeds the same per-source block.
-  EXPECT_NE(systems::to_string(r).find("ledger.source[0].name="),
-            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -541,6 +539,51 @@ TEST(TraceCollector, SnapshotEventsReturnsCompleteSpansInTidOrder) {
   // tid-ordered drain: tids never decrease across the snapshot.
   for (std::size_t i = 1; i < events.size(); ++i)
     EXPECT_GE(events[i].tid, events[i - 1].tid);
+}
+
+TEST(TraceCollector, ReenableWhileSpansAreOpenIsRaceFree) {
+  // enable() re-anchors the epoch while span sites on other threads read
+  // it through now_us() without the mutex, so the epoch must be atomic.
+  // The check is the ThreadSanitizer build, which reports a plain epoch
+  // store here as a data race.
+  auto& collector = obs::TraceCollector::instance();
+  collector.enable();
+  std::atomic<int> running{0};
+  std::atomic<bool> done{false};
+  std::vector<std::thread> spanners;
+  for (int t = 0; t < 2; ++t) {
+    spanners.emplace_back([&running, &done] {
+      bool counted = false;
+      while (!done.load(std::memory_order_relaxed)) {
+        {
+          obs::Span outer{"reenable_outer", "test"};
+          obs::Span inner{"reenable_inner", "test"};
+          std::this_thread::yield();  // let enable() land while both are open
+        }
+        if (!counted) running.fetch_add(1, std::memory_order_relaxed);
+        counted = true;
+      }
+    });
+  }
+  std::thread enabler([&collector, &running, &done] {
+    // Re-enable only once both spanners are inside their loops.
+    while (running.load(std::memory_order_relaxed) < 2)
+      std::this_thread::yield();
+    for (int i = 0; i < 1000; ++i) {
+      collector.enable();
+      std::this_thread::yield();
+    }
+    done.store(true, std::memory_order_relaxed);
+  });
+  enabler.join();
+  for (auto& thread : spanners) thread.join();
+
+  // The collector still works after the storm: a fresh session holds
+  // exactly what it records.
+  collector.enable();
+  { obs::Span span{"after_reenable", "test"}; }
+  EXPECT_EQ(collector.event_count(), 1u);
+  collector.disable();
 }
 
 // ---------------------------------------------------------------------------

@@ -46,18 +46,6 @@ TEST(Simulation, PeriodicFiresAtPeriod) {
   EXPECT_EQ(fired, 4);  // t = 0, 10, 20, 30
 }
 
-TEST(Simulation, PeriodicWithPhase) {
-  Simulation sim(Seconds{1.0});
-  std::vector<double> times;
-  sim.every(Seconds{10.0}, [&](Seconds t) { times.push_back(t.value()); },
-            Seconds{5.0});
-  sim.run_for(Seconds{30.0});
-  ASSERT_EQ(times.size(), 3u);
-  EXPECT_DOUBLE_EQ(times[0], 5.0);
-  EXPECT_DOUBLE_EQ(times[1], 15.0);
-  EXPECT_DOUBLE_EQ(times[2], 25.0);
-}
-
 TEST(Simulation, PeriodFasterThanStepFiresEachStep) {
   // Sub-step periods fire multiple times per step (catch-up), preserving
   // the average rate.
@@ -102,15 +90,6 @@ TEST(Simulation, EventMayScheduleFurtherEvents) {
   });
   sim.run_for(Seconds{10.0});
   EXPECT_EQ(fired, 2);
-}
-
-TEST(Simulation, StopEndsRunEarly) {
-  Simulation sim(Seconds{1.0});
-  sim.on_step([&](Seconds now, Seconds) {
-    if (now.value() >= 4.0) sim.stop();
-  });
-  sim.run_for(Seconds{100.0});
-  EXPECT_DOUBLE_EQ(sim.now().value(), 5.0);
 }
 
 TEST(Simulation, RunUntilIsIdempotentAtTarget) {
