@@ -16,12 +16,6 @@ bool I2cBus::present(std::uint8_t address) const {
   return slaves_.contains(address);
 }
 
-void I2cBus::bill(std::size_t payload_bytes) {
-  // Address byte + register byte + payload.
-  energy_ += kEnergyPerByte * static_cast<double>(payload_bytes + 2);
-  ++transactions_;
-}
-
 void I2cBus::inject_nak_burst(std::uint32_t transactions) {
   nak_burst_remaining_ += transactions;
 }
@@ -35,14 +29,14 @@ void I2cBus::set_stuck(bool stuck) { stuck_ = stuck; }
 
 bool I2cBus::injected_failure() {
   if (stuck_) {
-    bill(0);
+    ++transactions_;
     ++naks_;
     ++fault_hits_;
     return true;
   }
   if (nak_burst_remaining_ > 0) {
     --nak_burst_remaining_;
-    bill(0);
+    ++transactions_;
     ++naks_;
     ++fault_hits_;
     return true;
@@ -71,15 +65,15 @@ bool I2cBus::read_into(std::uint8_t address, std::uint8_t start_register,
   if (injected_failure()) return false;
   const auto it = slaves_.find(address);
   if (it == slaves_.end()) {
-    bill(0);
+    ++transactions_;
     ++naks_;
     return false;
   }
-  // Bytes delivered before a mid-burst NAK are still clocked (billed) and
-  // exposed to bit errors, in register order.
+  // Bytes delivered before a mid-burst NAK are still clocked and exposed to
+  // bit errors, in register order.
   const std::size_t delivered = it->second->read_block(start_register, out, count);
   for (std::size_t i = 0; i < delivered; ++i) out[i] = corrupt(out[i]);
-  bill(delivered);
+  ++transactions_;
   if (delivered < count) {
     ++naks_;
     return false;
@@ -100,19 +94,19 @@ bool I2cBus::write(std::uint8_t address, std::uint8_t start_register,
   if (injected_failure()) return false;
   const auto it = slaves_.find(address);
   if (it == slaves_.end()) {
-    bill(0);
+    ++transactions_;
     ++naks_;
     return false;
   }
   for (std::size_t i = 0; i < data.size(); ++i) {
     if (!it->second->write_register(static_cast<std::uint8_t>(start_register + i),
                                     corrupt(data[i]))) {
-      bill(i);
+      ++transactions_;
       ++naks_;
       return false;
     }
   }
-  bill(data.size());
+  ++transactions_;
   return true;
 }
 

@@ -1,12 +1,11 @@
-// I2C bus emulation with energy accounting.
+// I2C bus emulation.
 //
 // Survey Sec. II.3: System A's power-unit microcontroller "communicates via
 // an I2C bus, allowing the energy status to be monitored and controlled";
 // System B modules "communicate via a digital interface to the embedded
 // system". The emulation models the protocol-visible behaviour — addressed
-// register reads/writes, NAK for absent devices — and charges a per-byte
-// energy cost so digital energy-awareness has a measurable overhead
-// (the complexity-vs-benefit trade-off of Sec. II.3).
+// register reads/writes, NAK for absent devices — and counts transactions.
+// The energy the bus traffic costs is not modelled: no rail draws it.
 #pragma once
 
 #include <cstddef>
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "core/random.hpp"
-#include "core/units.hpp"
 
 namespace msehsim::bus {
 
@@ -42,8 +40,6 @@ class I2cSlave {
 
 class I2cBus {
  public:
-  /// Pull-up + driver energy per transferred byte at 100 kHz.
-  static constexpr Joules kEnergyPerByte{100e-9};
   /// Seeds the bit-error stream (src/fault); consumed only while a nonzero
   /// bit-error rate is active, so fault-free runs are unaffected by it.
   static constexpr std::uint64_t kFaultSeed = 0x12c;
@@ -63,8 +59,8 @@ class I2cBus {
                                                 std::size_t count);
 
   /// read() into caller storage (no allocation): fills @p out[0, count) and
-  /// returns true, or returns false on a NAK. Bills, NAK-counts and corrupts
-  /// each delivered byte exactly as read() does.
+  /// returns true, or returns false on a NAK. Counts the transaction and
+  /// NAKs, and corrupts each delivered byte, exactly as read() does.
   bool read_into(std::uint8_t address, std::uint8_t start_register,
                  std::uint8_t* out, std::size_t count);
 
@@ -75,7 +71,6 @@ class I2cBus {
   /// Addresses that currently ACK, ascending (bus scan).
   [[nodiscard]] std::vector<std::uint8_t> scan() const;
 
-  [[nodiscard]] Joules energy_consumed() const { return energy_; }
   [[nodiscard]] std::uint64_t transactions() const { return transactions_; }
   [[nodiscard]] std::uint64_t nak_count() const { return naks_; }
 
@@ -102,14 +97,12 @@ class I2cBus {
   [[nodiscard]] std::uint64_t fault_hits() const { return fault_hits_; }
 
  private:
-  void bill(std::size_t payload_bytes);
   /// True if an injected condition (stuck bus / NAK burst) fails this
   /// transaction; consumes one burst token and books the NAK.
   bool injected_failure();
   [[nodiscard]] std::uint8_t corrupt(std::uint8_t value);
 
   std::map<std::uint8_t, I2cSlave*> slaves_;
-  Joules energy_{0.0};
   std::uint64_t transactions_{0};
   std::uint64_t naks_{0};
   std::uint32_t nak_burst_remaining_{0};

@@ -11,8 +11,6 @@ AdcLine::AdcLine(Params params, std::uint64_t seed)
     : params_(params), rng_(seed, stream_key("adc")) {
   require_spec(params_.bits >= 1 && params_.bits <= 24, "ADC bits must be in [1,24]");
   require_spec(params_.full_scale.value() > 0.0, "ADC full scale must be > 0");
-  require_spec(params_.energy_per_sample.value() >= 0.0,
-               "ADC sample energy must be >= 0");
   require_spec(params_.noise_lsb >= 0.0, "ADC noise must be >= 0");
 }
 
@@ -21,8 +19,6 @@ Volts AdcLine::lsb() const {
 }
 
 Volts AdcLine::sample(Volts actual) {
-  ++samples_;
-  energy_ += params_.energy_per_sample;
   const double step = lsb().value();
   const double noisy = actual.value() + rng_.normal(0.0, params_.noise_lsb * step);
   const double clamped = std::clamp(noisy, 0.0, params_.full_scale.value());

@@ -2,9 +2,9 @@
 //
 // Survey Sec. II.3: "At their most basic, energy-aware systems may provide
 // an analog line to allow the microcontroller to monitor the store
-// voltage." AdcLine models that path: an ADC with finite resolution,
-// quantization noise, and a per-sample energy cost, so analog monitoring
-// has both an accuracy limit and an overhead.
+// voltage." AdcLine models that path: an ADC with finite resolution and
+// quantization noise, so analog monitoring has an accuracy limit. The
+// energy a sample costs is not modelled.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +19,6 @@ class AdcLine {
   struct Params {
     int bits{10};
     Volts full_scale{3.3};
-    Joules energy_per_sample{2e-6};
     double noise_lsb{0.5};  ///< RMS input-referred noise in LSBs
   };
 
@@ -29,14 +28,10 @@ class AdcLine {
   Volts sample(Volts actual);
 
   [[nodiscard]] Volts lsb() const;
-  [[nodiscard]] Joules energy_consumed() const { return energy_; }
-  [[nodiscard]] std::uint64_t samples_taken() const { return samples_; }
 
  private:
   Params params_;
   Pcg32 rng_;
-  Joules energy_{0.0};
-  std::uint64_t samples_{0};
 };
 
 }  // namespace msehsim::bus

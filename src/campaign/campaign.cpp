@@ -258,9 +258,9 @@ const std::vector<JobResult>& Campaign::run() {
   std::vector<std::string> errors(total);
   std::atomic<std::size_t> next{0};
   auto& collector = obs::TraceCollector::instance();
-  const double pool_start_us = collector.enabled() ? collector.now_us() : 0.0;
+  const auto pool_start = obs::TraceCollector::Clock::now();
   const auto worker = [this, &units, &next, &errors, &order, &collector,
-                       pool_start_us](unsigned worker_index) {
+                       pool_start](unsigned worker_index) {
     if (collector.enabled())
       collector.set_thread_name("worker-" + std::to_string(worker_index));
     for (;;) {
@@ -270,15 +270,11 @@ const std::vector<JobResult>& Campaign::run() {
       if (collector.enabled()) {
         // Queue wait: how long this unit sat ready before a worker popped
         // it — the LPT schedule made visible per unit.
-        obs::TraceEvent wait;
-        wait.name = "campaign.job_wait";
-        wait.category = "campaign";
-        wait.ts_us = pool_start_us;
-        wait.dur_us = collector.now_us() - pool_start_us;
-        wait.args_json =
+        collector.record(
+            "campaign.job_wait", "campaign", pool_start,
+            obs::TraceCollector::Clock::now(),
             "\"grid_index\": " + std::to_string(unit.grid_indices.front()) +
-            ", \"lanes\": " + std::to_string(unit.grid_indices.size());
-        collector.record(std::move(wait));
+                ", \"lanes\": " + std::to_string(unit.grid_indices.size()));
       }
       run_block(unit, errors);
     }

@@ -53,39 +53,6 @@ std::string results_csv(const Campaign& campaign) {
   return out;
 }
 
-std::string seed_stats_csv(const Campaign& campaign) {
-  const auto& fields = systems::run_result_fields();
-  std::string out = "platform,scenario";
-  for (const auto& f : fields) {
-    for (const char* stat : {".mean", ".stddev", ".min", ".max"}) {
-      out += ',';
-      out += f.name;
-      out += stat;
-    }
-  }
-  out += '\n';
-  const auto& spec = campaign.spec();
-  // Zero seeds means every (platform, scenario) cell has zero samples and
-  // no statistics to report: a headers-only document, not rows of NaN.
-  if (spec.seeds.empty()) return out;
-  for (std::size_t p = 0; p < spec.platforms.size(); ++p) {
-    for (std::size_t s = 0; s < spec.scenarios.size(); ++s) {
-      const auto stats = campaign.seed_stats(p, s);
-      out += num(static_cast<double>(p));
-      out += ',';
-      out += num(static_cast<double>(s));
-      for (const auto& fs : stats) {
-        for (const double v : {fs.mean, fs.stddev, fs.min, fs.max}) {
-          out += ',';
-          out += num(v);
-        }
-      }
-      out += '\n';
-    }
-  }
-  return out;
-}
-
 std::string results_json(const Campaign& campaign) {
   obs::Span span{"campaign.export_results_json", "campaign"};
   const auto& fields = systems::run_result_fields();
@@ -148,8 +115,8 @@ std::string results_json(const Campaign& campaign) {
   }
   out += "\n  ],\n  \"seed_stats\": [";
   bool first_cell = true;
-  // Mirror seed_stats_csv: zero seeds -> zero cells (stats over an empty
-  // sample set would render as NaN, which JSON cannot carry).
+  // Zero seeds -> zero cells: stats over an empty sample set would render
+  // as NaN, which JSON cannot carry.
   for (std::size_t p = 0; !spec.seeds.empty() && p < spec.platforms.size();
        ++p) {
     for (std::size_t s = 0; s < spec.scenarios.size(); ++s) {
@@ -176,10 +143,6 @@ void write_results_csv(const Campaign& campaign, const std::string& path) {
   write_text(path, results_csv(campaign));
 }
 
-void write_seed_stats_csv(const Campaign& campaign, const std::string& path) {
-  write_text(path, seed_stats_csv(campaign));
-}
-
 void write_results_json(const Campaign& campaign, const std::string& path) {
   write_text(path, results_json(campaign));
 }
@@ -191,28 +154,6 @@ std::string metrics_csv(const Campaign& campaign) {
 
 void write_metrics_csv(const Campaign& campaign, const std::string& path) {
   write_text(path, metrics_csv(campaign));
-}
-
-std::string timelines_json(const Campaign& campaign) {
-  obs::Span span{"campaign.export_timelines", "campaign"};
-  std::string out = "{\n  \"timelines\": [";
-  bool first = true;
-  for (const auto& job : campaign.results()) {
-    if (job.result.timeline == nullptr) continue;
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"platform\": " + num(static_cast<double>(job.platform_index)) +
-           ", \"scenario\": " + num(static_cast<double>(job.scenario_index)) +
-           ", \"seed_index\": " + num(static_cast<double>(job.seed_index)) +
-           ", \"seed\": " + num(static_cast<double>(job.seed)) +
-           ", \"timeline\": " + job.result.timeline->json() + '}';
-  }
-  out += first ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
-}
-
-void write_timelines_json(const Campaign& campaign, const std::string& path) {
-  write_text(path, timelines_json(campaign));
 }
 
 }  // namespace msehsim::campaign

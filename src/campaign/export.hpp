@@ -2,10 +2,11 @@
 //
 // Serializes a finished Campaign grid — per-job RunResults and the
 // per-(platform, scenario) seed statistics — to CSV and JSON for offline
-// analysis. The CSV flavors are fully numeric (grid coordinates as indices,
+// analysis. The results CSV is fully numeric (grid coordinates as indices,
 // every value in the locale-independent shortest round-trip form of
-// core/fmt) so core's parse_csv round-trips them bit-exactly; the JSON
-// carries the human-readable platform/scenario names alongside.
+// core/fmt) so core's parse_csv round-trips it bit-exactly; the JSON
+// carries the human-readable platform/scenario names and the seed
+// statistics alongside.
 #pragma once
 
 #include <string>
@@ -18,11 +19,6 @@ namespace msehsim::campaign {
 /// `platform,scenario,seed_index,seed,<systems::run_result_fields()...>`.
 /// Numeric-only (indices, not names) so parse_csv round-trips it.
 [[nodiscard]] std::string results_csv(const Campaign& campaign);
-
-/// One row per (platform, scenario) cell:
-/// `platform,scenario,<field>.mean,<field>.stddev,<field>.min,<field>.max`
-/// for every systems::run_result_fields() entry, aggregated across seeds.
-[[nodiscard]] std::string seed_stats_csv(const Campaign& campaign);
 
 /// The whole campaign as one JSON document: platform/scenario/seed axes by
 /// name, the count of (scenario, seed) timelines the campaign materialized
@@ -37,18 +33,9 @@ namespace msehsim::campaign {
 /// counts.
 [[nodiscard]] std::string metrics_csv(const Campaign& campaign);
 
-/// Every job's run-health timeline (RunOptions::timeline_dt) as one JSON
-/// document: grid coordinates plus the obs::Timeline json() per job that
-/// carries one. Jobs without a timeline (sampling off) are omitted, so the
-/// document is `{"timelines": []}` for an unsampled campaign. Deterministic
-/// across thread counts and lane widths.
-[[nodiscard]] std::string timelines_json(const Campaign& campaign);
-
 /// File-writing conveniences (throw SpecError on I/O failure).
 void write_results_csv(const Campaign& campaign, const std::string& path);
-void write_seed_stats_csv(const Campaign& campaign, const std::string& path);
 void write_results_json(const Campaign& campaign, const std::string& path);
 void write_metrics_csv(const Campaign& campaign, const std::string& path);
-void write_timelines_json(const Campaign& campaign, const std::string& path);
 
 }  // namespace msehsim::campaign

@@ -139,8 +139,6 @@ class ThermalChannel {
 
   Kelvin advance(Seconds now, Seconds dt);
 
-  [[nodiscard]] bool machinery_on() const { return on_; }
-
  private:
   Params params_;
   Pcg32 rng_;
@@ -171,8 +169,6 @@ class VibrationChannel {
 
   Sample advance(Seconds now, Seconds dt);
 
-  [[nodiscard]] bool machinery_on() const { return on_; }
-
  private:
   Params params_;
   Pcg32 rng_;
@@ -194,8 +190,6 @@ class RfChannel {
   RfChannel(Params params, std::uint64_t seed);
 
   WattsPerSquareMeter advance(Seconds now, Seconds dt);
-
-  [[nodiscard]] bool bursting() const { return burst_time_left_.value() > 0.0; }
 
  private:
   Params params_;

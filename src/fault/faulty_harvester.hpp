@@ -62,8 +62,6 @@ class FaultyHarvester final : public harvest::Harvester {
   /// Back to transparent pass-through.
   void heal() { transition(Mode::kHealthy); }
 
-  [[nodiscard]] Mode mode() const { return mode_; }
-
   /// False while the active fault suppresses all output (stuck short, or an
   /// intermittent connection that is open this step).
   [[nodiscard]] bool producing() const;

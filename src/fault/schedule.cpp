@@ -368,31 +368,6 @@ Schedule Schedule::load(const std::string& path) {
   return parse(buffer.str(), path);
 }
 
-std::string Schedule::to_csv() const {
-  std::string out;
-  out += kMagic;
-  out += '\n';
-  out += kHeader;
-  out += '\n';
-  for (const auto& entry : entries_) {
-    append_double(out, entry.when.value());
-    out += ',';
-    out += entry.fault;
-    out += ',';
-    out += entry.target;
-    out += ',';
-    if (!std::isnan(entry.a)) append_double(out, entry.a);
-    out += ',';
-    if (!std::isnan(entry.b)) append_double(out, entry.b);
-    out += ',';
-    out += std::to_string(entry.count);
-    out += ',';
-    append_double(out, entry.spread.value());
-    out += '\n';
-  }
-  return out;
-}
-
 std::unique_ptr<FaultInjector> Schedule::build_injector(
     std::uint64_t seed, const ScheduleTargets& targets) const {
   auto injector = std::make_unique<FaultInjector>(seed);

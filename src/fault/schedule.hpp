@@ -84,11 +84,6 @@ class Schedule {
   [[nodiscard]] bool empty() const { return entries_.empty(); }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
-  /// Canonical file form: header, then one row per entry with every float
-  /// in round-trip-exact form. parse(to_csv()) reproduces the schedule
-  /// exactly — the load-vs-programmatic identity the tests pin down.
-  [[nodiscard]] std::string to_csv() const;
-
   /// Compiles the schedule into a ready-to-arm injector. Stochastic entries
   /// expand with draws from Pcg32(seed ^ stream_key("fault.schedule"),
   /// stream = entry ordinal), so expansion depends only on (schedule, seed)

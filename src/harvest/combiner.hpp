@@ -31,7 +31,6 @@ class DiodeOrCombiner final : public Harvester {
   [[nodiscard]] Amps current_at(Volts v) const override;
   [[nodiscard]] Volts open_circuit_voltage() const override;
 
-  [[nodiscard]] std::size_t source_count() const { return sources_.size(); }
   [[nodiscard]] const Harvester& source(std::size_t i) const {
     return *sources_.at(i);
   }

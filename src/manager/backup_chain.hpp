@@ -77,9 +77,6 @@ class BackupChain {
   void update(Seconds now, Watts primary_power, double ambient_soc);
 
   [[nodiscard]] std::size_t stage_count() const { return stages_.size(); }
-  [[nodiscard]] const BackupStageParams& stage_params(std::size_t i) const {
-    return stages_.at(i).params;
-  }
   [[nodiscard]] bool stage_engaged(std::size_t i) const {
     return stages_.at(i).engaged;
   }
@@ -104,12 +101,6 @@ class BackupChain {
   }
   [[nodiscard]] std::uint64_t failover_latency_count() const {
     return failover_latency_count_;
-  }
-  [[nodiscard]] Seconds mean_time_to_failover() const {
-    return failover_latency_count_ == 0
-               ? Seconds{0.0}
-               : Seconds{failover_latency_total_.value() /
-                         static_cast<double>(failover_latency_count_)};
   }
 
  private:

@@ -52,10 +52,6 @@ EnergyEstimate AnalogVoltageMonitor::estimate() {
   return e;  // incoming power is unobservable over one analog line
 }
 
-Joules AnalogVoltageMonitor::monitoring_energy() const {
-  return adc_.energy_consumed();
-}
-
 // ---------------------------------------------------------------------------
 // DigitalBusMonitor
 // ---------------------------------------------------------------------------
@@ -108,22 +104,16 @@ EnergyEstimate DigitalBusMonitor::estimate() {
   return e;
 }
 
-Joules DigitalBusMonitor::monitoring_energy() const { return bus_->energy_consumed(); }
-
 // ---------------------------------------------------------------------------
 // ActivityFlagMonitor
 // ---------------------------------------------------------------------------
 
-ActivityFlagMonitor::ActivityFlagMonitor(std::vector<std::function<bool()>> probes,
-                                         Joules energy_per_poll)
-    : probes_(std::move(probes)), energy_per_poll_(energy_per_poll) {
+ActivityFlagMonitor::ActivityFlagMonitor(std::vector<std::function<bool()>> probes)
+    : probes_(std::move(probes)) {
   require_spec(!probes_.empty(), "ActivityFlagMonitor needs at least one probe");
-  require_spec(energy_per_poll_.value() >= 0.0,
-               "ActivityFlagMonitor poll energy must be >= 0");
 }
 
 EnergyEstimate ActivityFlagMonitor::estimate() {
-  spent_ += energy_per_poll_;
   flags_.clear();
   flags_.reserve(probes_.size());
   for (const auto& probe : probes_) flags_.push_back(probe && probe());

@@ -42,12 +42,10 @@ class EnergyMonitor {
 
   [[nodiscard]] virtual taxonomy::MonitoringCapability capability() const = 0;
 
-  /// Performs one monitoring action (costs sensing/bus energy) and returns
-  /// the belief. Invalid estimate = the system is blind.
+  /// Performs one monitoring action and returns the belief. Invalid
+  /// estimate = the system is blind. The energy the sensing or bus traffic
+  /// itself costs is not modelled.
   virtual EnergyEstimate estimate() = 0;
-
-  /// Total energy spent on monitoring so far.
-  [[nodiscard]] virtual Joules monitoring_energy() const = 0;
 
   /// Invoked by the platform after an energy-device change. Monitors that
   /// can re-recognize hardware refresh their model here; the others ignore
@@ -62,7 +60,6 @@ class NullMonitor final : public EnergyMonitor {
     return taxonomy::MonitoringCapability::kNone;
   }
   EnergyEstimate estimate() override { return EnergyEstimate{}; }
-  [[nodiscard]] Joules monitoring_energy() const override { return Joules{0.0}; }
 };
 
 /// Analog store-voltage line + ADC (MPWiNode's "Limited" monitoring).
@@ -91,7 +88,6 @@ class AnalogVoltageMonitor final : public EnergyMonitor {
     return taxonomy::MonitoringCapability::kStoreVoltageOnly;
   }
   EnergyEstimate estimate() override;
-  [[nodiscard]] Joules monitoring_energy() const override;
 
   /// Firmware update: tell the monitor about new hardware explicitly
   /// (what a *person* must do on non-plug-and-play systems).
@@ -125,7 +121,6 @@ class DigitalBusMonitor final : public EnergyMonitor {
     return taxonomy::MonitoringCapability::kFull;
   }
   EnergyEstimate estimate() override;
-  [[nodiscard]] Joules monitoring_energy() const override;
 
   /// Re-enumerates the bus: hot-swapped modules are recognized from their
   /// datasheets (the System B property).
@@ -177,23 +172,18 @@ class DigitalBusMonitor final : public EnergyMonitor {
 class ActivityFlagMonitor final : public EnergyMonitor {
  public:
   /// @p probes one callback per input, true when that source is producing.
-  /// @p energy_per_poll MCU cost of reading the flag register.
-  ActivityFlagMonitor(std::vector<std::function<bool()>> probes,
-                      Joules energy_per_poll);
+  explicit ActivityFlagMonitor(std::vector<std::function<bool()>> probes);
 
   [[nodiscard]] taxonomy::MonitoringCapability capability() const override {
     return taxonomy::MonitoringCapability::kActivityFlags;
   }
   EnergyEstimate estimate() override;
-  [[nodiscard]] Joules monitoring_energy() const override { return spent_; }
 
   /// Flags from the most recent estimate() call.
   [[nodiscard]] const std::vector<bool>& flags() const { return flags_; }
 
  private:
   std::vector<std::function<bool()>> probes_;
-  Joules energy_per_poll_;
-  Joules spent_{0.0};
   std::vector<bool> flags_;
 };
 

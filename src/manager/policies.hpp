@@ -81,7 +81,8 @@ class FailoverPolicy {
   // Measured from fault onset — the first update that saw the primaries
   // dead — to the switch-in that covered it. Pure-SoC switch-ins (buffer
   // drained with healthy sources) have no onset and are excluded from the
-  // mean, so the metric isolates how fast the *fault* path reacts.
+  // mean (RunResult's faults.mean_time_to_failover_s), so the metric
+  // isolates how fast the *fault* path reacts.
 
   /// Total onset-to-switch-in latency across counted failovers.
   [[nodiscard]] Seconds failover_latency_total() const {
@@ -90,14 +91,6 @@ class FailoverPolicy {
   /// Failovers with a measurable onset (outage-triggered).
   [[nodiscard]] std::uint64_t failover_latency_count() const {
     return failover_latency_count_;
-  }
-  /// Mean onset-to-switch-in latency; 0 when no outage-triggered failover
-  /// occurred.
-  [[nodiscard]] Seconds mean_time_to_failover() const {
-    return failover_latency_count_ == 0
-               ? Seconds{0.0}
-               : Seconds{failover_latency_total_.value() /
-                         static_cast<double>(failover_latency_count_)};
   }
 
  private:

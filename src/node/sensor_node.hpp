@@ -80,8 +80,6 @@ class SensorNode {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::uint64_t packets_sent() const { return packets_sent_; }
   [[nodiscard]] std::uint64_t reboots() const { return reboots_; }
-  [[nodiscard]] Seconds uptime() const { return uptime_; }
-  [[nodiscard]] Seconds downtime() const { return downtime_; }
   [[nodiscard]] double availability() const;
   [[nodiscard]] bool is_up() const { return state_ == State::kUp; }
   [[nodiscard]] Joules consumed_energy() const { return consumed_; }

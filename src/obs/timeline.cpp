@@ -51,49 +51,4 @@ std::string Timeline::csv() const {
   return out;
 }
 
-std::string Timeline::json() const {
-  std::string out = "{\"cadence_s\": ";
-  append_double(out, cadence_.value());
-  out += ", \"columns\": [";
-  for (std::size_t i = 0; i < columns_.size(); ++i) {
-    if (i) out += ", ";
-    out += '"';
-    out += columns_[i];  // column names are identifiers, nothing to escape
-    out += '"';
-  }
-  out += "], \"samples\": [";
-  for (std::size_t row = 0; row < t_s_.size(); ++row) {
-    out += row == 0 ? "[" : ", [";
-    append_double(out, t_s_[row]);
-    for (const auto& col : data_) {
-      out += ", ";
-      append_double(out, col[row]);
-    }
-    out += ']';
-  }
-  out += "]}";
-  return out;
-}
-
-MetricsSnapshot Timeline::metrics_snapshot() const {
-  Registry registry;
-  registry.counter("timeline.samples").add(t_s_.size());
-  registry.gauge("timeline.cadence_s").set(cadence_.value());
-  for (std::size_t i = 0; i < columns_.size(); ++i) {
-    const auto& col = data_[i];
-    const std::string prefix = "timeline." + columns_[i];
-    double last = 0.0, lo = 0.0, hi = 0.0;
-    if (!col.empty()) {
-      last = col.back();
-      const auto [min_it, max_it] = std::minmax_element(col.begin(), col.end());
-      lo = *min_it;
-      hi = *max_it;
-    }
-    registry.gauge(prefix + ".last").set(last);
-    registry.gauge(prefix + ".min").set(lo);
-    registry.gauge(prefix + ".max").set(hi);
-  }
-  return registry.snapshot();
-}
-
 }  // namespace msehsim::obs

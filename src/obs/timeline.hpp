@@ -14,11 +14,11 @@
 // systems/runner.cpp, which every lane of systems::BatchRunner runs.
 //
 // Determinism contract, mirroring the authoritative-field-table discipline:
-// one column-name table drives csv(), json(), and metrics_snapshot(), every
-// double renders through core/fmt, and sampling is driven by the simulation
-// clock (a read-only periodic event), never the wall clock — so enabling a
-// timeline changes no RunResult byte, and the samples themselves are
-// byte-identical across thread counts and lane widths.
+// one column-name table drives csv(), every double renders through
+// core/fmt, and sampling is driven by the simulation clock (a read-only
+// periodic event), never the wall clock — so enabling a timeline changes no
+// RunResult byte, and the samples themselves are byte-identical across
+// thread counts and lane widths.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "core/units.hpp"
-#include "obs/metrics.hpp"
 
 namespace msehsim::obs {
 
@@ -61,17 +60,6 @@ class Timeline {
   /// `t_s,<columns...>` header + one row per sample, every double in the
   /// locale-independent shortest round-trip form of core/fmt.
   [[nodiscard]] std::string csv() const;
-
-  /// `{"cadence_s": ..., "columns": [...], "samples": [[t, ...], ...]}` —
-  /// same number formatting as csv(), byte-comparable across runs.
-  [[nodiscard]] std::string json() const;
-
-  /// The timeline folded onto metrics rows: `timeline.samples` (counter),
-  /// `timeline.cadence_s` (gauge), and per column the last/min/max gauges
-  /// `timeline.<col>.{last,min,max}`. Mergeable across a campaign's jobs
-  /// (gauges keep the maximum — a fleet-worst view, which is what a scrape
-  /// dashboard alerts on).
-  [[nodiscard]] MetricsSnapshot metrics_snapshot() const;
 
  private:
   Seconds cadence_;

@@ -35,20 +35,12 @@ void TraceCollector::enable() {
   thread_names_.clear();
   thread_ids_.clear();
   dropped_.store(0, std::memory_order_relaxed);
-  epoch_.store(std::chrono::steady_clock::now().time_since_epoch().count(),
-               std::memory_order_relaxed);
+  epoch_ = Clock::now();
   enabled_.store(true, std::memory_order_relaxed);
 }
 
 void TraceCollector::disable() {
   enabled_.store(false, std::memory_order_relaxed);
-}
-
-double TraceCollector::now_us() const {
-  const std::chrono::steady_clock::duration elapsed(
-      std::chrono::steady_clock::now().time_since_epoch().count() -
-      epoch_.load(std::memory_order_relaxed));
-  return std::chrono::duration<double, std::micro>(elapsed).count();
 }
 
 std::uint32_t TraceCollector::thread_id_locked() {
@@ -68,12 +60,24 @@ void TraceCollector::set_thread_name(const std::string& name) {
   thread_names_[thread_id_locked()] = name;
 }
 
-void TraceCollector::record(TraceEvent event) {
+void TraceCollector::record(const char* name, const char* category,
+                            Clock::time_point start, Clock::time_point end,
+                            std::string args_json) {
+  using Micros = std::chrono::duration<double, std::micro>;
+  TraceEvent event;
+  event.name = name;
+  event.category = category;
+  event.dur_us = Micros(end - start).count();
+  event.args_json = std::move(args_json);
   std::lock_guard<std::mutex> lock(mutex_);
+  // enable() re-anchors the epoch under this mutex, so the check and the
+  // append see one session.
+  if (!enabled() || start < epoch_) return;
   if (events_.size() >= capacity_) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
+  event.ts_us = Micros(start - epoch_).count();
   event.tid = thread_id_locked();
   events_.push_back(std::move(event));
 }
@@ -129,15 +133,9 @@ void TraceCollector::write_chrome_trace(const std::string& path) const {
 }
 
 void Span::finish() {
-  auto& collector = TraceCollector::instance();
-  if (!collector.enabled()) return;  // disabled mid-span: drop it
-  TraceEvent event;
-  event.name = name_;
-  event.category = category_;
-  event.ts_us = start_us_;
-  event.dur_us = collector.now_us() - start_us_;
-  event.args_json = std::move(args_json_);
-  collector.record(std::move(event));
+  TraceCollector::instance().record(name_, category_, start_,
+                                    TraceCollector::Clock::now(),
+                                    std::move(args_json_));
 }
 
 }  // namespace msehsim::obs

@@ -54,8 +54,9 @@ struct TraceEvent {
 /// thread id. Span *sites* pay only a relaxed atomic load while disabled.
 /// A trace session runs from one enable() to the next: enable() clears the
 /// log, the thread names and the thread ids, so nothing a session records
-/// outlives it. One collector per process keeps span sites dependency-free;
-/// campaigns own it for the duration of a traced run.
+/// outlives it, and a span that started before it is dropped. One
+/// collector per process keeps span sites dependency-free; campaigns own it
+/// for the duration of a traced run.
 class TraceCollector {
  public:
   /// BatchRunner::run times 1 in this many lane-steps as "platform.step".
@@ -66,6 +67,8 @@ class TraceCollector {
     return collector;
   }
 
+  using Clock = std::chrono::steady_clock;
+
   /// Starts a session: clears events, thread names and thread ids, and
   /// re-anchors the epoch.
   void enable();
@@ -74,9 +77,6 @@ class TraceCollector {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Microseconds since the last enable() (monotonic).
-  [[nodiscard]] double now_us() const;
-
   /// Dense id for the calling thread (first call in a session assigns).
   [[nodiscard]] std::uint32_t thread_id();
 
@@ -84,10 +84,14 @@ class TraceCollector {
   /// name per thread id, the last one set wins.
   void set_thread_name(const std::string& name);
 
-  /// Appends one complete event, stamped with the caller's thread id.
-  /// Silently drops (and counts) events beyond the session cap so a runaway
-  /// trace cannot exhaust memory.
-  void record(TraceEvent event);
+  /// Appends one complete event that ran over [@p start, @p end), stamped
+  /// with the caller's thread id and timed from the session's epoch. Drops
+  /// it while the collector is disabled, and when it started before the
+  /// last enable() (it belongs to an ended session). Silently drops (and
+  /// counts) events beyond the session cap so a runaway trace cannot
+  /// exhaust memory.
+  void record(const char* name, const char* category, Clock::time_point start,
+              Clock::time_point end, std::string args_json = {});
 
   [[nodiscard]] std::size_t event_count() const;
   [[nodiscard]] std::uint64_t dropped() const {
@@ -123,10 +127,8 @@ class TraceCollector {
 
   std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> dropped_{0};
-  /// steady_clock ticks at the last enable(). Atomic because span sites
-  /// read it through now_us() without the mutex while enable() resets it.
-  std::atomic<std::chrono::steady_clock::rep> epoch_{0};
   mutable std::mutex mutex_;  ///< guards everything below
+  Clock::time_point epoch_;   ///< the last enable()
   std::size_t capacity_{1u << 20};
   std::vector<TraceEvent> events_;
   std::map<std::uint32_t, std::string> thread_names_;
@@ -135,17 +137,18 @@ class TraceCollector {
 
 /// RAII span: captures the start on construction, records on destruction.
 /// Does nothing while the collector is disabled or @p name is null (how
-/// BatchRunner::run skips the lane-steps it does not sample). The
-/// constructor and destructor are inline so a disabled site costs one
-/// relaxed load and a branch without a function call.
+/// BatchRunner::run skips the lane-steps it does not sample). The start is
+/// an absolute clock reading, so a span open across disable() or enable()
+/// is dropped rather than timed against the wrong session. The constructor
+/// and destructor are inline so a disabled site costs one relaxed load and
+/// a branch without a function call.
 class Span {
  public:
   Span(const char* name, const char* category, std::string args_json = {})
       : name_(name), category_(category), args_json_(std::move(args_json)) {
     if (name_ == nullptr) return;
-    auto& collector = TraceCollector::instance();
-    if (!collector.enabled()) return;
-    start_us_ = collector.now_us();
+    if (!TraceCollector::instance().enabled()) return;
+    start_ = TraceCollector::Clock::now();
     active_ = true;
   }
   ~Span() {
@@ -156,13 +159,13 @@ class Span {
   Span& operator=(const Span&) = delete;
 
  private:
-  /// Out-of-line slow path: builds the event and records it.
+  /// Out-of-line slow path: records the event.
   void finish();
 
   const char* name_;
   const char* category_;
   std::string args_json_;
-  double start_us_{0.0};
+  TraceCollector::Clock::time_point start_;
   bool active_{false};
 };
 

@@ -135,12 +135,10 @@ class InputChain {
   /// Scales the converter's output by @p factor in (0, 1] — capacitor aging
   /// or inductor saturation drooping the efficiency curve. 1.0 heals.
   void set_efficiency_droop(double factor);
-  [[nodiscard]] double efficiency_droop() const { return droop_factor_; }
 
   /// Converter over-temperature cut-out: while latched the chain delivers
   /// nothing (the transducer keeps its curve; energy is simply not moved).
   void set_thermal_shutdown(bool on);
-  [[nodiscard]] bool thermal_shutdown() const { return thermal_shutdown_; }
 
   /// Times the converter entered thermal shutdown.
   [[nodiscard]] std::uint64_t thermal_shutdowns() const { return shutdown_events_; }

@@ -53,8 +53,7 @@ double Battery::equivalent_full_cycles() const {
 
 double Battery::state_of_health() const {
   // Cycle fade x injected fault health, floored (cells fail first).
-  const double fade = params_.capacity_fade_per_cycle *
-                      (throughput_.value() / (2.0 * full_charge_.value()));
+  const double fade = params_.capacity_fade_per_cycle * equivalent_full_cycles();
   return std::max(0.1, (1.0 - fade) * fault_health_);
 }
 

@@ -82,8 +82,6 @@ class BatchRunner {
   std::size_t add_lane(Platform& platform,
                        fault::FaultInjector* injector = nullptr);
 
-  [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
-
   /// Advances every lane in lockstep to @p duration and returns one
   /// RunResult per lane, in add_lane order. Runs once. While span tracing
   /// is enabled, 1 in every obs::TraceCollector::kStepSampleStride

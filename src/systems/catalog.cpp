@@ -525,8 +525,7 @@ std::unique_ptr<Platform> build_system_f(std::uint64_t /*seed*/) {
     probes.emplace_back(
         [&chain] { return chain.transducer_power().value() > 1e-6; });
   }
-  p->set_monitor(std::make_unique<manager::ActivityFlagMonitor>(std::move(probes),
-                                                                Joules{5e-6}));
+  p->set_monitor(std::make_unique<manager::ActivityFlagMonitor>(std::move(probes)));
   return p;
 }
 

@@ -44,6 +44,7 @@ TEST(I2cBus, ReadWriteRoundTrip) {
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ((*got)[0], 1);
   EXPECT_EQ((*got)[2], 3);
+  EXPECT_EQ(bus.transactions(), 2u);  // one per burst, not one per byte
 }
 
 TEST(I2cBus, AbsentAddressNaks) {
@@ -100,26 +101,6 @@ TEST(I2cBus, ScanListsAddressesAscending) {
   EXPECT_EQ(found[2], 0x30);
 }
 
-TEST(I2cBus, EnergyBilledPerByte) {
-  I2cBus bus;
-  RamSlave dev(0x42);
-  bus.attach(dev);
-  bus.read(0x42, 0, 8);
-  // 8 payload + address + register = 10 bytes.
-  EXPECT_NEAR(bus.energy_consumed().value(), 10 * 100e-9, 1e-15);
-  EXPECT_EQ(bus.transactions(), 1u);
-}
-
-TEST(I2cBus, EnergyScalesWithTraffic) {
-  I2cBus bus;
-  RamSlave dev(0x42);
-  bus.attach(dev);
-  bus.read(0x42, 0, 1);
-  const double one = bus.energy_consumed().value();
-  for (int i = 0; i < 9; ++i) bus.read(0x42, 0, 1);
-  EXPECT_NEAR(bus.energy_consumed().value(), 10 * one, 1e-15);
-}
-
 /// Forwards register reads and writes to a ModulePort but keeps the
 /// default, one-register-at-a-time I2cSlave::read_block.
 class PerRegisterSlave final : public I2cSlave {
@@ -140,8 +121,9 @@ class PerRegisterSlave final : public I2cSlave {
 
 TEST(I2cBus, BlockReadMatchesPerRegisterReads) {
   // ModulePort's block read evaluates each live field once; the bus must
-  // still deliver, bill, NAK-count and corrupt every byte exactly as the
-  // per-register path does: same bytes, same energy, same fault stream.
+  // still deliver, count, NAK-count and corrupt every byte exactly as the
+  // per-register path does: same bytes, same transactions, same fault
+  // stream.
   double power = 1.25e-3;
   double energy = 40.0;
   double voltage = 3.3;
@@ -187,9 +169,6 @@ TEST(I2cBus, BlockReadMatchesPerRegisterReads) {
                            " address=" + std::to_string(address);
         EXPECT_EQ(ok_block, ok_per_register) << where;
         EXPECT_EQ(got_block, got_per_register) << where;
-        EXPECT_EQ(block_bus.energy_consumed().value(),
-                  per_register_bus.energy_consumed().value())
-            << where;
         EXPECT_EQ(block_bus.transactions(), per_register_bus.transactions()) << where;
         EXPECT_EQ(block_bus.nak_count(), per_register_bus.nak_count()) << where;
         EXPECT_EQ(block_bus.fault_hits(), per_register_bus.fault_hits()) << where;
@@ -236,15 +215,6 @@ TEST(AdcLine, ClampsToFullScale) {
   AdcLine adc(p, 2);
   EXPECT_LE(adc.sample(Volts{10.0}).value(), p.full_scale.value());
   EXPECT_GE(adc.sample(Volts{-2.0}).value(), 0.0);
-}
-
-TEST(AdcLine, EnergyAccrualPerSample) {
-  AdcLine::Params p;
-  p.energy_per_sample = Joules{2e-6};
-  AdcLine adc(p, 3);
-  for (int i = 0; i < 5; ++i) adc.sample(Volts{1.0});
-  EXPECT_EQ(adc.samples_taken(), 5u);
-  EXPECT_NEAR(adc.energy_consumed().value(), 10e-6, 1e-15);
 }
 
 TEST(AdcLine, NoiseBoundedByConfiguredLsbs) {

@@ -419,31 +419,6 @@ TEST(CampaignExport, ResultsCsvRoundTripsBitExactly) {
   }
 }
 
-TEST(CampaignExport, SeedStatsCsvRoundTripsBitExactly) {
-  Campaign c(small_grid(2));
-  c.run();
-  const auto csv = parse_csv(seed_stats_csv(c));
-  const auto& fields = systems::run_result_fields();
-  ASSERT_EQ(csv.headers.size(), 2 + 4 * fields.size());
-  ASSERT_EQ(csv.rows.size(), 4u);  // 2 platforms x 2 scenarios
-  std::size_t row_i = 0;
-  for (std::size_t p = 0; p < 2; ++p) {
-    for (std::size_t s = 0; s < 2; ++s, ++row_i) {
-      const auto stats = c.seed_stats(p, s);
-      const auto& row = csv.rows[row_i];
-      EXPECT_EQ(row[0], static_cast<double>(p));
-      EXPECT_EQ(row[1], static_cast<double>(s));
-      for (std::size_t f = 0; f < fields.size(); ++f) {
-        EXPECT_EQ(row[2 + 4 * f + 0], stats[f].mean) << fields[f].name;
-        EXPECT_EQ(row[2 + 4 * f + 1], stats[f].stddev);
-        EXPECT_EQ(row[2 + 4 * f + 2], stats[f].min);
-        EXPECT_EQ(row[2 + 4 * f + 3], stats[f].max);
-      }
-      EXPECT_EQ(csv.headers[2], std::string(fields[0].name) + ".mean");
-    }
-  }
-}
-
 TEST(CampaignExport, JsonCarriesNamesAndFields) {
   Campaign c(small_grid(2));
   c.run();
@@ -452,6 +427,33 @@ TEST(CampaignExport, JsonCarriesNamesAndFields) {
        {"\"mini\"", "\"mini2\"", "\"hour-a\"", "\"hour-b\"", "\"seeds\": [7, 11]",
         "\"jobs\":", "\"seed_stats\":", "\"harvested_j\":", "\"stddev\":"})
     EXPECT_NE(json.find(needle), std::string::npos) << needle;
+
+  // The per-cell seed statistics ship bit-exactly: one cell per
+  // (platform, scenario), every field's mean/stddev/min/max equal to
+  // Campaign::seed_stats after the text round trip.
+  const auto doc = serve::parse_json(json);
+  const auto& cells = doc.find("seed_stats")->as_array();
+  const auto& fields = systems::run_result_fields();
+  ASSERT_EQ(cells.size(), 4u);  // 2 platforms x 2 scenarios
+  std::size_t cell_i = 0;
+  for (std::size_t p = 0; p < 2; ++p) {
+    for (std::size_t s = 0; s < 2; ++s, ++cell_i) {
+      const auto& cell = cells[cell_i];
+      EXPECT_EQ(cell.find("platform")->as_double(), static_cast<double>(p));
+      EXPECT_EQ(cell.find("scenario")->as_double(), static_cast<double>(s));
+      const auto stats = c.seed_stats(p, s);
+      const auto& cell_fields = cell.find("fields")->as_object();
+      ASSERT_EQ(cell_fields.size(), fields.size());
+      for (std::size_t f = 0; f < fields.size(); ++f) {
+        EXPECT_EQ(cell_fields[f].first, fields[f].name);
+        const auto& st = cell_fields[f].second;
+        EXPECT_EQ(st.find("mean")->as_double(), stats[f].mean) << fields[f].name;
+        EXPECT_EQ(st.find("stddev")->as_double(), stats[f].stddev);
+        EXPECT_EQ(st.find("min")->as_double(), stats[f].min);
+        EXPECT_EQ(st.find("max")->as_double(), stats[f].max);
+      }
+    }
+  }
 }
 
 TEST(CampaignExport, WritersRoundTripThroughFiles) {
@@ -459,10 +461,12 @@ TEST(CampaignExport, WritersRoundTripThroughFiles) {
   c.run();
   const std::string dir = ::testing::TempDir();
   write_results_csv(c, dir + "/results.csv");
-  write_seed_stats_csv(c, dir + "/stats.csv");
   write_results_json(c, dir + "/results.json");
   EXPECT_EQ(read_csv(dir + "/results.csv").rows.size(), c.results().size());
-  EXPECT_EQ(read_csv(dir + "/stats.csv").rows.size(), 4u);
+  std::ifstream json_file(dir + "/results.json", std::ios::binary);
+  std::stringstream json_text;
+  json_text << json_file.rdbuf();
+  EXPECT_EQ(json_text.str(), results_json(c));
   EXPECT_THROW(write_results_csv(c, dir + "/no/such/dir/x.csv"), SpecError);
 }
 
@@ -532,7 +536,6 @@ TEST(CampaignExport, CsvByteIdenticalAcrossThreadCounts) {
   serial.run();
   parallel.run();
   EXPECT_EQ(results_csv(serial), results_csv(parallel));
-  EXPECT_EQ(seed_stats_csv(serial), seed_stats_csv(parallel));
   EXPECT_EQ(results_json(serial), results_json(parallel));
 }
 
@@ -589,7 +592,6 @@ TEST(CampaignTraceCache, ColdThenWarmRunsAreByteIdenticalEverywhere) {
   // cache temperature or thread count.
   EXPECT_EQ(reports(cold), reports(warm));
   EXPECT_EQ(results_csv(cold), results_csv(warm));
-  EXPECT_EQ(seed_stats_csv(cold), seed_stats_csv(warm));
   EXPECT_EQ(results_json(cold), results_json(warm));
 
   // And both match a cache-less campaign, including the JSON's
@@ -716,7 +718,6 @@ TEST(CampaignExport, ByteIdenticalUnderCommaDecimalLocale) {
   Campaign reference(small_grid(1));
   reference.run();
   const std::string csv_c = results_csv(reference);
-  const std::string stats_c = seed_stats_csv(reference);
   const std::string json_c = results_json(reference);
   const std::string metrics_c = metrics_csv(reference);
   const auto reports_c = reports(reference);
@@ -726,7 +727,6 @@ TEST(CampaignExport, ByteIdenticalUnderCommaDecimalLocale) {
     GTEST_SKIP() << "no comma-decimal locale installed on this host";
 
   EXPECT_EQ(results_csv(reference), csv_c);
-  EXPECT_EQ(seed_stats_csv(reference), stats_c);
   EXPECT_EQ(results_json(reference), json_c);
   EXPECT_EQ(metrics_csv(reference), metrics_c);
   EXPECT_EQ(reports(reference), reports_c);
@@ -759,29 +759,26 @@ CampaignSpec sampled_grid(unsigned threads) {
   return spec;
 }
 
-TEST(CampaignTimelines, ExportEmptyWhenSamplingOff) {
-  Campaign c(small_grid(1));
-  c.run();
-  EXPECT_EQ(timelines_json(c), "{\n  \"timelines\": []\n}\n");
-}
-
 TEST(CampaignTimelines, ExportDeterministicAcrossThreadCounts) {
   Campaign serial(sampled_grid(1));
   Campaign parallel(sampled_grid(3));
   serial.run();
   parallel.run();
-  const auto doc = timelines_json(serial);
-  EXPECT_EQ(doc, timelines_json(parallel));
-  // Every job carries a timeline (8 jobs) with grid coordinates and the
-  // embedded Timeline document.
+  // Every job carries a timeline (8 jobs), sampled from t = 0 at the
+  // scenario's cadence, and its CSV is byte-identical at any thread count.
   ASSERT_FALSE(serial.results().empty());
-  for (const auto& job : serial.results())
-    ASSERT_NE(job.result.timeline, nullptr);
-  for (const char* needle :
-       {"\"timelines\": [", "\"platform\": 0", "\"seed\": 11",
-        "\"cadence_s\": 300", "\"columns\": [\"soc\"",
-        "\"samples\": [[0, "})
-    EXPECT_NE(doc.find(needle), std::string::npos) << needle;
+  ASSERT_EQ(serial.results().size(), parallel.results().size());
+  for (std::size_t j = 0; j < serial.results().size(); ++j) {
+    const auto& tl = serial.results()[j].result.timeline;
+    const auto& tl_parallel = parallel.results()[j].result.timeline;
+    ASSERT_NE(tl, nullptr) << "job " << j;
+    ASSERT_NE(tl_parallel, nullptr) << "job " << j;
+    EXPECT_EQ(tl->cadence().value(), 300.0);
+    const auto csv = tl->csv();
+    EXPECT_EQ(csv.rfind("t_s,soc,", 0), 0u) << "job " << j;
+    EXPECT_NE(csv.find("\n0,"), std::string::npos) << "job " << j;
+    EXPECT_EQ(csv, tl_parallel->csv()) << "job " << j;
+  }
 }
 
 TEST(CampaignTimelines, SamplingNeverChangesResultExports) {
@@ -790,22 +787,8 @@ TEST(CampaignTimelines, SamplingNeverChangesResultExports) {
   off.run();
   on.run();
   EXPECT_EQ(results_csv(off), results_csv(on));
-  EXPECT_EQ(seed_stats_csv(off), seed_stats_csv(on));
   EXPECT_EQ(results_json(off), results_json(on));
   EXPECT_EQ(reports(off), reports(on));
-}
-
-TEST(CampaignTimelines, FileWriterRoundTrips) {
-  Campaign c(sampled_grid(2));
-  c.run();
-  const std::string path = ::testing::TempDir() + "/timelines.json";
-  write_timelines_json(c, path);
-  std::ifstream file(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  EXPECT_EQ(buffer.str(), timelines_json(c));
-  EXPECT_THROW(write_timelines_json(c, ::testing::TempDir() + "/no/dir/x.json"),
-               SpecError);
 }
 
 // ---------------------------------------------------------------------------
@@ -832,14 +815,13 @@ TEST(CampaignEmptyGrid, ZeroJobsStillExportValidDocuments) {
     const auto csv = results_csv(c);
     EXPECT_EQ(parse_csv(csv).rows.size(), 0u) << "axis " << axis;
     EXPECT_EQ(csv.find('\n'), csv.size() - 1) << "axis " << axis;
-    const auto stats = seed_stats_csv(c);
-    EXPECT_EQ(parse_csv(stats).rows.size(), 0u) << "axis " << axis;
     // Valid JSON with empty arrays, not "null" and not a parse error: the
     // strict RFC 8259 parser the daemon uses must accept the document.
     const auto json = results_json(c);
     EXPECT_NO_THROW((void)serve::parse_json(json)) << json;
     EXPECT_NE(json.find("\"jobs\": [\n  ]"), std::string::npos) << json;
-    EXPECT_EQ(timelines_json(c), "{\n  \"timelines\": []\n}\n");
+    // No cell has a sample, so no seed statistics (not rows of NaN).
+    EXPECT_NE(json.find("\"seed_stats\": [\n  ]"), std::string::npos) << json;
   }
 }
 

@@ -74,29 +74,35 @@ TEST(ScheduleParse, AcceptsCrlfLineEndings) {
 }
 
 TEST(ScheduleParse, CsvRoundTripIsExact) {
-  const auto original = Schedule::parse(
+  // Every cell parses to exactly the literal's double (no locale, no
+  // rounding), and an empty optional cell stays unset.
+  const auto s = Schedule::parse(
       doc("3600.5,sensor_drift,input:1,1.15,7200,1,\n"
           "7200,storage_leakage_spike,storage:2,8,1800,3,900\n"
           "10000,node_flash_wear,node,2,,1,\n"));
-  const auto reparsed = Schedule::parse(original.to_csv());
-  ASSERT_EQ(reparsed.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    const auto& a = original.entries()[i];
-    const auto& b = reparsed.entries()[i];
-    EXPECT_EQ(a.when.value(), b.when.value());
-    EXPECT_EQ(a.fault, b.fault);
-    EXPECT_EQ(a.target, b.target);
-    EXPECT_EQ(std::isnan(a.a), std::isnan(b.a));
-    if (!std::isnan(a.a)) {
-      EXPECT_EQ(a.a, b.a);
-    }
-    EXPECT_EQ(std::isnan(a.b), std::isnan(b.b));
-    if (!std::isnan(a.b)) {
-      EXPECT_EQ(a.b, b.b);
-    }
-    EXPECT_EQ(a.count, b.count);
-    EXPECT_EQ(a.spread.value(), b.spread.value());
-  }
+  ASSERT_EQ(s.size(), 3u);
+  const auto& e = s.entries();
+  EXPECT_EQ(e[0].when.value(), 3600.5);
+  EXPECT_EQ(e[0].fault, "sensor_drift");
+  EXPECT_EQ(e[0].target, "input:1");
+  EXPECT_EQ(e[0].a, 1.15);
+  EXPECT_EQ(e[0].b, 7200.0);
+  EXPECT_EQ(e[0].count, 1u);
+  EXPECT_EQ(e[0].spread.value(), 0.0);
+  EXPECT_EQ(e[1].when.value(), 7200.0);
+  EXPECT_EQ(e[1].fault, "storage_leakage_spike");
+  EXPECT_EQ(e[1].target, "storage:2");
+  EXPECT_EQ(e[1].a, 8.0);
+  EXPECT_EQ(e[1].b, 1800.0);
+  EXPECT_EQ(e[1].count, 3u);
+  EXPECT_EQ(e[1].spread.value(), 900.0);
+  EXPECT_EQ(e[2].when.value(), 10000.0);
+  EXPECT_EQ(e[2].fault, "node_flash_wear");
+  EXPECT_EQ(e[2].target, "node");
+  EXPECT_EQ(e[2].a, 2.0);
+  EXPECT_TRUE(std::isnan(e[2].b));
+  EXPECT_EQ(e[2].count, 1u);
+  EXPECT_EQ(e[2].spread.value(), 0.0);
 }
 
 TEST(ScheduleParse, LoadReadsAFile) {

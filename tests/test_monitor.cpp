@@ -82,7 +82,6 @@ TEST(NullMonitor, BlindAndFree) {
   NullMonitor m;
   EXPECT_EQ(m.capability(), taxonomy::MonitoringCapability::kNone);
   EXPECT_FALSE(m.estimate().valid);
-  EXPECT_DOUBLE_EQ(m.monitoring_energy().value(), 0.0);
 }
 
 TEST(AnalogMonitor, EstimatesCapacitorEnergyFromVoltage) {
@@ -97,16 +96,6 @@ TEST(AnalogMonitor, EstimatesCapacitorEnergyFromVoltage) {
   EXPECT_FALSE(e.incoming_known);
   EXPECT_NEAR(e.stored.value(), 0.5 * 10.0 * 9.0, 0.5);
   EXPECT_EQ(m.capability(), taxonomy::MonitoringCapability::kStoreVoltageOnly);
-}
-
-TEST(AnalogMonitor, MonitoringCostsEnergy) {
-  auto sc = cap(10.0, 3.0);
-  AnalogVoltageMonitor::AssumedDevice assumed;
-  assumed.capacitance = Farads{10.0};
-  AnalogVoltageMonitor m([&sc] { return sc.voltage(); }, assumed,
-                         bus::AdcLine::Params{}, 2);
-  for (int i = 0; i < 10; ++i) m.estimate();
-  EXPECT_NEAR(m.monitoring_energy().value(), 10 * 2e-6, 1e-12);
 }
 
 TEST(AnalogMonitor, StaleAssumptionAfterSilentSwap) {
@@ -154,7 +143,7 @@ TEST(AnalogMonitor, BatteryModelLinearInVoltage) {
 TEST(ActivityMonitor, FlagsFollowProbes) {
   bool a = true;
   bool b = false;
-  ActivityFlagMonitor m({[&] { return a; }, [&] { return b; }}, Joules{5e-6});
+  ActivityFlagMonitor m({[&] { return a; }, [&] { return b; }});
   auto e = m.estimate();
   EXPECT_FALSE(e.valid);  // flags cannot quantify energy
   ASSERT_EQ(m.flags().size(), 2u);
@@ -164,7 +153,6 @@ TEST(ActivityMonitor, FlagsFollowProbes) {
   m.estimate();
   EXPECT_TRUE(m.flags()[1]);
   EXPECT_EQ(m.capability(), taxonomy::MonitoringCapability::kActivityFlags);
-  EXPECT_NEAR(m.monitoring_energy().value(), 10e-6, 1e-12);
 }
 
 class DigitalMonitorFixture : public ::testing::Test {
@@ -226,13 +214,6 @@ TEST_F(DigitalMonitorFixture, HotSwapRecognizedAfterReenumeration) {
   const auto e = m.estimate();
   EXPECT_NEAR(e.capacity.value(), small.capacity().value(), 1e-6);
   EXPECT_NEAR(e.stored.value(), small.stored_energy().value(), 1.0);
-}
-
-TEST_F(DigitalMonitorFixture, MonitoringEnergyGrowsWithPolls) {
-  DigitalBusMonitor m(bus_, {0x10});
-  const double e0 = m.monitoring_energy().value();
-  for (int i = 0; i < 10; ++i) m.estimate();
-  EXPECT_GT(m.monitoring_energy().value(), e0);
 }
 
 TEST(DigitalMonitor, SumsHarvesterOutputPowerAsIncoming) {

@@ -287,7 +287,6 @@ TEST(MeanTimeToFailover, PolicyMeasuresOnsetToSwitchInLatency) {
   ASSERT_TRUE(cell.enabled());
   EXPECT_EQ(policy.failover_latency_count(), 1u);
   EXPECT_DOUBLE_EQ(policy.failover_latency_total().value(), 600.0);
-  EXPECT_DOUBLE_EQ(policy.mean_time_to_failover().value(), 600.0);
 }
 
 TEST(MeanTimeToFailover, SocOnlyFailoverHasNoMeasurableOnset) {
@@ -298,7 +297,6 @@ TEST(MeanTimeToFailover, SocOnlyFailoverHasNoMeasurableOnset) {
   ASSERT_TRUE(cell.enabled());
   EXPECT_EQ(policy.failovers(), 1u);
   EXPECT_EQ(policy.failover_latency_count(), 0u);
-  EXPECT_DOUBLE_EQ(policy.mean_time_to_failover().value(), 0.0);
 }
 
 TEST(MeanTimeToFailover, SurfacesThroughRunResult) {
@@ -541,11 +539,30 @@ TEST(TraceCollector, SnapshotEventsReturnsCompleteSpansInTidOrder) {
     EXPECT_GE(events[i].tid, events[i - 1].tid);
 }
 
+TEST(TraceCollector, SpanOpenAcrossEnableIsDropped) {
+  // A span that started in an ended session has no place on the new
+  // session's clock: recording it would export the old start with a
+  // duration measured across two epochs.
+  auto& collector = obs::TraceCollector::instance();
+  collector.enable();
+  {
+    obs::Span span{"straddles_enable", "test"};
+    collector.enable();
+  }
+  EXPECT_EQ(collector.event_count(), 0u);
+  { obs::Span span{"after_enable", "test"}; }
+  const auto events = collector.snapshot_events();
+  collector.disable();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "after_enable");
+  EXPECT_GE(events[0].ts_us, 0.0);
+  EXPECT_GE(events[0].dur_us, 0.0);
+}
+
 TEST(TraceCollector, ReenableWhileSpansAreOpenIsRaceFree) {
-  // enable() re-anchors the epoch while span sites on other threads read
-  // it through now_us() without the mutex, so the epoch must be atomic.
-  // The check is the ThreadSanitizer build, which reports a plain epoch
-  // store here as a data race.
+  // enable() re-anchors the epoch while spans on other threads are open
+  // and closing. The check is the ThreadSanitizer build, which reports any
+  // unsynchronized access to the epoch or the log here as a data race.
   auto& collector = obs::TraceCollector::instance();
   collector.enable();
   std::atomic<int> running{0};
@@ -619,47 +636,14 @@ TEST(Timeline, FindColumnAndAccessors) {
   EXPECT_DOUBLE_EQ(tl.column(1)[0], 2.0);
 }
 
-TEST(Timeline, CsvAndJsonAreByteExact) {
+TEST(Timeline, CsvIsByteExact) {
   obs::Timeline tl(Seconds{0.5}, {"a", "b"});
+  EXPECT_EQ(tl.csv(), "t_s,a,b\n");  // no samples: the header alone
   const double r0[2] = {1.5, 2.0};
   const double r1[2] = {0.25, -0.5};
   tl.append(0.0, r0, 2);
   tl.append(0.5, r1, 2);
   EXPECT_EQ(tl.csv(), "t_s,a,b\n0,1.5,2\n0.5,0.25,-0.5\n");
-  EXPECT_EQ(tl.json(),
-            "{\"cadence_s\": 0.5, \"columns\": [\"a\", \"b\"], "
-            "\"samples\": [[0, 1.5, 2], [0.5, 0.25, -0.5]]}");
-}
-
-TEST(Timeline, MetricsSnapshotCarriesPerColumnStats) {
-  obs::Timeline tl(Seconds{2.0}, {"a"});
-  const double r0[1] = {3.0};
-  const double r1[1] = {-1.0};
-  const double r2[1] = {2.0};
-  tl.append(0.0, r0, 1);
-  tl.append(2.0, r1, 1);
-  tl.append(4.0, r2, 1);
-  const auto snap = tl.metrics_snapshot();
-  const auto* samples = snap.find("timeline.samples");
-  ASSERT_NE(samples, nullptr);
-  EXPECT_EQ(samples->kind, obs::MetricKind::kCounter);
-  EXPECT_EQ(samples->count, 3u);
-  const auto* cadence = snap.find("timeline.cadence_s");
-  ASSERT_NE(cadence, nullptr);
-  EXPECT_DOUBLE_EQ(cadence->value, 2.0);
-  EXPECT_DOUBLE_EQ(snap.find("timeline.a.last")->value, 2.0);
-  EXPECT_DOUBLE_EQ(snap.find("timeline.a.min")->value, -1.0);
-  EXPECT_DOUBLE_EQ(snap.find("timeline.a.max")->value, 3.0);
-}
-
-TEST(Timeline, EmptyTimelineSnapshotsZeroRows) {
-  obs::Timeline tl(Seconds{1.0}, {"a"});
-  const auto snap = tl.metrics_snapshot();
-  EXPECT_EQ(snap.find("timeline.samples")->count, 0u);
-  EXPECT_DOUBLE_EQ(snap.find("timeline.a.last")->value, 0.0);
-  EXPECT_DOUBLE_EQ(snap.find("timeline.a.min")->value, 0.0);
-  EXPECT_DOUBLE_EQ(snap.find("timeline.a.max")->value, 0.0);
-  EXPECT_EQ(tl.csv(), "t_s,a\n");
 }
 
 // ---------------------------------------------------------------------------

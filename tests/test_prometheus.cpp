@@ -18,7 +18,6 @@
 #include "node/sensor_node.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
-#include "obs/timeline.hpp"
 #include "power/chain.hpp"
 #include "power/converter.hpp"
 #include "power/mppt.hpp"
@@ -288,19 +287,6 @@ TEST(PrometheusText, RunResultSnapshotLintsClean) {
   EXPECT_NE(text.find("msehsim_ledger_source_share{index=\"0\"}"),
             std::string::npos);
   EXPECT_NE(text.find("msehsim_brownouts_total"), std::string::npos);
-}
-
-TEST(PrometheusText, TimelineSnapshotLintsClean) {
-  obs::Timeline timeline(Seconds{60.0}, {"soc", "source[0].harvested_w"});
-  const double r0[2] = {0.9, 0.0};
-  const double r1[2] = {0.8, 1.5e-3};
-  timeline.append(0.0, r0, 2);
-  timeline.append(60.0, r1, 2);
-
-  const auto text = obs::prometheus_text(timeline.metrics_snapshot());
-  EXPECT_EQ(obs::prometheus_lint(text), "") << text;
-  EXPECT_NE(text.find("msehsim_timeline_samples_total 2\n"), std::string::npos);
-  EXPECT_NE(text.find("msehsim_timeline_soc_min 0.8\n"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
