@@ -69,15 +69,6 @@ double Pcg32::exponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Pcg32::weibull(double k, double lambda) {
-  require_spec(k > 0.0 && lambda > 0.0, "Pcg32::weibull requires k, lambda > 0");
-  double u = 0.0;
-  do {
-    u = next_double();
-  } while (u <= 0.0);
-  return lambda * std::pow(-std::log(u), 1.0 / k);
-}
-
 bool Pcg32::bernoulli(double p) { return next_double() < p; }
 
 std::uint64_t stream_key(std::string_view name) {

@@ -42,10 +42,6 @@ class Pcg32 {
   /// Exponential deviate with the given mean. Requires mean > 0.
   double exponential(double mean);
 
-  /// Weibull deviate with shape @p k and scale @p lambda (both > 0).
-  /// The canonical model for wind-speed distributions.
-  double weibull(double k, double lambda);
-
   /// Bernoulli trial with success probability @p p.
   bool bernoulli(double p);
 

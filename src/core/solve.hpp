@@ -1,6 +1,6 @@
 // Small numeric helpers shared across the electrical models.
 //
-// The root/extremum searches are header-only templates on the callable so
+// The extremum search is a header-only template on the callable so
 // hot-path callers (the MPP oracle runs once per chain per step) get the
 // function object inlined instead of paying a std::function dispatch per
 // evaluation.
@@ -9,32 +9,6 @@
 #include <cmath>
 
 namespace msehsim {
-
-/// Finds a root of @p f on [lo, hi] by bisection. The interval must bracket
-/// a sign change (f(lo) and f(hi) of opposite sign or zero); otherwise the
-/// endpoint with the smaller |f| is returned. Deterministic and robust —
-/// exactly what the implicit PV diode equation needs.
-template <typename F>
-double bisect_fn(F&& f, double lo, double hi, int iterations = 60) {
-  double flo = f(lo);
-  double fhi = f(hi);
-  if (flo == 0.0) return lo;
-  if (fhi == 0.0) return hi;
-  if (flo * fhi > 0.0) return std::fabs(flo) < std::fabs(fhi) ? lo : hi;
-  for (int i = 0; i < iterations; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    const double fmid = f(mid);
-    if (fmid == 0.0) return mid;
-    if (flo * fmid < 0.0) {
-      hi = mid;
-      fhi = fmid;
-    } else {
-      lo = mid;
-      flo = fmid;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
 
 /// Maximizes a unimodal function on [lo, hi] by golden-section search and
 /// returns the argmax. Used to locate maximum power points on I-V curves.

@@ -1,8 +1,5 @@
 #include "core/stats.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "core/error.hpp"
 
 namespace msehsim {
@@ -48,17 +45,6 @@ void Series::push(Seconds t, double v) {
 double Series::last() const {
   require_spec(!values_.empty(), "Series::last on empty series");
   return values_.back();
-}
-
-double percentile(std::vector<double> data, double q) {
-  if (data.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(data.size())));
-  const std::size_t idx = rank == 0 ? 0 : rank - 1;
-  std::nth_element(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(idx),
-                   data.end());
-  return data[idx];
 }
 
 }  // namespace msehsim

@@ -82,8 +82,4 @@ class Series {
   RunningStats stats_;
 };
 
-/// Simple percentile over a copy of the data (nearest-rank).
-/// @p q in [0,1]. Returns 0 for empty input.
-double percentile(std::vector<double> data, double q);
-
 }  // namespace msehsim

@@ -116,11 +116,6 @@ constexpr Joules capacitor_energy(Farads c, Volts v) {
   return Joules{0.5 * c.value() * v.value() * v.value()};
 }
 
-/// Voltage of a capacitor holding energy @p e : V = sqrt(2 E / C).
-inline Volts capacitor_voltage(Farads c, Joules e) {
-  return Volts{std::sqrt(2.0 * std::max(0.0, e.value()) / c.value())};
-}
-
 /// Charge capacity expressed in coulombs.
 constexpr Coulombs to_coulombs(AmpHours ah) { return Coulombs{ah.value() * 3600.0}; }
 

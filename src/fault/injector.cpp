@@ -203,14 +203,14 @@ void FaultInjector::sensor_drift(Seconds when, power::InputChain& chain,
   }
 }
 
-void FaultInjector::arm(Simulation& sim) {
+void FaultInjector::arm(EventQueue& events) {
   require_spec(!armed_, "FaultInjector: already armed");
   armed_ = true;
   for (auto& entry : schedule_) {
     // The schedule owns the callables; the event queue borrows them, which
-    // is safe because the injector must outlive the armed simulation.
+    // is safe because the injector must outlive the queue.
     auto* apply = &entry.apply;
-    sim.at(entry.when, [apply](Seconds) { (*apply)(); });
+    events.at(entry.when, [apply](Seconds) { (*apply)(); });
   }
 }
 

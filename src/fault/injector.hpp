@@ -2,16 +2,16 @@
 //
 // A FaultInjector is a seed-reproducible fault schedule: each entry names an
 // absolute simulation time, a fault kind, and a target component. arm()
-// registers every entry on the Simulation's one-shot event queue, so faults
-// fire with the same FIFO ordering guarantees as any other event and a
-// seeded schedule replayed over the same horizon produces bit-identical
-// traces. Related simulators (the EnHANTs simulation system, the ns-3
-// energy framework) treat source outage and storage fade as first-class
-// scenario inputs; this is msehsim's equivalent knob.
+// registers every entry on a run's EventQueue, so faults fire at the start
+// of the step they fall in, with the same FIFO ordering guarantees as any
+// other event, and a seeded schedule replayed over the same horizon
+// produces bit-identical traces. Related simulators (the EnHANTs simulation
+// system, the ns-3 energy framework) treat source outage and storage fade
+// as first-class scenario inputs; this is msehsim's equivalent knob.
 //
 // The injector borrows references to the targeted chains, devices, and
-// buses: every target (and the injector itself) must outlive the armed
-// Simulation. Counters tally faults that actually *fired*, so a schedule
+// buses: every target (and the injector itself) must outlive the queue it
+// is armed on. Counters tally faults that actually *fired*, so a schedule
 // reaching past the end of the run reports only what the run experienced.
 #pragma once
 
@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "bus/i2c.hpp"
-#include "core/simulation.hpp"
+#include "core/event_queue.hpp"
 #include "fault/fault.hpp"
 #include "fault/faulty_harvester.hpp"
 #include "node/sensor_node.hpp"
@@ -100,10 +100,10 @@ class FaultInjector {
 
   // ---- Driving ------------------------------------------------------------
 
-  /// Registers the whole schedule on @p sim's event queue. Call exactly once,
-  /// before running; entries already in @p sim's past are rejected with
-  /// SpecError (Simulation::at semantics).
-  void arm(Simulation& sim);
+  /// Registers the whole schedule on @p events. Call exactly once, before
+  /// running; entries already in the queue's past are rejected with
+  /// SpecError (EventQueue::at semantics).
+  void arm(EventQueue& events);
 
   [[nodiscard]] bool armed() const { return armed_; }
   [[nodiscard]] std::size_t scheduled() const { return schedule_.size(); }

@@ -67,12 +67,12 @@ struct EnergyLedger {
   /// charged - discharged - delta.
   double storage_loss_j{0.0};
   /// storage_loss_j evaluated over the run's first half only, from a
-  /// mid-run snapshot of the same accumulators (systems::detail::
-  /// MidRunProbe). The superlinear-leak detector's probe: a loss growing
-  /// linearly in duration splits ~evenly across the halves, so a second
-  /// half markedly heavier than the first (Campaign::leak_warnings uses
-  /// 2x) flags leakage compounding with state, not time. 0 when the run
-  /// was too short to sample.
+  /// mid-run snapshot of the same accumulators (a one-shot event that
+  /// systems::BatchRunner registers at duration/2). The superlinear-leak
+  /// detector's probe: a loss growing linearly in duration splits ~evenly
+  /// across the halves, so a second half markedly heavier than the first
+  /// (Campaign::leak_warnings uses 2x) flags leakage compounding with
+  /// state, not time. 0 when the run was too short to sample.
   double storage_loss_first_half_j{0.0};
 
   // ---- Transducer boundary ------------------------------------------------

@@ -12,20 +12,20 @@
 // and a run over a CompiledTrace equals the run over the environment it was
 // compiled from. The kernel guarantees this by construction:
 //
-//  - The step body is Platform::step itself, the body the reference
-//    harness (tests/reference_run.hpp) and every component test run.
-//    DESIGN.md §8 records why there is no second, column-layout body.
-//  - Each lane keeps its own core::Simulation purely as an event engine, so
-//    management periodics, timeline samples and one-shot fault injections
-//    fire with core::Simulation's semantics (same dispatch window, same FIFO
-//    sequence tiebreak, registrations in one fixed order — see add_lane).
-//    On steps where nothing is due — the common case — the kernel skips
-//    dispatch entirely, which is legal because "due" is a pure function of
-//    the event queue and the clock.
+//  - The step body is Platform::step itself, the body every component test
+//    runs. DESIGN.md §8 records why there is no second, column-layout body.
+//  - run() owns the one clock: now is the k-fold accumulated sum of dt from
+//    zero. Each lane keeps its own core::EventQueue, so management
+//    periodics, the mid-run ledger probe, timeline samples and one-shot
+//    fault injections fire at the start of the step they fall in (same
+//    FIFO tiebreak, registrations in one fixed order — see add_lane). On
+//    steps where nothing is due — the common case — a lane skips dispatch
+//    entirely, which is legal because "due" is a pure function of the queue
+//    and the step window.
 //  - Divergent per-lane behaviour (fault onsets, BackupChain switches, load
 //    shed) lives inside the components a lane already owns.
-//  - Results are assembled by systems::detail::assemble_run_result, so
-//    exports, the energy ledger, metrics, and the survivability report
+//  - Every lane's result is assembled by the same code at the end of run(),
+//    so exports, the energy ledger, metrics, and the survivability report
 //    cannot drift between lanes.
 //  - Twin PV panels share their curve solves: add_lane attaches one
 //    harvest::PvCurveShare per distinct PvPanel::Params to every panel of
@@ -62,7 +62,8 @@ class BatchRunner {
  public:
   /// @p environment is advanced once per step (now accumulated from zero by
   /// repeated += dt) and must outlive run(); @p duration and @p options as
-  /// for run_platform.
+  /// for run_platform. options.dt and @p duration must be finite and > 0
+  /// (SpecError).
   BatchRunner(env::EnvironmentModel& environment, Seconds duration,
               RunOptions options);
   /// Replays @p trace, the shared ambient timeline, through an owned
@@ -78,7 +79,7 @@ class BatchRunner {
   /// is never called: the destructor detaches the curve shares add_lane
   /// attached to its PV panels); @p injector (optional) must already be
   /// fully built against this platform and is armed on the lane's event
-  /// engine. Returns the lane index (result slot in run()'s return).
+  /// queue. Returns the lane index (result slot in run()'s return).
   std::size_t add_lane(Platform& platform,
                        fault::FaultInjector* injector = nullptr);
 

@@ -1,129 +1,12 @@
 #include "systems/runner.hpp"
 
-#include <algorithm>
-
 #include "core/fmt.hpp"
-#include "fault/faulty_harvester.hpp"
 #include "obs/trace.hpp"
 #include "systems/batch_runner.hpp"
 
 namespace msehsim::systems {
 
 namespace {
-
-/// Collects fault bookkeeping scattered across the platform's components.
-FaultReport collect_faults(Platform& platform,
-                           const fault::FaultInjector* injector) {
-  FaultReport f;
-  if (injector != nullptr) f.injected = injector->counters();
-  for (std::size_t i = 0; i < platform.input_count(); ++i) {
-    auto& chain = platform.input(i);
-    if (const auto* fh =
-            dynamic_cast<const fault::FaultyHarvester*>(&chain.harvester())) {
-      f.harvester_faulted_steps += fh->faulted_steps();
-      f.harvester_transitions += fh->transitions();
-    }
-    f.converter_shutdowns += chain.thermal_shutdowns();
-    f.converter_shutdown_steps += chain.shutdown_steps();
-  }
-  f.bus_fault_hits = platform.i2c().fault_hits();
-  f.bus_naks = platform.i2c().nak_count();
-  if (const auto* digital =
-          dynamic_cast<const manager::DigitalBusMonitor*>(platform.monitor())) {
-    f.retry_attempts = digital->attempts();
-    f.retry_retries = digital->retries();
-    f.retry_give_ups = digital->give_ups();
-  }
-  if (const auto* failover = platform.failover_policy()) {
-    f.failovers = failover->failovers();
-    f.failbacks = failover->failbacks();
-    f.failover_latency_count = failover->failover_latency_count();
-    f.failover_latency_total_s = failover->failover_latency_total().value();
-  }
-  if (const auto* chain = platform.backup_chain()) {
-    f.failovers = chain->failovers();
-    f.failbacks = chain->failbacks();
-    f.failover_latency_count = chain->failover_latency_count();
-    f.failover_latency_total_s = chain->failover_latency_total().value();
-  }
-  return f;
-}
-
-/// Folds the platform's survivability accumulators and backup-chain stage
-/// stats into the fixed-slot report.
-SurvivabilityReport collect_survivability(Platform& platform, Seconds duration) {
-  SurvivabilityReport s;
-  s.time_to_first_unserved_s = platform.first_unserved_time().value();
-  // quiescent and bus-load accumulate as *demanded* (the unserved part is
-  // the slice of them no store could cover), so together they are the total
-  // bus demand the fraction normalizes by.
-  const double demand =
-      platform.quiescent_energy().value() + platform.bus_load_energy().value();
-  if (demand > 0.0)
-    s.unserved_energy_fraction = platform.unserved_energy().value() / demand;
-  if (duration.value() > 0.0)
-    s.energy_neutral_fraction =
-        platform.energy_neutral_time().value() / duration.value();
-  if (const auto* chain = platform.backup_chain()) {
-    s.backup_stages = chain->stage_count();
-    const std::size_t reported = std::min<std::size_t>(
-        chain->stage_count(), SurvivabilityReport::kReportedBackupStages);
-    for (std::size_t i = 0; i < reported; ++i) {
-      s.stage_residency_s[i] = chain->stage_stats(i).residency.value();
-      s.stage_switch_ins[i] = chain->stage_stats(i).switch_ins;
-    }
-  }
-  return s;
-}
-
-/// Fills the energy-flow ledger (and the MPP counters riding on its source
-/// rows) from the accumulators the platform integrated during the run.
-obs::EnergyLedger collect_ledger(Platform& platform, Joules initial_stored,
-                                 const detail::MidRunProbe& probe) {
-  obs::EnergyLedger ledger;
-  ledger.harvested_j = platform.harvested_energy().value();
-  ledger.storage_discharged_j = platform.storage_discharged_energy().value();
-  ledger.unserved_j = platform.unserved_energy().value();
-  ledger.quiescent_j = platform.quiescent_energy().value();
-  ledger.bus_load_j = platform.bus_load_energy().value();
-  ledger.storage_charged_j = platform.storage_charged_energy().value();
-  ledger.wasted_j = platform.wasted_energy().value();
-  ledger.rail_load_j = platform.load_energy().value();
-  ledger.output_loss_j = platform.output_loss_energy().value();
-  ledger.initial_stored_j = initial_stored.value();
-  ledger.final_stored_j = platform.total_stored().value();
-  ledger.storage_delta_j = ledger.final_stored_j - ledger.initial_stored_j;
-  ledger.storage_loss_j = ledger.storage_charged_j -
-                          ledger.storage_discharged_j - ledger.storage_delta_j;
-  if (probe.sampled) {
-    // Same derivation as storage_loss_j, cut off at the duration/2 snapshot.
-    ledger.storage_loss_first_half_j =
-        probe.charged_j - probe.discharged_j -
-        (probe.stored_j - ledger.initial_stored_j);
-  }
-  ledger.sources.reserve(platform.input_count());
-  for (std::size_t i = 0; i < platform.input_count(); ++i) {
-    const auto& chain = platform.input(i);
-    obs::SourceRow row;
-    row.name = std::string(chain.harvester().name());
-    row.kind = std::string(harvest::to_string(chain.harvester().kind()));
-    row.transducer_j = chain.transducer_energy().value();
-    row.conversion_loss_j = chain.conversion_loss_energy().value();
-    row.tracker_overhead_j = chain.tracker_paid_energy().value();
-    row.delivered_j = chain.delivered_energy().value();
-    row.mpp_cache_hits = chain.harvester().mpp_cache_hits();
-    row.mpp_recomputes = chain.harvester().mpp_recomputes();
-    ledger.transducer_j += row.transducer_j;
-    ledger.conversion_loss_j += row.conversion_loss_j;
-    ledger.tracker_overhead_j += row.tracker_overhead_j;
-    ledger.sources.push_back(std::move(row));
-  }
-  const double total_delivered = ledger.harvested_j;
-  if (total_delivered > 0.0) {
-    for (auto& row : ledger.sources) row.share = row.delivered_j / total_delivered;
-  }
-  return ledger;
-}
 
 double u64(std::uint64_t v) { return static_cast<double>(v); }
 
@@ -270,97 +153,6 @@ RunResult run_platform(Platform& platform, env::EnvironmentModel& environment,
   BatchRunner runner(environment, duration, options);
   runner.add_lane(platform, injector);
   return std::move(runner.run().front());
-}
-
-void detail::TimelineSampler::init(Platform& p, Seconds cadence,
-                                   Seconds duration) {
-  platform = &p;
-  const std::size_t sources = p.input_count();
-  std::vector<std::string> columns = {"soc", "stored_j", "unserved_j",
-                                      "backup_stage", "bus_voltage_v"};
-  columns.reserve(columns.size() + 2 * sources);
-  for (std::size_t i = 0; i < sources; ++i) {
-    const std::string prefix = "source[" + std::to_string(i) + "].";
-    columns.push_back(prefix + "harvested_w");
-    columns.push_back(prefix + "delivered_w");
-  }
-  timeline = std::make_shared<obs::Timeline>(cadence, std::move(columns));
-  if (duration.value() > 0.0)
-    timeline->reserve(
-        static_cast<std::size_t>(duration.value() / cadence.value()) + 1);
-  prev_transducer_j_.assign(sources, 0.0);
-  prev_delivered_j_.assign(sources, 0.0);
-  prev_t_s_ = 0.0;
-  first_ = true;
-  row_.assign(timeline->column_count(), 0.0);
-}
-
-void detail::TimelineSampler::sample(Seconds now) {
-  row_[0] = platform->ambient_soc();
-  row_[1] = platform->total_stored().value();
-  row_[2] = platform->unserved_energy().value();
-  // Highest engaged backup stage as 1-based index (0 = chain idle or absent)
-  // — deeper stages only engage once their predecessors are in, so the
-  // maximum is the ladder's current depth.
-  double stage = 0.0;
-  if (const auto* chain = platform->backup_chain()) {
-    for (std::size_t i = 0; i < chain->stage_count(); ++i)
-      if (chain->stage_engaged(i)) stage = static_cast<double>(i + 1);
-  }
-  row_[3] = stage;
-  row_[4] = platform->bus_voltage().value();
-  const double gap_s = now.value() - prev_t_s_;
-  for (std::size_t i = 0; i < platform->input_count(); ++i) {
-    const auto& chain = platform->input(i);
-    const double transducer_j = chain.transducer_energy().value();
-    const double delivered_j = chain.delivered_energy().value();
-    if (first_ || gap_s <= 0.0) {
-      row_[5 + 2 * i] = 0.0;
-      row_[6 + 2 * i] = 0.0;
-    } else {
-      row_[5 + 2 * i] = (transducer_j - prev_transducer_j_[i]) / gap_s;
-      row_[6 + 2 * i] = (delivered_j - prev_delivered_j_[i]) / gap_s;
-    }
-    prev_transducer_j_[i] = transducer_j;
-    prev_delivered_j_[i] = delivered_j;
-  }
-  prev_t_s_ = now.value();
-  first_ = false;
-  timeline->append(now.value(), row_.data(), row_.size());
-}
-
-RunResult detail::assemble_run_result(
-    Platform& platform, Seconds duration, const fault::FaultInjector* injector,
-    Joules initial_stored, const RunningStats& input_stats,
-    const MidRunProbe& probe, std::shared_ptr<const obs::Timeline> timeline) {
-  RunResult r;
-  r.timeline = std::move(timeline);
-  r.duration = duration;
-  r.harvested = platform.harvested_energy();
-  r.load = platform.load_energy();
-  r.quiescent = platform.quiescent_energy();
-  r.wasted = platform.wasted_energy();
-  r.unmet = platform.unmet_energy();
-  r.brownouts = platform.brownouts();
-  r.generation_fraction = input_stats.fraction_positive();
-  if (const auto* node = platform.node()) {
-    r.packets = node->packets_sent();
-    r.reboots = node->reboots();
-    r.availability = node->availability();
-    r.queries_received = node->queries_received();
-    r.queries_answered = node->queries_answered();
-  }
-  r.final_ambient_soc = platform.ambient_soc();
-  r.final_stored = platform.total_stored();
-  r.time_to_first_brownout_s = platform.first_brownout_time().value();
-  r.faults = collect_faults(platform, injector);
-  r.survivability = collect_survivability(platform, duration);
-  r.ledger = collect_ledger(platform, initial_stored, probe);
-  for (const auto& source : r.ledger.sources) {
-    r.mpp_cache_hits += source.mpp_cache_hits;
-    r.mpp_recomputes += source.mpp_recomputes;
-  }
-  return r;
 }
 
 std::string to_string(const RunResult& r) {

@@ -13,8 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "core/simulation.hpp"
-#include "core/stats.hpp"
 #include "env/environment.hpp"
 #include "fault/injector.hpp"
 #include "obs/ledger.hpp"
@@ -171,67 +169,14 @@ struct RunOptions {
   Seconds timeline_dt{0.0};
 };
 
-/// Runs @p platform in @p environment for @p duration and summarizes. When
-/// @p injector is set, its schedule is armed on the run's event engine and
+/// Runs @p platform in @p environment for @p duration and summarizes.
+/// options.dt and @p duration must be finite and > 0 (SpecError). When
+/// @p injector is set, its schedule is armed on the run's event queue and
 /// its counters land in RunResult::faults; it must already be built against
 /// @p platform, and a given injector can be armed only once.
 RunResult run_platform(Platform& platform, env::EnvironmentModel& environment,
                        Seconds duration,
                        const RunOptions& options = RunOptions{},
                        fault::FaultInjector* injector = nullptr);
-
-namespace detail {
-
-/// Mid-run snapshot of the storage-boundary accumulators, taken by a
-/// one-shot event at duration/2 (registered right before the injector arms,
-/// so one-shot sequence numbers — the same-time FIFO tiebreak — are the
-/// same in every lane). Feeds
-/// obs::EnergyLedger::storage_loss_first_half_j, the superlinear-leak
-/// detector's probe.
-struct MidRunProbe {
-  double charged_j{0.0};
-  double discharged_j{0.0};
-  double stored_j{0.0};
-  bool sampled{false};
-};
-
-/// Fixed-cadence run-health sampler of one lane. Registered as the LAST
-/// sim.every() periodic, so a sample reads the platform at the start of the
-/// step it falls in — after every management callback of the same
-/// dispatch, before the step itself. Strictly read-only over the platform:
-/// enabling it cannot change results.
-struct TimelineSampler {
-  std::shared_ptr<obs::Timeline> timeline;
-  Platform* platform{nullptr};
-
-  /// Builds the column table for @p p (5 scalar columns + 2 per source)
-  /// and pre-reserves for @p duration at @p cadence.
-  void init(Platform& p, Seconds cadence, Seconds duration);
-  /// Appends one sample at @p now. Powers are trailing deltas of the
-  /// platform's energy accumulators over the inter-sample gap; the first
-  /// sample reports 0 W.
-  void sample(Seconds now);
-
- private:
-  std::vector<double> prev_transducer_j_;
-  std::vector<double> prev_delivered_j_;
-  double prev_t_s_{0.0};
-  bool first_{true};
-  std::vector<double> row_;
-};
-
-/// Summarizes a finished lane into a RunResult — the tail of
-/// systems::BatchRunner::run, so exports, ledger, metrics, and
-/// survivability are assembled by one piece of code. @p injector is the
-/// lane's armed injector, if any.
-RunResult assemble_run_result(Platform& platform, Seconds duration,
-                              const fault::FaultInjector* injector,
-                              Joules initial_stored,
-                              const RunningStats& input_stats,
-                              const MidRunProbe& probe,
-                              std::shared_ptr<const obs::Timeline> timeline =
-                                  nullptr);
-
-}  // namespace detail
 
 }  // namespace msehsim::systems

@@ -1,23 +1,30 @@
 // Batched lane kernel (systems::BatchRunner) correctness gate.
 //
-// The whole contract is byte-identity: a campaign run at any thread count,
-// and a BatchRunner fed its lanes in any block composition, must report
-// exactly the bytes the independent reference harness
-// (tests/reference_run.hpp: one Simulation per job, virtual Platform::step,
-// live environment synthesis) reports. The grids below
-// cover the divergence machinery the kernel must mask per lane —
-// fault-schedule onsets, backup-chain failovers, query traffic — on the
-// survey's reference platforms (Systems A and B), plus the energy-ledger
-// leak detector that rides on the campaign aggregation.
+// The contract is byte-identity: a lane's RunResult must not depend on the
+// lanes sharing its block, the block width, the campaign's thread count, or
+// whether its ambient timeline is a compiled trace or live synthesis. So a
+// campaign at any thread count, and a BatchRunner fed its lanes in any
+// block composition, must report exactly the bytes of each job run alone:
+// run_platform over a live environment (tests/live_grid.hpp), or a
+// one-lane BatchRunner over the same trace. The grids below cover the
+// divergence machinery the kernel must keep per lane — fault-schedule
+// onsets, backup-chain failovers, query traffic — on the survey's
+// reference platforms (Systems A and B), plus the energy-ledger leak
+// detector that rides on the campaign aggregation. Named tests at the end
+// pin the one engine's event timing and query stream; the physics is
+// checked against closed forms in test_platform.cpp (PlatformOracle.*).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "core/error.hpp"
+#include "core/random.hpp"
 #include "env/compiled_trace.hpp"
 #include "env/environment.hpp"
 #include "fault/faulty_harvester.hpp"
@@ -25,6 +32,7 @@
 #include "fault/schedule.hpp"
 #include "harvest/transducers.hpp"
 #include "manager/backup_chain.hpp"
+#include "manager/monitor.hpp"
 #include "node/sensor_node.hpp"
 #include "power/chain.hpp"
 #include "power/converter.hpp"
@@ -39,7 +47,7 @@
 #include "systems/catalog.hpp"
 #include "systems/platform.hpp"
 #include "systems/runner.hpp"
-#include "reference_run.hpp"
+#include "live_grid.hpp"
 
 namespace msehsim::campaign {
 namespace {
@@ -57,22 +65,18 @@ std::vector<std::string> reports(Campaign& c) {
   return out;
 }
 
-std::vector<std::string> reference_reports(const CampaignSpec& spec) {
-  return reference::live_grid_reports(spec, reference::reference_run);
-}
-
-/// Runs @p base on 1 and on 3 threads and asserts each run reproduces the
-/// reference harness byte for byte. The campaign batches the platform
-/// variants of each (scenario, seed) into blocks of up to 8 lanes; the
-/// reference runs every job alone.
-void expect_matches_reference(const CampaignSpec& base) {
-  const auto reference = reference_reports(base);
-  ASSERT_FALSE(reference.empty());
+/// Runs @p base on 1 and on 3 threads and asserts each run reproduces every
+/// job run alone over live synthesis byte for byte. The campaign batches
+/// the platform variants of each (scenario, seed) into blocks of up to 8
+/// lanes over one compiled trace.
+void expect_matches_one_lane_runs(const CampaignSpec& base) {
+  const auto alone = reference::live_grid_reports(base);
+  ASSERT_FALSE(alone.empty());
   for (const unsigned threads : {1u, 3u}) {
     CampaignSpec spec = base;
     spec.threads = threads;
     Campaign c(spec);
-    EXPECT_EQ(reference, reports(c)) << "diverged at threads=" << threads;
+    EXPECT_EQ(alone, reports(c)) << "diverged at threads=" << threads;
   }
 }
 
@@ -96,7 +100,7 @@ CampaignSpec systems_grid() {
 }
 
 TEST(BatchRunner, ByteIdenticalAcrossLaneWidthsOnCleanSystemsAB) {
-  expect_matches_reference(systems_grid());
+  expect_matches_one_lane_runs(systems_grid());
 }
 
 TEST(BatchRunner, ByteIdenticalUnderFaultSchedules) {
@@ -117,12 +121,12 @@ TEST(BatchRunner, ByteIdenticalUnderFaultSchedules) {
   };
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {5, 9, 13};
-  expect_matches_reference(spec);
+  expect_matches_one_lane_runs(spec);
 }
 
 /// System A with its fuel cell behind a prioritized backup chain, every
 /// ambient source killed at t=1h — the chain must engage (divergent per-lane
-/// control flow) and the campaign must report the reference bytes.
+/// control flow) and the campaign must report each job's one-lane bytes.
 CampaignSpec backup_chain_grid() {
   CampaignSpec spec;
   spec.platforms.push_back({"system-a-chain", [](std::uint64_t s) {
@@ -167,7 +171,7 @@ TEST(BatchRunner, ByteIdenticalThroughBackupChainFailover) {
     for (const auto& job : c.results())
       EXPECT_GE(job.result.faults.failovers, 1u);
   }
-  expect_matches_reference(base);
+  expect_matches_one_lane_runs(base);
 }
 
 TEST(BatchRunner, LaneWidthOneRunsOneLaneBlocks) {
@@ -175,7 +179,7 @@ TEST(BatchRunner, LaneWidthOneRunsOneLaneBlocks) {
   Campaign batched(spec);
   const auto batched_reports = reports(batched);
   EXPECT_EQ(batched.lane_blocks(), 3u) << "one block per (scenario, seed)";
-  EXPECT_EQ(reference_reports(spec), batched_reports);
+  EXPECT_EQ(reference::live_grid_reports(spec), batched_reports);
 
   // One platform variant: every block holds one lane, and System A's jobs
   // report the bytes they reported batched with System B.
@@ -229,7 +233,7 @@ std::unique_ptr<systems::Platform> steady_platform() {
 }
 
 // ---------------------------------------------------------------------------
-// Storage mixes against the reference harness
+// Storage mixes against one-lane runs
 // ---------------------------------------------------------------------------
 
 /// A StorageDevice that reports the fuel-cell kind without being a
@@ -276,10 +280,20 @@ std::unique_ptr<storage::StorageDevice> plain_supercap() {
   return std::make_unique<storage::Supercapacitor>("edlc", sp);
 }
 
+/// @p platform run alone: a one-lane BatchRunner over @p trace.
+systems::RunResult one_lane_run(
+    const std::shared_ptr<const env::CompiledTrace>& trace, Seconds duration,
+    const systems::RunOptions& options, systems::Platform& platform,
+    fault::FaultInjector* injector = nullptr) {
+  systems::BatchRunner runner(trace, duration, options);
+  runner.add_lane(platform, injector);
+  return std::move(runner.run().front());
+}
+
 /// Runs every lane of @p lanes in one BatchRunner over the outdoor trace of
-/// @p seed, and each lane again alone on the reference harness, and asserts
-/// every result byte-equal.
-void expect_lanes_match_reference(
+/// @p seed, and each lane again alone by run_platform over live synthesis
+/// of the same environment, and asserts every result byte-equal.
+void expect_lanes_match_one_lane_runs(
     const std::vector<std::unique_ptr<systems::Platform> (*)()>& lanes,
     std::uint64_t seed, Seconds duration, const systems::RunOptions& options,
     const std::string& label) {
@@ -295,9 +309,9 @@ void expect_lanes_match_reference(
   EXPECT_EQ(batched.size(), lanes.size()) << label;
   for (std::size_t l = 0; l < lanes.size() && l < batched.size(); ++l) {
     auto p = lanes[l]();
-    env::CompiledEnvironment environment(trace);
-    EXPECT_EQ(to_string(reference::reference_run(*p, environment, duration,
-                                                  options)),
+    auto environment = env::Environment::outdoor(seed);
+    EXPECT_EQ(to_string(systems::run_platform(*p, environment, duration,
+                                              options)),
               to_string(batched[l]))
         << label << ", lane " << l;
   }
@@ -305,19 +319,20 @@ void expect_lanes_match_reference(
 
 /// Drives BatchRunner directly (no campaign wrapper): System B (supercap +
 /// NiMH) and System A (fuel-cell slot) in one block, with query traffic,
-/// must reproduce the reference harness byte for byte.
+/// must reproduce each lane's one-lane run byte for byte.
 TEST(StorageMix, SystemsAAndBMatchTheReferenceHarness) {
   systems::RunOptions options;
   options.dt = Seconds{5.0};
   options.mean_query_interval = Seconds{120.0};
-  expect_lanes_match_reference({[] { return systems::build_system_a(7); },
-                                [] { return systems::build_system_b(7); }},
-                               7, Seconds{1800.0}, options, "systems A, B");
+  expect_lanes_match_one_lane_runs(
+      {[] { return systems::build_system_a(7); },
+       [] { return systems::build_system_b(7); }},
+      7, Seconds{1800.0}, options, "systems A, B");
 }
 
 /// One storage shape per row — a constant-capacitance supercap, a battery,
 /// a sloped supercap, a switched reserve, a fuel cell, and a device that
-/// only claims the fuel-cell kind. Every lane matches the reference harness
+/// only claims the fuel-cell kind. Every lane matches its one-lane live run
 /// alone and batched with the others.
 TEST(StorageMix, EveryStorageShapeMatchesTheReference) {
   using Build = std::unique_ptr<systems::Platform> (*)();
@@ -382,15 +397,16 @@ TEST(StorageMix, EveryStorageShapeMatchesTheReference) {
 
   std::vector<Build> all;
   for (const Row& row : rows) {
-    expect_lanes_match_reference({row.build}, 5, duration, options, row.name);
+    expect_lanes_match_one_lane_runs({row.build}, 5, duration, options,
+                                     row.name);
     all.push_back(row.build);
   }
-  expect_lanes_match_reference(all, 5, duration, options, "all rows");
+  expect_lanes_match_one_lane_runs(all, 5, duration, options, "all rows");
 }
 
 /// A Harvester subclass the catalog does not know: a linear light cell
 /// whose MPP comes from the base class's golden-section search. A lane
-/// built on it must match the reference harness byte for byte.
+/// built on it must match its one-lane live run byte for byte.
 class LinearLightCell final : public harvest::Harvester {
  public:
   [[nodiscard]] std::string_view name() const override { return "linear"; }
@@ -440,41 +456,45 @@ TEST(StorageMix, UncataloguedHarvesterMatchesTheReference) {
 
   // Width 1: each lane alone.
   for (const Build build : {cell, b})
-    expect_lanes_match_reference({build}, 7, duration, options, "width 1");
+    expect_lanes_match_one_lane_runs({build}, 7, duration, options, "width 1");
   // Width 8: the double's lanes interleaved with System B's.
   const std::vector<Build> block = {cell, b, cell, b, cell, b, cell, b};
-  expect_lanes_match_reference(block, 7, duration, options, "width 8");
+  expect_lanes_match_one_lane_runs(block, 7, duration, options, "width 8");
   // The double actually harvested: the lane is not a trivially dark one.
   auto p = linear_cell_platform();
   auto environment = env::Environment::outdoor(7);
-  reference::reference_run(*p, environment, duration, options);
+  systems::run_platform(*p, environment, duration, options);
   EXPECT_GT(p->input(0).delivered_energy().value(), 0.0);
 }
 
 /// run_platform is a one-lane BatchRunner over a live environment: with a
 /// fault injector, query traffic and the timeline all on, its result and
-/// timeline must equal the reference harness's, for System A and System B.
+/// timeline must equal a one-lane run over the compiled trace of the same
+/// environment, for System A and System B.
 TEST(RunPlatform, OneLaneRunMatchesTheReferenceHarness) {
   const Seconds duration{7200.0};
   systems::RunOptions options;
   options.dt = Seconds{5.0};
   options.mean_query_interval = Seconds{120.0};
   options.timeline_dt = Seconds{60.0};
+  auto model = env::Environment::outdoor(9);
+  const auto trace = env::CompiledTrace::compile(model, options.dt, duration);
   using Build = std::unique_ptr<systems::Platform> (*)(std::uint64_t);
   for (const Build build : {Build{systems::build_system_a},
                             Build{systems::build_system_b}}) {
-    const auto run = [&](auto runner) {
+    const auto run = [&](bool live) {
       auto p = build(9);
-      auto environment = env::Environment::outdoor(9);
       fault::FaultInjector inj(9);
       inj.harvester_intermittent(Seconds{600.0}, p->input(0), 0.5);
       inj.harvester_heal(Seconds{3000.0}, p->input(0));
       inj.storage_leakage_spike(Seconds{1800.0}, p->store(0), 25.0,
                                 Seconds{1200.0});
-      return runner(*p, environment, duration, options, &inj);
+      if (!live) return one_lane_run(trace, duration, options, *p, &inj);
+      auto environment = env::Environment::outdoor(9);
+      return systems::run_platform(*p, environment, duration, options, &inj);
     };
-    const auto got = run(systems::run_platform);
-    const auto want = run(reference::reference_run);
+    const auto got = run(true);
+    const auto want = run(false);
     EXPECT_EQ(to_string(got), to_string(want));
     EXPECT_GE(got.faults.injected.harvester, 1u);
     ASSERT_NE(got.timeline, nullptr);
@@ -496,7 +516,7 @@ TEST(RunPlatform, OneLaneRunMatchesTheReferenceHarness) {
 /// Fault schedule aimed at System B's supercap + battery bank: onsets and
 /// heals/expiries mutate per-lane coefficients (leakage-spike multiplier,
 /// droop factor, intermittent gating), and the thermal shutdown cuts the
-/// chain until the converter recovers. Bytes must match the reference.
+/// chain until the converter recovers. Bytes must match one-lane runs.
 TEST(BatchRunner, ByteIdenticalUnderFaultsOnSupercapBatteryLanes) {
   CampaignSpec spec;
   spec.platforms.push_back(
@@ -520,7 +540,7 @@ TEST(BatchRunner, ByteIdenticalUnderFaultsOnSupercapBatteryLanes) {
   };
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {5, 9, 13};
-  expect_matches_reference(spec);
+  expect_matches_one_lane_runs(spec);
 }
 
 /// A PV front end over a NiMH cell.
@@ -577,7 +597,7 @@ TEST(BatchRunner, ByteIdenticalAcrossHeterogeneousStorageVariants) {
   sc.options.dt = Seconds{5.0};
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {4, 21};
-  expect_matches_reference(spec);
+  expect_matches_one_lane_runs(spec);
 }
 
 // ---------------------------------------------------------------------------
@@ -640,13 +660,13 @@ TEST(LeakDetector, StaysQuietOnSteadyStateLoss) {
 TEST(RunTimeline, ByteIdenticalAcrossLaneWidthsWithSamplingOn) {
   CampaignSpec spec = systems_grid();
   spec.scenarios[0].options.timeline_dt = Seconds{60.0};
-  expect_matches_reference(spec);
+  expect_matches_one_lane_runs(spec);
 }
 
 TEST(RunTimeline, FaultedGridByteIdenticalWithSamplingOn) {
   // The sampler's periodic is one more event on each lane — a read, never
   // a physics one. Faults layered on top must still reproduce the one-lane
-  // reference byte for byte.
+  // runs byte for byte.
   CampaignSpec spec;
   spec.platforms.push_back(
       {"system-b", [](std::uint64_t s) { return systems::build_system_b(s); }});
@@ -669,7 +689,7 @@ TEST(RunTimeline, FaultedGridByteIdenticalWithSamplingOn) {
   };
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {5, 9};
-  expect_matches_reference(spec);
+  expect_matches_one_lane_runs(spec);
 }
 
 TEST(RunTimeline, SamplingOnVsOffReportsIdenticalBytesAtWidthEight) {
@@ -710,8 +730,7 @@ TEST(RunTimeline, BatchedSamplesMatchScalarExceptResidencyColumn) {
   ASSERT_EQ(batched.size(), 2u);
 
   auto scalar = [&](std::unique_ptr<systems::Platform> p) {
-    env::CompiledEnvironment environment(trace);
-    return reference::reference_run(*p, environment, duration, options);
+    return one_lane_run(trace, duration, options, *p);
   };
   const auto ref_a = scalar(systems::build_system_a(7));
   const auto ref_b = scalar(systems::build_system_b(7));
@@ -727,8 +746,8 @@ TEST(RunTimeline, BatchedSamplesMatchScalarExceptResidencyColumn) {
     EXPECT_EQ(gt.time(), wt.time());
     for (std::size_t col = 0; col < gt.column_count(); ++col)
       EXPECT_EQ(gt.column(col), wt.column(col)) << gt.columns()[col];
-    // Every column agrees with the reference harness to the bit; the
-    // runner adds no engine-specific column.
+    // Every column agrees with the one-lane run to the bit; the runner
+    // adds no block-specific column.
     EXPECT_EQ(gt.find_column("soa_resident"), obs::Timeline::npos);
   }
 }
@@ -819,16 +838,16 @@ TEST(TwinPanelShare, BufferSweepBlocksMatchRunPlatform) {
                          680.0})
     variants.push_back({"buf-" + std::to_string(f),
                         [f](std::uint64_t) { return buffer_variant(f); }});
-  expect_matches_reference(twin_grid(std::move(variants), {3, 17}));
+  expect_matches_one_lane_runs(twin_grid(std::move(variants), {3, 17}));
 }
 
 TEST(TwinPanelShare, SystemATwinPanelsMatchRunPlatform) {
-  expect_matches_reference(twin_grid(
+  expect_matches_one_lane_runs(twin_grid(
       {catalog_variant("system-a", systems::build_system_a)}, {3, 17}));
 }
 
 TEST(TwinPanelShare, SystemAAndSystemCInOneBlockMatchRunPlatform) {
-  expect_matches_reference(
+  expect_matches_one_lane_runs(
       twin_grid({catalog_variant("system-a", systems::build_system_a),
                  catalog_variant("system-c", systems::build_system_c)},
                 {3, 17}));
@@ -863,7 +882,7 @@ TEST(TwinPanelShare, DivergentTwinsUnderTheFaultScheduleMatchRunPlatform) {
   CampaignSpec spec = twin_grid(std::move(variants), {5, 9});
   spec.scenarios[0].duration = Seconds{86400.0};
   spec.scenarios[0].injector = schedule_injector(schedule);
-  expect_matches_reference(spec);
+  expect_matches_one_lane_runs(spec);
 }
 
 constexpr std::uint64_t kBlockSeed = 11;
@@ -887,23 +906,22 @@ std::unique_ptr<fault::FaultInjector> block_injector(systems::Platform& p) {
   return inj;
 }
 
-/// to_string of the reference harness's run of @p platform over @p trace.
-std::string reference_report(const std::shared_ptr<const env::CompiledTrace>& trace,
-                             systems::Platform& platform,
-                             fault::FaultInjector* injector) {
-  env::CompiledEnvironment environment(trace);
-  return to_string(reference::reference_run(platform, environment,
-                                            kBlockDuration, block_options(),
-                                            injector));
+/// to_string of @p platform's one-lane run over @p trace.
+std::string one_lane_report(
+    const std::shared_ptr<const env::CompiledTrace>& trace,
+    systems::Platform& platform, fault::FaultInjector* injector) {
+  return to_string(
+      one_lane_run(trace, kBlockDuration, block_options(), platform, injector));
 }
 
-/// The block-composition gate on the engine itself: the same four lanes —
+/// The lane-isolation gate on the engine itself: the same four lanes —
 /// System A under a fault injector, System B, and two single-panel buffer
 /// variants whose panels share one curve — fed to BatchRunner as one 4-lane
-/// block, as two 2-lane blocks and as four 1-lane blocks over one compiled
-/// trace. Every lane, in every composition, must report the reference
-/// harness's bytes.
-TEST(BatchRunner, EveryBlockCompositionMatchesTheReference) {
+/// block and as two 2-lane blocks over one compiled trace. Every lane, in
+/// every composition, must report the bytes of its one-lane run. A query
+/// RNG shared across lanes, or a lane reading another lane's next event
+/// time, breaks this.
+TEST(BatchRunner, EveryBlockCompositionMatchesOneLaneRuns) {
   const Seconds duration = kBlockDuration;
   const systems::RunOptions options = block_options();
   auto model = env::Environment::outdoor(kBlockSeed);
@@ -917,17 +935,17 @@ TEST(BatchRunner, EveryBlockCompositionMatchesTheReference) {
       [] { return buffer_variant(47.0); },
   };
 
-  std::vector<std::string> reference;
+  std::vector<std::string> alone;
   for (std::size_t l = 0; l < builds.size(); ++l) {
     auto p = builds[l]();
     auto inj = l == 0 ? block_injector(*p) : nullptr;  // lane 0 is faulted
-    reference.push_back(reference_report(trace, *p, inj.get()));
+    alone.push_back(one_lane_report(trace, *p, inj.get()));
     if (l == 0) {
       EXPECT_GE(inj->counters().harvester, 1u);
     }
   }
 
-  for (const std::size_t block_lanes : {4u, 2u, 1u}) {
+  for (const std::size_t block_lanes : {4u, 2u}) {
     std::vector<std::string> got;
     for (std::size_t first = 0; first < builds.size(); first += block_lanes) {
       std::vector<std::unique_ptr<systems::Platform>> platforms;
@@ -941,7 +959,7 @@ TEST(BatchRunner, EveryBlockCompositionMatchesTheReference) {
       }
       for (const auto& result : runner.run()) got.push_back(to_string(result));
     }
-    EXPECT_EQ(reference, got) << block_lanes << "-lane blocks";
+    EXPECT_EQ(alone, got) << block_lanes << "-lane blocks";
   }
 }
 
@@ -982,17 +1000,17 @@ TEST(TraceCollector, BatchRunnerTimesOneInEveryStrideLaneSteps) {
   const auto untraced = run_block(false);
   EXPECT_EQ(traced, untraced);
 
-  std::vector<std::string> reference;
+  std::vector<std::string> alone;
   {
     auto a = systems::build_system_a(kBlockSeed);
     const auto injector = block_injector(*a);
-    reference.push_back(reference_report(trace, *a, injector.get()));
+    alone.push_back(one_lane_report(trace, *a, injector.get()));
     auto b = systems::build_system_b(kBlockSeed);
-    reference.push_back(reference_report(trace, *b, nullptr));
+    alone.push_back(one_lane_report(trace, *b, nullptr));
     auto buffer = buffer_variant(4.7);
-    reference.push_back(reference_report(trace, *buffer, nullptr));
+    alone.push_back(one_lane_report(trace, *buffer, nullptr));
   }
-  EXPECT_EQ(traced, reference);
+  EXPECT_EQ(traced, alone);
 
   constexpr std::uint64_t kStride = obs::TraceCollector::kStepSampleStride;
   const std::uint64_t lane_steps = 3 * steps;
@@ -1046,6 +1064,172 @@ TEST(TwinPanelShare, RunnerAttachesOneSharePerPanelModelAndDetaches) {
     EXPECT_NE(share_of(*a, 0), nullptr);
   }
   EXPECT_EQ(share_of(*a, 0), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// The one engine's clock, events and query stream
+// ---------------------------------------------------------------------------
+
+TEST(BatchRunner, RejectsBadDtAndDuration) {
+  // Asserted on the constructors alone: a runner that accepted these would
+  // spin forever in run() (dt = 0 with no lane to reject it) or size its
+  // timeline from an infinite horizon.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto environment = env::Environment::outdoor(1);
+  auto model = env::Environment::outdoor(1);
+  const auto trace =
+      env::CompiledTrace::compile(model, Seconds{1.0}, Seconds{60.0});
+  for (const double bad : {0.0, -1.0, inf, nan}) {
+    systems::RunOptions options;
+    options.dt = Seconds{bad};
+    EXPECT_THROW(
+        (void)systems::BatchRunner(environment, Seconds{60.0}, options),
+        SpecError)
+        << "dt " << bad;
+    EXPECT_THROW((void)systems::BatchRunner(environment, Seconds{bad},
+                                            systems::RunOptions{}),
+                 SpecError)
+        << "duration " << bad;
+    EXPECT_THROW(
+        (void)systems::BatchRunner(trace, Seconds{bad}, systems::RunOptions{}),
+        SpecError)
+        << "duration " << bad << " over a trace";
+  }
+}
+
+/// Full sun that never changes: every step of a PV lane harvests the same
+/// energy.
+class ConstantSun final : public env::EnvironmentModel {
+ public:
+  env::AmbientConditions advance(Seconds, Seconds) override {
+    env::AmbientConditions c;
+    c.solar_irradiance = WattsPerSquareMeter{800.0};
+    return c;
+  }
+  [[nodiscard]] std::string description() const override {
+    return "constant sun";
+  }
+};
+
+/// A monitor that records the platform's harvested energy at every
+/// management tick.
+class HarvestAtTick final : public manager::EnergyMonitor {
+ public:
+  HarvestAtTick(const systems::Platform& platform, std::vector<double>& seen)
+      : platform_(platform), seen_(seen) {}
+  [[nodiscard]] taxonomy::MonitoringCapability capability() const override {
+    return taxonomy::MonitoringCapability::kNone;
+  }
+  manager::EnergyEstimate estimate() override {
+    seen_.push_back(platform_.harvested_energy().value());
+    return {};
+  }
+
+ private:
+  const systems::Platform& platform_;
+  std::vector<double>& seen_;
+};
+
+TEST(BatchRunner, EventsFireBeforeTheStepTheyFallIn) {
+  // Under constant sun the energy harvested when an event fires counts the
+  // steps behind it. An event at time t falls in step floor(t / dt) and
+  // fires at that step's start: exactly floor(t / dt) steps have run.
+  // Management ticks every 60 s and a fault at 400.5 s, over 7 s steps.
+  systems::RunOptions options;
+  options.dt = Seconds{7.0};
+  ConstantSun sun;
+  const double step_j = [&] {
+    auto p = pv_platform({});
+    systems::run_platform(*p, sun, options.dt, options);
+    return p->harvested_energy().value();
+  }();
+  ASSERT_GT(step_j, 0.0);
+
+  auto p = pv_platform({});
+  std::vector<double> at_tick;
+  p->set_monitor(std::make_unique<HarvestAtTick>(*p, at_tick));
+  fault::FaultInjector inj(1);
+  inj.harvester_stuck_short(Seconds{400.5}, p->input(0));  // step [399, 406)
+  systems::run_platform(*p, sun, Seconds{420.0}, options, &inj);
+
+  ASSERT_EQ(at_tick.size(), 7u);  // t = 0, 60, ..., 360
+  for (std::size_t k = 0; k < at_tick.size(); ++k) {
+    const double steps_behind = std::floor(60.0 * static_cast<double>(k) / 7.0);
+    EXPECT_NEAR(at_tick[k], steps_behind * step_j, 1e-9 * step_j)
+        << "tick at " << 60 * k << " s";
+  }
+  EXPECT_EQ(inj.counters().harvester, 1u);
+  EXPECT_NEAR(p->harvested_energy().value(), 57.0 * step_j, 1e-9 * step_j);
+}
+
+TEST(BatchRunner, MidRunProbeFiresInTheStepContainingHalfDuration) {
+  // The ledger's first-half storage loss is read at duration / 2, at the
+  // start of the step containing it: over 21 s of 1 s steps that is
+  // t = 10.5, with 10 steps behind it. So it equals the whole-run loss of a
+  // 10-step run, bit for bit, and not that of an 11-step one.
+  systems::RunOptions options;
+  options.dt = Seconds{1.0};
+  ConstantSun sun;
+  const auto ledger = [&](double duration) {
+    std::vector<std::unique_ptr<storage::StorageDevice>> stores;
+    stores.push_back(plain_supercap());
+    auto p = pv_platform(std::move(stores));
+    return systems::run_platform(*p, sun, Seconds{duration}, options).ledger;
+  };
+  const auto whole = ledger(21.0);
+  EXPECT_GT(whole.storage_loss_first_half_j, 0.0);
+  EXPECT_EQ(whole.storage_loss_first_half_j, ledger(10.0).storage_loss_j);
+  EXPECT_NE(whole.storage_loss_first_half_j, ledger(11.0).storage_loss_j);
+}
+
+TEST(BatchRunner, TimelineRowsSitAtTheAccumulatedStepStarts) {
+  // duration / timeline_dt rows, each stamped with the start of the step its
+  // sample time falls in: k * 60 s when dt divides the cadence, the
+  // enclosing 7 s step's start when it does not.
+  ConstantSun sun;
+  for (const double dt : {5.0, 7.0}) {
+    systems::RunOptions options;
+    options.dt = Seconds{dt};
+    options.timeline_dt = Seconds{60.0};
+    auto p = pv_platform({});
+    const auto r = systems::run_platform(*p, sun, Seconds{840.0}, options);
+    ASSERT_NE(r.timeline, nullptr);
+    const auto& times = r.timeline->time();
+    ASSERT_EQ(times.size(), 14u) << dt;
+    for (std::size_t k = 0; k < times.size(); ++k)
+      EXPECT_EQ(times[k], dt * std::floor(60.0 * static_cast<double>(k) / dt))
+          << "dt " << dt << ", row " << k;
+  }
+}
+
+TEST(BatchRunner, QueryArrivalsFollowTheSeededStream) {
+  // One Bernoulli draw per lane per step at p = min(1, dt / interval), from
+  // the lane's own Pcg32(kQuerySeed, stream_key("queries")): each node's
+  // queries_received is that stream's success count, whichever lanes share
+  // its block.
+  const Seconds dt{5.0};
+  const Seconds duration{3600.0};
+  auto model = env::Environment::outdoor(7);
+  const auto trace = env::CompiledTrace::compile(model, dt, duration);
+  for (const double interval : {120.0, 2.0}) {
+    const double p_arrival = std::min(1.0, dt.value() / interval);
+    Pcg32 stream(systems::kQuerySeed, stream_key("queries"));
+    std::uint64_t arrivals = 0;
+    for (std::uint64_t step = 0; step < trace->step_count(); ++step)
+      if (stream.bernoulli(p_arrival)) ++arrivals;
+
+    systems::RunOptions options;
+    options.dt = dt;
+    options.mean_query_interval = Seconds{interval};
+    auto a = systems::build_system_a(7);
+    auto b = systems::build_system_b(7);
+    systems::BatchRunner runner(trace, duration, options);
+    runner.add_lane(*a);
+    runner.add_lane(*b);
+    for (const auto& r : runner.run())
+      EXPECT_EQ(r.queries_received, arrivals) << "interval " << interval;
+  }
 }
 
 }  // namespace

@@ -36,7 +36,7 @@
 #include "systems/catalog.hpp"
 #include "systems/platform.hpp"
 #include "systems/runner.hpp"
-#include "reference_run.hpp"
+#include "live_grid.hpp"
 
 namespace msehsim::campaign {
 namespace {
@@ -293,16 +293,10 @@ TEST(Campaign, AccessorsRejectUseBeforeRun) {
   EXPECT_THROW((void)c.seed_stats(0, 0), SpecError);
 }
 
-/// Every job of @p spec run alone by run_platform over a freshly built live
-/// scenario.environment(seed) — live synthesis, no compiled trace.
-std::vector<std::string> live_reports(const CampaignSpec& spec) {
-  return reference::live_grid_reports(spec, systems::run_platform);
-}
-
 TEST(Campaign, CompiledTracesOnVsOffByteIdentical) {
   // The compiled trace is a pure replay optimization: every reported byte
   // must be identical to live per-job synthesis, at any thread count.
-  const auto live = live_reports(small_grid(1));
+  const auto live = reference::live_grid_reports(small_grid(1));
   for (const unsigned threads : {1u, 4u}) {
     Campaign c(small_grid(threads));
     c.run();
@@ -318,7 +312,7 @@ TEST(Campaign, FaultedCompiledOnVsOffByteIdentical) {
   Campaign compiled(faulted_grid(2));
   compiled.run();
   EXPECT_EQ(compiled.trace_compiles(), 3u);  // one scenario x three seeds
-  EXPECT_EQ(reports(compiled), live_reports(faulted_grid(2)));
+  EXPECT_EQ(reports(compiled), reference::live_grid_reports(faulted_grid(2)));
 }
 
 TEST(Campaign, LongestFirstOrderingNeverChangesBytes) {

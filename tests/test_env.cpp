@@ -423,8 +423,8 @@ TEST(CompiledTrace, PlaybackMatchesLiveSynthesisBitForBit) {
   auto source = Environment::indoor_industrial(42);
   const auto trace = CompiledTrace::compile(source, dt, duration);
   CompiledEnvironment playback(trace);
-  // Exactly core::Simulation's accumulation scheme, which is what campaigns
-  // replay through.
+  // Exactly BatchRunner::run's clock (the k-fold accumulated sum of dt),
+  // which is what campaigns replay through.
   std::size_t steps = 0;
   for (Seconds now{0.0}; now + dt * 0.5 < duration; now += dt) {
     const auto a = live.advance(now, dt);

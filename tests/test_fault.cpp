@@ -11,7 +11,7 @@
 
 #include "bus/module_port.hpp"
 #include "core/error.hpp"
-#include "core/simulation.hpp"
+#include "core/event_queue.hpp"
 #include "env/environment.hpp"
 #include "fault/faulty_harvester.hpp"
 #include "fault/injector.hpp"
@@ -50,6 +50,20 @@ std::unique_ptr<power::InputChain> pv_chain(const char* name = "pv") {
 Watts step_once(power::InputChain& chain, int i) {
   return chain.step(sunny(), Volts{3.3}, Seconds{static_cast<double>(i)},
                     Seconds{1.0});
+}
+
+/// Runs @p steps fixed steps of @p dt from @p now in BatchRunner::run's
+/// order: the events due in each step's window fire, then @p step(now, dt)
+/// does the step's work. Returns the clock after the last step.
+template <typename Step>
+Seconds run_steps(EventQueue& events, Seconds now, Seconds dt, int steps,
+                  Step step) {
+  for (int k = 0; k < steps; ++k) {
+    events.dispatch(now, dt);
+    step(now, dt);
+    now += dt;
+  }
+  return now;
 }
 
 // ---------------------------------------------------------------------------
@@ -438,14 +452,14 @@ TEST(FaultInjector, FiresAtScheduledTimesInOrder) {
   FaultInjector inj(kSeed);
   inj.harvester_degrade(Seconds{5.0}, *chain, 0.5);
   inj.harvester_heal(Seconds{10.0}, *chain);
-  Simulation sim(Seconds{1.0});
-  env::AmbientConditions sun = sunny();
+  EventQueue events;
+  inj.arm(events);
+  const env::AmbientConditions sun = sunny();
   std::vector<double> delivered;
-  sim.on_step([&](Seconds now, Seconds dt) {
+  const auto step = [&](Seconds now, Seconds dt) {
     delivered.push_back(chain->step(sun, Volts{3.3}, now, dt).value());
-  });
-  inj.arm(sim);
-  sim.run_for(Seconds{15.0});
+  };
+  run_steps(events, Seconds{0.0}, Seconds{1.0}, 15, step);
   // Steps 0-4 healthy, 5-9 degraded to half, 10+ healed. Delivered power is
   // not exactly halved (the tracker re-seats the MPP and the converter's
   // efficiency shifts with load), so bound it loosely around half.
@@ -469,12 +483,12 @@ TEST(FaultInjector, ScheduleFreezesOnArm) {
   auto chain = pv_chain();
   FaultInjector inj(kSeed);
   inj.harvester_degrade(Seconds{1.0}, *chain, 0.5);
-  Simulation sim(Seconds{1.0});
-  inj.arm(sim);
+  EventQueue events;
+  inj.arm(events);
   EXPECT_TRUE(inj.armed());
   EXPECT_THROW(inj.harvester_heal(Seconds{2.0}, *chain), SpecError);
-  Simulation sim2(Seconds{1.0});
-  EXPECT_THROW(inj.arm(sim2), SpecError);
+  EventQueue other;
+  EXPECT_THROW(inj.arm(other), SpecError);
 }
 
 TEST(FaultInjector, CountersTallyOnlyFiredFaults) {
@@ -483,13 +497,12 @@ TEST(FaultInjector, CountersTallyOnlyFiredFaults) {
   FaultInjector inj(kSeed);
   inj.harvester_degrade(Seconds{2.0}, *chain, 0.5);
   inj.storage_capacity_fade(Seconds{100.0}, cell, 0.5);  // beyond the horizon
-  Simulation sim(Seconds{1.0});
-  sim.on_step([&](Seconds now, Seconds dt) {
-    env::AmbientConditions sun = sunny();
-    chain->step(sun, Volts{3.3}, now, dt);
-  });
-  inj.arm(sim);
-  sim.run_for(Seconds{10.0});
+  EventQueue events;
+  inj.arm(events);
+  const auto step = [&](Seconds now, Seconds dt) {
+    chain->step(sunny(), Volts{3.3}, now, dt);
+  };
+  run_steps(events, Seconds{0.0}, Seconds{1.0}, 10, step);
   EXPECT_EQ(inj.counters().harvester, 1u);
   EXPECT_EQ(inj.counters().storage, 0u);  // never fired
   EXPECT_EQ(inj.counters().total(), 1u);
@@ -534,17 +547,17 @@ TEST(SensorDrift, InjectorAppliesAndAutoHeals) {
   auto chain = pv_chain();
   FaultInjector inj(kSeed);
   inj.sensor_drift(Seconds{5.0}, *chain, 1.3, Seconds{10.0});
-  Simulation sim(Seconds{1.0});
-  env::AmbientConditions sun = sunny();
-  sim.on_step([&](Seconds now, Seconds dt) {
-    chain->step(sun, Volts{3.3}, now, dt);
-  });
-  inj.arm(sim);
-  sim.run_for(Seconds{4.0});
+  EventQueue events;
+  inj.arm(events);
+  const auto step = [&](Seconds now, Seconds dt) {
+    chain->step(sunny(), Volts{3.3}, now, dt);
+  };
+  const Seconds dt{1.0};
+  Seconds now = run_steps(events, Seconds{0.0}, dt, 4, step);
   EXPECT_DOUBLE_EQ(chain->sense_gain(), 1.0);
-  sim.run_for(Seconds{6.0});
+  now = run_steps(events, now, dt, 6, step);
   EXPECT_DOUBLE_EQ(chain->sense_gain(), 1.3);
-  sim.run_for(Seconds{10.0});  // drift window over: gain self-heals
+  run_steps(events, now, dt, 10, step);  // drift window over: gain self-heals
   EXPECT_DOUBLE_EQ(chain->sense_gain(), 1.0);
   // One environment fault; the scheduled self-heal is repair, not a fault.
   EXPECT_EQ(inj.counters().environment, 1u);
@@ -593,9 +606,9 @@ TEST(NodeFaults, InjectorCountsNodeBucket) {
   FaultInjector inj(kSeed);
   inj.node_flash_wear(Seconds{2.0}, n, 2.0);
   inj.node_radio_pa_degrade(Seconds{3.0}, n, 1.2);
-  Simulation sim(Seconds{1.0});
-  inj.arm(sim);
-  sim.run_for(Seconds{5.0});
+  EventQueue events;
+  inj.arm(events);
+  run_steps(events, Seconds{0.0}, Seconds{1.0}, 5, [](Seconds, Seconds) {});
   EXPECT_EQ(inj.counters().node, 2u);
   EXPECT_EQ(inj.counters().total(), 2u);
   EXPECT_DOUBLE_EQ(n.flash_wear_factor(), 2.0);
@@ -720,9 +733,17 @@ TEST(HotSwapUnderFault, DetachingModuleWhileHarvesterFaultedDegradesGracefully) 
   FaultInjector inj(seed);
   inj.harvester_intermittent(Seconds{600.0}, b->input(0), 0.6);
 
-  Simulation sim(Seconds{5.0});
+  EventQueue events;
+  events.every(Seconds{60.0}, [&](Seconds now) { b->management_tick(now); });
+  inj.arm(events);
+  // Mid-run, while input 0 is intermittently open, its module is unplugged
+  // from the bus (port 0x10): the monitor must re-enumerate and carry on.
+  events.at(Seconds{1800.0}, [&](Seconds) {
+    b->i2c().detach(0x10);
+    if (b->monitor() != nullptr) b->monitor()->notify_hardware_change();
+  });
   bool books_sane = true;
-  sim.on_step([&](Seconds now, Seconds dt) {
+  const auto step = [&](Seconds now, Seconds dt) {
     const auto c = env.advance(now, dt);
     b->step(c, now, dt);
     const double stored = b->total_stored().value();
@@ -731,16 +752,8 @@ TEST(HotSwapUnderFault, DetachingModuleWhileHarvesterFaultedDegradesGracefully) 
       const double e = b->store(i).stored_energy().value();
       if (!std::isfinite(e) || e < -1e-9) books_sane = false;
     }
-  });
-  sim.every(Seconds{60.0}, [&](Seconds now) { b->management_tick(now); });
-  inj.arm(sim);
-  // Mid-run, while input 0 is intermittently open, its module is unplugged
-  // from the bus (port 0x10): the monitor must re-enumerate and carry on.
-  sim.at(Seconds{1800.0}, [&](Seconds) {
-    b->i2c().detach(0x10);
-    if (b->monitor() != nullptr) b->monitor()->notify_hardware_change();
-  });
-  sim.run_for(Seconds{4.0 * 3600.0});
+  };
+  run_steps(events, Seconds{0.0}, Seconds{5.0}, 4 * 3600 / 5, step);
 
   EXPECT_TRUE(books_sane);
   // The monitor sees one fewer module; the platform keeps running.

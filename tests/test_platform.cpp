@@ -2,13 +2,23 @@
 // classification plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "core/error.hpp"
+#include "core/solve.hpp"
+#include "env/environment.hpp"
 #include "harvest/transducers.hpp"
 #include "power/mppt.hpp"
 #include "storage/supercapacitor.hpp"
 #include "systems/platform.hpp"
+#include "systems/runner.hpp"
 
 namespace msehsim::systems {
 namespace {
@@ -200,6 +210,219 @@ TEST(Platform, AmbientSocExcludesNonRechargeables) {
   p.add_storage(std::make_unique<storage::FuelCell>("fc", fc), 1);
   // Fuel cell (non-rechargeable) must not dilute the ambient SoC.
   EXPECT_NEAR(p.ambient_soc(), 1.0, 1e-6);
+}
+
+// ---------------------------------------------------------------------------
+// Closed-form oracles through the whole stack: run_platform over ambient
+// conditions that never change, checked against the analytic solution at
+// solver steps from a quarter second to a minute. They test the physics of
+// harvester -> tracker -> converter -> storage against a formula, not one
+// code path against another.
+// ---------------------------------------------------------------------------
+
+constexpr double kOracleDts[] = {0.25, 1.0, 5.0, 60.0};
+
+/// The same ambient conditions on every step.
+class ConstantAmbient final : public env::EnvironmentModel {
+ public:
+  explicit ConstantAmbient(env::AmbientConditions c) : c_(c) {}
+  env::AmbientConditions advance(Seconds, Seconds) override { return c_; }
+  [[nodiscard]] std::string description() const override { return "constant"; }
+
+ private:
+  env::AmbientConditions c_;
+};
+
+/// A lossless converter: efficiency 1, no quiescent draw, no conduction
+/// loss, so it passes its input power through unchanged.
+Converter ideal_converter() {
+  Converter::Params p;
+  p.peak_efficiency = 1.0;
+  p.quiescent_current = Amps{0.0};
+  p.conduction_loss_fraction = 0.0;
+  return Converter("ideal", p);
+}
+
+/// Ideal single-branch capacitor: no slow branch, no ESR, constant C, and
+/// self-discharge through @p leak_ohms (infinite: none).
+std::unique_ptr<Supercapacitor> ideal_cap(double farads, double volts,
+                                          double leak_ohms) {
+  Supercapacitor::Params p;
+  p.main_capacitance = Farads{farads};
+  p.slow_capacitance = Farads{0.0};
+  p.esr = Ohms{0.0};
+  p.leakage_resistance = Ohms{leak_ohms};
+  p.max_voltage = Volts{5.0};
+  p.initial_voltage = Volts{volts};
+  return std::make_unique<Supercapacitor>("ideal", p);
+}
+
+/// One source through @p mppt and the ideal converter into @p store; no
+/// node, no monitor, no quiescent draw (the spec's default is 0 A).
+std::unique_ptr<Platform> oracle_platform(
+    std::unique_ptr<harvest::Harvester> source,
+    std::unique_ptr<power::MpptController> mppt, Seconds mppt_period,
+    std::unique_ptr<storage::StorageDevice> store) {
+  PlatformSpec spec;
+  spec.name = "oracle";
+  auto p = std::make_unique<Platform>(spec);
+  p->add_input(std::make_unique<InputChain>(std::move(source), std::move(mppt),
+                                            ideal_converter(), mppt_period));
+  p->add_storage(std::move(store), 0);
+  return p;
+}
+
+/// Irradiance of the PV scenario, and the panel's maximum power under it,
+/// found by golden-section search over the I-V curve (not the panel's own
+/// Newton MPP solve).
+constexpr double kOracleIrradiance = 100.0;
+double pv_max_power() {
+  PvPanel panel("pv", PvPanel::Params{});
+  panel.set_conditions(sunny(kOracleIrradiance));
+  const double voc = panel.open_circuit_voltage().value();
+  const double v = golden_max_fn(
+      [&](double x) { return panel.power_at(Volts{x}).value(); }, 0.0, voc);
+  return panel.power_at(Volts{v}).value();
+}
+
+/// Bus voltage (the capacitor's) at every timeline row of a PV run:
+/// (time, volts) pairs, one a minute, starting at t = 0.
+std::vector<std::pair<double, double>> pv_cap_voltages(double dt,
+                                                       double duration,
+                                                       double farads,
+                                                       double v0,
+                                                       double leak_ohms) {
+  auto p = oracle_platform(std::make_unique<PvPanel>("pv", PvPanel::Params{}),
+                           std::make_unique<OracleMppt>(), Seconds{dt},
+                           ideal_cap(farads, v0, leak_ohms));
+  ConstantAmbient sun(sunny(kOracleIrradiance));
+  RunOptions options;
+  options.dt = Seconds{dt};
+  options.timeline_dt = Seconds{60.0};
+  const auto r = run_platform(*p, sun, Seconds{duration}, options);
+  const auto& t = r.timeline->time();
+  const auto& v = r.timeline->column(r.timeline->find_column("bus_voltage_v"));
+  std::vector<std::pair<double, double>> out;
+  for (std::size_t i = 0; i < t.size(); ++i) out.emplace_back(t[i], v[i]);
+  return out;
+}
+
+TEST(PlatformOracle, IdealPvChargesCapacitorByEnergyBalance) {
+  // All of P_mpp reaches the capacitor: C V dV/dt = P, so
+  // V(t)^2 = V0^2 + 2 P t / C. The capacitor's mid-step update makes every
+  // step exact in real arithmetic, so only rounding separates simulation
+  // from formula (relative 1e-9 on V^2 over up to 7200 steps).
+  constexpr double kC = 5.0, kV0 = 1.0, kT = 1800.0;
+  const double p = pv_max_power();
+  ASSERT_GT(p, 0.0);
+  for (const double dt : kOracleDts) {
+    SCOPED_TRACE(dt);
+    const auto rows = pv_cap_voltages(dt, kT, kC, kV0,
+                                      std::numeric_limits<double>::infinity());
+    ASSERT_EQ(rows.size(), 30u);
+    double worst = 0.0;
+    for (const auto& [t, v] : rows) {
+      const double expect = kV0 * kV0 + 2.0 * p * t / kC;
+      worst = std::max(worst, std::fabs(v * v - expect) / expect);
+    }
+    EXPECT_LE(worst, 1e-9);
+    EXPECT_GT(rows.back().second, 3.0);  // the run charged the cap for real
+  }
+}
+
+TEST(PlatformOracle, IdealPvIntoLeakyCapacitorApproachesPR) {
+  // C V dV/dt = P - V^2 / R gives V(t)^2 = P R + (V0^2 - P R) e^(-2t/RC).
+  // The platform applies a step's charge, then its exact exponential
+  // leakage: that split leaves a relative error on V^2 of about dt / RC
+  // (its leading term), and the bound below is twice that plus rounding.
+  constexpr double kC = 50.0, kR = 1000.0, kV0 = 0.5, kT = 3.0 * 3600.0;
+  const double p = pv_max_power();
+  const double pr = p * kR;
+  for (const double dt : kOracleDts) {
+    SCOPED_TRACE(dt);
+    const auto rows = pv_cap_voltages(dt, kT, kC, kV0, kR);
+    ASSERT_EQ(rows.size(), 180u);
+    double worst = 0.0;
+    for (const auto& [t, v] : rows) {
+      const double expect =
+          pr + (kV0 * kV0 - pr) * std::exp(-2.0 * t / (kR * kC));
+      worst = std::max(worst, std::fabs(v * v - expect) / expect);
+    }
+    EXPECT_LE(worst, 2.0 * dt / (kR * kC) + 1e-9);
+    EXPECT_GT(rows.back().second * rows.back().second, 0.3 * pr);
+  }
+}
+
+/// P&O that records every setpoint it picks.
+class RecordedPerturbObserve final : public power::MpptController {
+ public:
+  RecordedPerturbObserve(power::PerturbObserve::Params params,
+                         std::vector<double>& setpoints)
+      : inner_(params), setpoints_(setpoints) {}
+  [[nodiscard]] std::string_view name() const override { return "P&O"; }
+  Volts update(const harvest::Harvester& harvester, Volts present) override {
+    const Volts next = inner_.update(harvester, present);
+    setpoints_.push_back(next.value());
+    return next;
+  }
+  [[nodiscard]] Joules overhead_per_update() const override {
+    return inner_.overhead_per_update();
+  }
+
+ private:
+  power::PerturbObserve inner_;
+  std::vector<double>& setpoints_;
+};
+
+TEST(PlatformOracle, PerturbObserveHoldsTheTheveninMaximumPowerBand) {
+  // A Thevenin source delivers P(V) = V (Voc - V) / R, maximal at Voc / 2
+  // with Voc^2 / (4R). Once it has climbed there, P&O with step s keeps
+  // every setpoint within Voc / 2 +- 2s, so the power it delivers through
+  // a lossless converter averages at least Voc^2 / (4R) - (2s)^2 / R.
+  constexpr double kVoc = 8.0, kR = 200.0, kStep = 0.05, kT = 3.0 * 3600.0;
+  constexpr double kBand = 2.0 * kStep;
+  const double floor_w = kVoc * kVoc / (4.0 * kR) - kBand * kBand / kR;
+  env::AmbientConditions machinery;
+  machinery.vibration_rms = MetersPerSecondSquared{1.0};  // energized
+  for (const double dt : kOracleDts) {
+    SCOPED_TRACE(dt);
+    harvest::AcDcSource::Params source;
+    source.rectified_voc = Volts{kVoc};
+    source.internal_resistance = Ohms{kR};
+    power::PerturbObserve::Params tracker;
+    tracker.step = Volts{kStep};
+    tracker.overhead_per_update = Joules{0.0};
+    std::vector<double> setpoints;
+    auto p = oracle_platform(
+        std::make_unique<harvest::AcDcSource>("acdc", source),
+        std::make_unique<RecordedPerturbObserve>(tracker, setpoints),
+        Seconds{1.0},
+        ideal_cap(1e4, 1.0, std::numeric_limits<double>::infinity()));
+    ConstantAmbient ambient(machinery);
+    RunOptions options;
+    options.dt = Seconds{dt};
+    options.timeline_dt = Seconds{60.0};
+    const auto r = run_platform(*p, ambient, Seconds{kT}, options);
+
+    // Steady state: the second half of the run. The climb from the chain's
+    // 0.5 V start takes 70 updates, under half of the 180 a 60 s step gets.
+    ASSERT_GE(setpoints.size(), 180u);
+    for (std::size_t i = setpoints.size() / 2; i < setpoints.size(); ++i)
+      ASSERT_NEAR(setpoints[i], kVoc / 2.0, kBand + 1e-9) << "update " << i;
+    const auto& t = r.timeline->time();
+    const auto& w =
+        r.timeline->column(r.timeline->find_column("source[0].delivered_w"));
+    double sum = 0.0;
+    int rows = 0;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      if (t[i] <= kT / 2.0) continue;  // a row reports the minute before it
+      sum += w[i];
+      ++rows;
+    }
+    ASSERT_GT(rows, 0);
+    EXPECT_GE(sum / rows, floor_w);
+    EXPECT_LE(sum / rows, kVoc * kVoc / (4.0 * kR) + 1e-12);
+  }
 }
 
 }  // namespace

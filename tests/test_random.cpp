@@ -1,7 +1,6 @@
 // Deterministic RNG: reproducibility and distribution sanity.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "core/error.hpp"
@@ -107,22 +106,6 @@ TEST(Pcg32, ExponentialRejectsNonPositiveMean) {
   Pcg32 rng(9);
   EXPECT_THROW(rng.exponential(0.0), SpecError);
   EXPECT_THROW(rng.exponential(-1.0), SpecError);
-}
-
-TEST(Pcg32, WeibullMeanMatchesAnalytic) {
-  // Mean of Weibull(k=2, lambda) = lambda * Gamma(1.5) = lambda*sqrt(pi)/2.
-  Pcg32 rng(10);
-  const double lambda = 4.5;
-  const int n = 200000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += rng.weibull(2.0, lambda);
-  EXPECT_NEAR(sum / n, lambda * std::sqrt(std::acos(-1.0)) / 2.0, 0.05);
-}
-
-TEST(Pcg32, WeibullRejectsBadParams) {
-  Pcg32 rng(11);
-  EXPECT_THROW(rng.weibull(0.0, 1.0), SpecError);
-  EXPECT_THROW(rng.weibull(1.0, 0.0), SpecError);
 }
 
 TEST(Pcg32, BernoulliFrequency) {

@@ -1,4 +1,4 @@
-// Numeric helpers: bisection, golden-section max, interpolation.
+// Numeric helpers: golden-section max, interpolation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,27 +7,6 @@
 
 namespace msehsim {
 namespace {
-
-TEST(Bisect, FindsSimpleRoot) {
-  const double r = bisect_fn([](double x) { return x * x - 2.0; }, 0.0, 2.0);
-  EXPECT_NEAR(r, std::sqrt(2.0), 1e-10);
-}
-
-TEST(Bisect, ExactEndpointRoots) {
-  EXPECT_DOUBLE_EQ(bisect_fn([](double x) { return x; }, 0.0, 1.0), 0.0);
-  EXPECT_DOUBLE_EQ(bisect_fn([](double x) { return x - 1.0; }, 0.0, 1.0), 1.0);
-}
-
-TEST(Bisect, NoSignChangeReturnsBetterEndpoint) {
-  // f > 0 everywhere on [1,2]; f(1) is smaller.
-  const double r = bisect_fn([](double x) { return x * x + 1.0; }, 1.0, 2.0);
-  EXPECT_DOUBLE_EQ(r, 1.0);
-}
-
-TEST(Bisect, DecreasingFunction) {
-  const double r = bisect_fn([](double x) { return 5.0 - x; }, 0.0, 10.0);
-  EXPECT_NEAR(r, 5.0, 1e-10);
-}
 
 TEST(GoldenMax, FindsParabolaPeak) {
   const double x = golden_max_fn(
@@ -77,16 +56,6 @@ TEST(SolveFn, GoldenMaxConvergesWithIterations) {
   EXPECT_LE(e30, e10);
   EXPECT_LE(e80, e30);
   EXPECT_LT(e80, 1e-9);
-}
-
-TEST(SolveFn, BisectConvergesWithIterations) {
-  auto f = [](double x) { return x * x - 2.0; };
-  const double e5 = std::fabs(bisect_fn(f, 0.0, 2.0, 5) - std::sqrt(2.0));
-  const double e20 = std::fabs(bisect_fn(f, 0.0, 2.0, 20) - std::sqrt(2.0));
-  const double e60 = std::fabs(bisect_fn(f, 0.0, 2.0, 60) - std::sqrt(2.0));
-  EXPECT_LE(e20, e5);
-  EXPECT_LE(e60, e20);
-  EXPECT_LT(e60, 1e-12);
 }
 
 TEST(SolveFn, TemplateAcceptsMutableCallableWithoutCopying) {

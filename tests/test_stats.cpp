@@ -1,4 +1,4 @@
-// RunningStats / Series / percentile.
+// RunningStats / Series.
 #include <gtest/gtest.h>
 
 #include "core/error.hpp"
@@ -67,24 +67,6 @@ TEST(Series, LastOnEmptyThrows) {
 
 TEST(Series, ZeroKeepEveryRejected) {
   EXPECT_THROW(Series("bad", 0), SpecError);
-}
-
-TEST(Percentile, NearestRank) {
-  std::vector<double> v{5.0, 1.0, 3.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 0.9), 5.0);
-}
-
-TEST(Percentile, EmptyReturnsZero) {
-  EXPECT_DOUBLE_EQ(percentile({}, 0.5), 0.0);
-}
-
-TEST(Percentile, ClampsQuantile) {
-  std::vector<double> v{1.0, 2.0};
-  EXPECT_DOUBLE_EQ(percentile(v, -1.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 2.0), 2.0);
 }
 
 }  // namespace

@@ -11,12 +11,15 @@ listed when
     definitions ("unused").
 
 Matching is by name, so an overloaded or common name that some other code
-uses counts as used. Constructors and operators are not examined. The
+uses counts as used. Constructors and operators are not examined, and
+neither are private or protected class members: only their own class can
+call them, so a test-local name that shares one is not a caller. The
 report is a review aid: it always exits 0.
 
 Usage: python3 tools/test_only_api.py [repo-root]
 """
 
+import bisect
 import re
 import sys
 from collections import defaultdict
@@ -38,6 +41,8 @@ NOT_A_NAME = {"if", "for", "while", "switch", "catch", "return", "sizeof",
 DECLARATION = re.compile(
     r"([\w>\]&*])\s+((?:\w+::)*)(~?[A-Za-z_]\w*)\s*\(")
 TOKEN = re.compile(r"[A-Za-z_]\w*")
+# Braces and access labels ("public:", not the "public" of a base list).
+SCOPE_EVENT = re.compile(r"[{}]|\b(public|private|protected)\s*:(?!:)")
 
 
 def strip_code(text):
@@ -100,6 +105,35 @@ def declared_names(code):
     return found
 
 
+def hidden_marks(code):
+    """Sorted (offset, hidden) breakpoints: from each offset on, whether a
+    declaration there is a private or protected class member.
+
+    Each brace opens a scope. A brace whose statement names class, struct
+    or union (and no parenthesis or enum) opens a class body, private by
+    default for a class and public for a struct or union; an access label
+    changes the access of the class body it sits in."""
+    stack = []  # per open brace: a class body's current access, else None
+    marks = [(0, False)]
+    last = 0
+    for m in SCOPE_EVENT.finditer(code):
+        if m.group(0) == "{":
+            head = code[last:m.start()].rsplit(";", 1)[-1]
+            keys = re.findall(r"\b(class|struct|union)\b", head)
+            if keys and "(" not in head and not re.search(r"\benum\b", head):
+                stack.append("private" if keys[-1] == "class" else "public")
+            else:
+                stack.append(None)
+        elif m.group(0) == "}":
+            if stack:
+                stack.pop()
+        elif stack and stack[-1] is not None:
+            stack[-1] = m.group(1)
+        last = m.end()
+        marks.append((last, bool(stack) and stack[-1] not in (None, "public")))
+    return marks
+
+
 def main():
     root = Path(sys.argv[1] if len(sys.argv) > 1 else ".").resolve()
     files = {}
@@ -127,8 +161,12 @@ def main():
             continue
         stem = rel[: -len(".hpp")]
         own = {stem + ".hpp", stem + ".cpp"}
+        marks = hidden_marks(files[rel])
+        starts = [offset for offset, _ in marks]
         seen = set()
-        for name, _ in declared_names(files[rel]):
+        for name, offset in declared_names(files[rel]):
+            if marks[bisect.bisect_right(starts, offset) - 1][1]:
+                continue
             if name in seen:
                 continue
             seen.add(name)
