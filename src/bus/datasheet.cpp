@@ -26,16 +26,8 @@ double get_f64(const std::vector<std::uint8_t>& in, std::size_t at) {
   std::memcpy(&v, in.data() + at, sizeof v);
   return v;
 }
-}  // namespace
 
-std::string_view to_string(DeviceClass c) {
-  switch (c) {
-    case DeviceClass::kHarvester: return "harvester";
-    case DeviceClass::kStorage: return "storage";
-  }
-  return "?";
-}
-
+/// CRC-16/CCITT-FALSE over @p data — the checksum the datasheet blobs use.
 std::uint16_t crc16_ccitt(const std::uint8_t* data, std::size_t n) {
   std::uint16_t crc = 0xFFFF;
   for (std::size_t i = 0; i < n; ++i) {
@@ -45,6 +37,15 @@ std::uint16_t crc16_ccitt(const std::uint8_t* data, std::size_t n) {
                            : static_cast<std::uint16_t>(crc << 1);
   }
   return crc;
+}
+}  // namespace
+
+std::string_view to_string(DeviceClass c) {
+  switch (c) {
+    case DeviceClass::kHarvester: return "harvester";
+    case DeviceClass::kStorage: return "storage";
+  }
+  return "?";
 }
 
 // Layout (little-endian):

@@ -53,7 +53,4 @@ struct ElectronicDatasheet {
   friend bool operator==(const ElectronicDatasheet& a, const ElectronicDatasheet& b);
 };
 
-/// CRC-16/CCITT-FALSE over @p data — the checksum the datasheet blobs use.
-[[nodiscard]] std::uint16_t crc16_ccitt(const std::uint8_t* data, std::size_t n);
-
 }  // namespace msehsim::bus

@@ -14,17 +14,19 @@ constexpr double kDeg2Rad = std::numbers::pi / 180.0;
 
 /// Standard normal CDF via erf.
 double phi(double z) { return 0.5 * (1.0 + std::erf(z / std::numbers::sqrt2)); }
-}  // namespace
 
+/// Hour of day in [0, 24) for a simulation timestamp.
 double hour_of_day(Seconds now) {
   double t = std::fmod(now.value(), kSecondsPerDay);
   if (t < 0.0) t += kSecondsPerDay;
   return t / 3600.0;
 }
 
+/// Day index (0-based) for a simulation timestamp.
 int day_index(Seconds now) {
   return static_cast<int>(std::floor(now.value() / kSecondsPerDay));
 }
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // SolarChannel

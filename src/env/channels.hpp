@@ -219,10 +219,4 @@ class WaterFlowChannel {
   Pcg32 rng_;
 };
 
-/// Hour of day in [0, 24) for a simulation timestamp.
-double hour_of_day(Seconds now);
-
-/// Day index (0-based) for a simulation timestamp.
-int day_index(Seconds now);
-
 }  // namespace msehsim::env

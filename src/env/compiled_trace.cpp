@@ -12,11 +12,7 @@ namespace {
 /// True only for bit-exact +0.0: eliding -0.0 would swap the sign of a
 /// stored zero and could leak into a "-0"-vs-"0" byte difference in a
 /// round-trip-exact text report downstream.
-bool all_positive_zero(const std::vector<double>& v) {
-  for (const double x : v)
-    if (x != 0.0 || std::signbit(x)) return false;
-  return true;
-}
+bool positive_zero(double x) { return x == 0.0 && !std::signbit(x); }
 
 }  // namespace
 
@@ -36,32 +32,36 @@ CompiledTrace::CompiledTrace(EnvironmentModel& source, Seconds dt,
   require_spec(duration.value() > 0.0, "CompiledTrace: duration must be > 0");
   const auto reserve =
       static_cast<std::size_t>(duration.value() / dt.value()) + 1;
-  for (auto& v : owned_) v.reserve(reserve);
+  // A channel gets storage only at its first value that is not +0.0, with
+  // the +0.0 prefix filled in then; a channel that never leaves +0.0 is
+  // elided without ever being allocated.
+  const auto record = [&](std::size_t ch, double x) {
+    std::vector<double>& v = owned_[ch];
+    if (v.empty()) {
+      if (positive_zero(x)) return;
+      v.reserve(reserve);
+      v.assign(steps_, 0.0);
+    }
+    v.push_back(x);
+  };
   // Exactly systems::BatchRunner::run's stepping scheme (starting at
   // now = 0): repeated accumulation, half-step end tolerance. Any deviation
   // here would desynchronize playback from a live run.
   for (Seconds now{0.0}; now + dt * 0.5 < duration; now += dt) {
     const AmbientConditions c = source.advance(now, dt);
-    owned_[0].push_back(c.solar_irradiance.value());
-    owned_[1].push_back(c.illuminance.value());
-    owned_[2].push_back(c.wind_speed.value());
-    owned_[3].push_back(c.thermal_gradient.value());
-    owned_[4].push_back(c.vibration_rms.value());
-    owned_[5].push_back(c.vibration_freq.value());
-    owned_[6].push_back(c.rf_power_density.value());
-    owned_[7].push_back(c.water_flow.value());
+    record(0, c.solar_irradiance.value());
+    record(1, c.illuminance.value());
+    record(2, c.wind_speed.value());
+    record(3, c.thermal_gradient.value());
+    record(4, c.vibration_rms.value());
+    record(5, c.vibration_freq.value());
+    record(6, c.rf_power_density.value());
+    record(7, c.water_flow.value());
+    ++steps_;
   }
-  steps_ = owned_[0].size();
   require_spec(steps_ > 0, "CompiledTrace: zero-step timeline");
-  for (std::size_t ch = 0; ch < kChannelCount; ++ch) {
-    if (all_positive_zero(owned_[ch])) {
-      owned_[ch].clear();
-      owned_[ch].shrink_to_fit();
-      view_[ch] = nullptr;
-    } else {
-      view_[ch] = owned_[ch].data();
-    }
-  }
+  for (std::size_t ch = 0; ch < kChannelCount; ++ch)
+    view_[ch] = owned_[ch].empty() ? nullptr : owned_[ch].data();
 }
 
 std::shared_ptr<const CompiledTrace> CompiledTrace::compile(

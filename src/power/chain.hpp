@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -205,6 +206,14 @@ class InputChain {
   std::uint64_t shutdown_steps_{0};
 };
 
+/// The output conditioning stage. required_bus_power inverts the converter
+/// every step, and its arguments often repeat from one call to the next (a
+/// steady node load while the front store sits at its clamp voltage), so it
+/// keeps a one-entry memo keyed on the exact bits of both arguments. The
+/// converter and rail are fixed at construction, so a hit returns the very
+/// double a fresh inversion would; the memo makes the const member unsafe to
+/// call concurrently on one chain, which a Platform's single stepping
+/// thread never does (DESIGN.md §8, "Allocation-free step").
 class OutputChain {
  public:
   OutputChain(Converter converter, Volts rail_voltage);
@@ -213,7 +222,17 @@ class OutputChain {
   /// delivers @p load_power. Returns 0 if conversion is infeasible
   /// (e.g. bus collapsed below the LDO dropout) — the caller treats that as
   /// a brownout.
-  [[nodiscard]] Watts required_bus_power(Watts load_power, Volts bus_voltage) const;
+  [[nodiscard]] Watts required_bus_power(Watts load_power, Volts bus_voltage) const {
+    const auto load_bits = std::bit_cast<std::uint64_t>(load_power.value());
+    const auto bus_bits = std::bit_cast<std::uint64_t>(bus_voltage.value());
+    if (memo_valid_ && load_bits == memo_load_bits_ && bus_bits == memo_bus_bits_)
+      return memo_power_;
+    memo_power_ = solve_bus_power(load_power, bus_voltage);
+    memo_load_bits_ = load_bits;
+    memo_bus_bits_ = bus_bits;
+    memo_valid_ = true;
+    return memo_power_;
+  }
 
   /// True if the rail can be produced from @p bus_voltage at all.
   [[nodiscard]] bool rail_available(Volts bus_voltage) const;
@@ -222,8 +241,15 @@ class OutputChain {
   [[nodiscard]] const Converter& converter() const { return converter_; }
 
  private:
+  /// The inversion required_bus_power memoizes.
+  [[nodiscard]] Watts solve_bus_power(Watts load_power, Volts bus_voltage) const;
+
   Converter converter_;
   Volts rail_voltage_;
+  mutable bool memo_valid_{false};
+  mutable std::uint64_t memo_load_bits_{0};
+  mutable std::uint64_t memo_bus_bits_{0};
+  mutable Watts memo_power_{0.0};
 };
 
 }  // namespace msehsim::power

@@ -12,7 +12,6 @@
 // deficit latches a brownout that drops the rail on the next step.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -205,12 +204,8 @@ class Platform {
       const Watts p_rail = node_->step(rail_on, output_->rail_voltage(), dt);
       if (rail_on) {
         // A node that is steadily up draws exactly its average power, so
-        // the converter inversion already solved for the estimate applies
-        // (required_bus_power is a pure function of its arguments).
-        p_bus_load = std::bit_cast<std::uint64_t>(p_rail.value()) ==
-                             std::bit_cast<std::uint64_t>(avg_rail.value())
-                         ? demand_estimate
-                         : output_->required_bus_power(p_rail, bus_v);
+        // this call hits the chain's memo of the estimate's inversion.
+        p_bus_load = output_->required_bus_power(p_rail, bus_v);
         load_energy_ += p_rail * dt;
         bus_load_energy_ += p_bus_load * dt;
       }

@@ -47,6 +47,7 @@
 #include "systems/catalog.hpp"
 #include "systems/platform.hpp"
 #include "systems/runner.hpp"
+#include "counting_new.hpp"
 #include "live_grid.hpp"
 
 namespace msehsim::campaign {
@@ -1230,6 +1231,63 @@ TEST(BatchRunner, QueryArrivalsFollowTheSeededStream) {
     for (const auto& r : runner.run())
       EXPECT_EQ(r.queries_received, arrivals) << "interval " << interval;
   }
+}
+
+/// Heap allocations made by run() of a BatchRunner over @p days of the
+/// outdoor scenario at dt 5 s with the timeline off. @p fill adds the lanes
+/// (and builds whatever they need) before counting starts, so only run()
+/// is counted: the per-step work plus the result assembly at the end.
+template <typename Fill>
+std::size_t run_allocations(double days, Fill&& fill) {
+  systems::RunOptions options;
+  options.dt = Seconds{5.0};
+  options.mean_query_interval = Seconds{120.0};
+  const Seconds duration{days * 86400.0};
+  auto model = env::Environment::outdoor(kBlockSeed);
+  const auto trace = env::CompiledTrace::compile(model, options.dt, duration);
+  std::vector<std::unique_ptr<systems::Platform>> platforms;
+  std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
+  systems::BatchRunner runner(trace, duration, options);
+  fill(runner, platforms, injectors);
+  const std::size_t before = test_alloc::heap_allocations.load();
+  const auto results = runner.run();
+  const std::size_t after = test_alloc::heap_allocations.load();
+  EXPECT_EQ(results.size(), platforms.size());
+  return after - before;
+}
+
+/// The step loop allocates nothing: a run twice as long makes exactly as
+/// many heap allocations, so none of them is per step. Covers the eight
+/// catalog systems as one block, and System A under the example fault
+/// schedule (injector events, failover and bus retries mid-run).
+TEST(BatchRunner, StepLoopAllocatesNothing) {
+  const auto catalog = [](systems::BatchRunner& runner, auto& platforms,
+                          auto&) {
+    for (const auto id :
+         {systems::SystemId::kSmartPowerUnit, systems::SystemId::kPlugAndPlay,
+          systems::SystemId::kAmbiMax, systems::SystemId::kMpWiNode,
+          systems::SystemId::kMax17710Eval, systems::SystemId::kCymbetEval09,
+          systems::SystemId::kEhLink, systems::SystemId::kSmartHarvester}) {
+      platforms.push_back(systems::build(id, kBlockSeed));
+      runner.add_lane(*platforms.back());
+    }
+  };
+  EXPECT_EQ(run_allocations(1.0, catalog), run_allocations(2.0, catalog))
+      << "8 catalog systems";
+
+  const auto schedule =
+      std::make_shared<const fault::Schedule>(fault::Schedule::load(
+          std::string(MSEHSIM_SOURCE_DIR) +
+          "/examples/schedules/system_a_faults.csv"));
+  const auto faulted = [&](systems::BatchRunner& runner, auto& platforms,
+                           auto& injectors) {
+    platforms.push_back(systems::build_system_a(kBlockSeed));
+    injectors.push_back(
+        schedule_injector(schedule)(kBlockSeed, *platforms.back()));
+    runner.add_lane(*platforms.back(), injectors.back().get());
+  };
+  EXPECT_EQ(run_allocations(1.0, faulted), run_allocations(2.0, faulted))
+      << "System A under the example fault schedule";
 }
 
 }  // namespace

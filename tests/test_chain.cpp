@@ -2,7 +2,12 @@
 // scheduling, overhead accounting, rail feasibility.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/error.hpp"
 #include "harvest/transducers.hpp"
@@ -191,6 +196,38 @@ TEST(OutputChain, RequiredBusPowerCoversLoadPlusLosses) {
 TEST(OutputChain, InfeasibleRailNeedsZero) {
   OutputChain out(Converter::nano_ldo("ldo"), Volts{3.0});
   EXPECT_DOUBLE_EQ(out.required_bus_power(Watts{1e-3}, Volts{1.0}).value(), 0.0);
+}
+
+std::uint64_t bits(Watts w) { return std::bit_cast<std::uint64_t>(w.value()); }
+
+/// The one-entry memo of required_bus_power returns, bit for bit, what a
+/// fresh inversion gives: over repeated keys, alternating keys, keys that
+/// change one half at a time, an infeasible bus (below the LDO's dropout,
+/// below either converter's input window), signed zeros and NaN loads.
+TEST(OutputChain, RequiredBusPowerMemoMatchesFreshInversion) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<double, double>> keys = {
+      {10e-3, 4.0}, {10e-3, 4.0}, {10e-3, 4.0},               // repeated
+      {2e-3, 3.6},  {10e-3, 4.0}, {2e-3, 3.6},  {10e-3, 4.0},  // alternating
+      {10e-3, 3.6}, {2e-3, 3.6},  {2e-3, 4.0},                 // one half
+      {10e-3, 2.5}, {10e-3, 2.5}, {10e-3, 4.0}, {10e-3, 2.5},  // dropout
+      {10e-3, 0.5}, {10e-3, 0.5}, {2e-3, 0.5},                 // below window
+      {0.0, 4.0},   {-0.0, 4.0},  {0.0, 4.0},   {-0.0, 2.5},  {0.0, 2.5},
+      {nan, 4.0},   {nan, 4.0},   {10e-3, 4.0}, {nan, 2.5},   {nan, 2.5}};
+  for (const Converter& converter :
+       {Converter::nano_ldo("ldo"), Converter::smart_buck_boost("bb")}) {
+    const OutputChain out(converter, Volts{3.0});
+    for (const auto& [load, bus] : keys) {
+      const Watts fresh =
+          out.rail_available(Volts{bus})
+              ? out.converter().required_input(Watts{load}, Volts{bus},
+                                               out.rail_voltage())
+              : Watts{0.0};
+      EXPECT_EQ(bits(out.required_bus_power(Watts{load}, Volts{bus})),
+                bits(fresh))
+          << converter.name() << ", load " << load << " W, bus " << bus << " V";
+    }
+  }
 }
 
 TEST(OutputChain, RejectsNonPositiveRail) {

@@ -22,17 +22,6 @@ namespace {
 constexpr Seconds kStep{60.0};
 constexpr double kDay = 86400.0;
 
-TEST(TimeHelpers, HourOfDayWraps) {
-  EXPECT_DOUBLE_EQ(hour_of_day(Seconds{0.0}), 0.0);
-  EXPECT_DOUBLE_EQ(hour_of_day(Seconds{kDay / 2}), 12.0);
-  EXPECT_DOUBLE_EQ(hour_of_day(Seconds{kDay + 3600.0}), 1.0);
-}
-
-TEST(TimeHelpers, DayIndex) {
-  EXPECT_EQ(day_index(Seconds{0.0}), 0);
-  EXPECT_EQ(day_index(Seconds{kDay * 2.5}), 2);
-}
-
 TEST(SolarChannel, ClearSkyZeroAtNightPositiveAtNoon) {
   SolarChannel solar({}, 1);
   EXPECT_DOUBLE_EQ(solar.clear_sky(Seconds{0.0}).value(), 0.0);  // midnight
@@ -75,14 +64,26 @@ TEST(SolarChannel, RejectsBadSpec) {
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
+/// Hour of day in [0, 24) and 0-based day index of a timestamp, written out
+/// for the reference channels below (the channels' own helpers are private
+/// to channels.cpp).
+double reference_hour(Seconds now) {
+  double t = std::fmod(now.value(), kDay);
+  if (t < 0.0) t += kDay;
+  return t / 3600.0;
+}
+int reference_day(Seconds now) {
+  return static_cast<int>(std::floor(now.value() / kDay));
+}
+
 /// SolarChannel::clear_sky as written before it cached the per-day
 /// sin(lat)*sin(decl) and cos(lat)*cos(decl): everything per call.
 double reference_clear_sky(const SolarChannel::Params& p, Seconds now) {
   constexpr double kDeg2Rad = std::numbers::pi / 180.0;
-  const int doy = p.day_of_year + day_index(now);
+  const int doy = p.day_of_year + reference_day(now);
   const double declination =
       -23.44 * kDeg2Rad * std::cos(2.0 * std::numbers::pi * (doy + 10) / 365.0);
-  const double hour_angle = (hour_of_day(now) - 12.0) * 15.0 * kDeg2Rad;
+  const double hour_angle = (reference_hour(now) - 12.0) * 15.0 * kDeg2Rad;
   const double lat = p.latitude_deg * kDeg2Rad;
   const double sin_elev = std::sin(lat) * std::sin(declination) +
                           std::cos(lat) * std::cos(declination) * std::cos(hour_angle);
@@ -127,7 +128,7 @@ class ReferenceWind {
     const double u = std::clamp(phi, 1e-9, 1.0 - 1e-9);
     double speed = p_.weibull_scale.value() *
                    std::pow(-std::log(1.0 - u), 1.0 / p_.weibull_shape);
-    const double h = hour_of_day(now);
+    const double h = reference_hour(now);
     speed *= 1.0 + p_.diurnal_amplitude *
                        std::cos(2.0 * std::numbers::pi * (h - 15.0) / 24.0);
     return std::max(0.0, speed);

@@ -2,10 +2,7 @@
 // (the survey's Sec. III.2 claim C5), digital re-recognition.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 
 #include "bus/module_port.hpp"
 #include "core/error.hpp"
@@ -14,47 +11,7 @@
 #include "storage/supercapacitor.hpp"
 #include "systems/catalog.hpp"
 #include "systems/platform.hpp"
-
-// Counting global allocator for DigitalMonitor.EstimateAllocatesNothing:
-// every plain, array and nothrow operator new in this test binary bumps the
-// counter. All of them, and the matching deletes, are replaced together so
-// a sanitizer's own allocator never frees what malloc returned. They are
-// kept out of line so the compiler never sees malloc's result reach a
-// delete-expression and warn of a mismatch.
-namespace {
-std::atomic<std::size_t> g_heap_allocations{0};
-
-[[gnu::noinline]] void* counted_malloc(std::size_t size) noexcept {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-}  // namespace
-
-[[gnu::noinline]] void* operator new(std::size_t size) {
-  if (void* p = counted_malloc(size)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void* operator new[](std::size_t size) {
-  if (void* p = counted_malloc(size)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_malloc(size);
-}
-[[gnu::noinline]] void* operator new[](std::size_t size,
-                                        const std::nothrow_t&) noexcept {
-  return counted_malloc(size);
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+#include "counting_new.hpp"
 
 namespace msehsim::manager {
 namespace {
@@ -254,11 +211,11 @@ TEST(DigitalMonitor, EstimateAllocatesNothing) {
   ASSERT_FALSE(monitor->inventory().empty());
   monitor->estimate();  // warm: first-use memos and caches
 
-  const std::size_t before = g_heap_allocations.load();
+  const std::size_t before = test_alloc::heap_allocations.load();
   const EnergyEstimate clean = monitor->estimate();
   platform->i2c().inject_nak_burst(2);
   const EnergyEstimate retried = monitor->estimate();
-  const std::size_t after = g_heap_allocations.load();
+  const std::size_t after = test_alloc::heap_allocations.load();
 
   EXPECT_EQ(after - before, 0u);
   EXPECT_TRUE(clean.valid);

@@ -3,8 +3,11 @@
 
 For every function declared in a header under src/, count the places its
 name appears in C++ code (comments and string literals stripped) under
-src/, tests/, tools/, bench/, examples/ and perfbench/. A function is
-listed when
+src/, tests/, tools/, bench/, examples/ and perfbench/ where it can name a
+function: followed by "(" (a call, `.name(`, `->name(`), or preceded by
+"&" or "::" (`&name`, `&Class::name`, `Scope::name`). A parameter, local or
+member that shares a function's name is therefore not a use. A function
+is listed when
 
   * every use of it outside its own .hpp/.cpp is under tests/ ("tests"), or
   * nothing uses it at all: its name appears only in declarations and
@@ -41,6 +44,9 @@ NOT_A_NAME = {"if", "for", "while", "switch", "catch", "return", "sizeof",
 DECLARATION = re.compile(
     r"([\w>\]&*])\s+((?:\w+::)*)(~?[A-Za-z_]\w*)\s*\(")
 TOKEN = re.compile(r"[A-Za-z_]\w*")
+# A token that can name a function: a call follows, or '&' or '::' precedes.
+CALL_AFTER = re.compile(r"\s*\(")
+REF_BEFORE = re.compile(r"(?:(?<!&)&|::)\s*$")
 # Braces and access labels ("public:", not the "public" of a base list).
 SCOPE_EVENT = re.compile(r"[{}]|\b(public|private|protected)\s*:(?!:)")
 
@@ -146,13 +152,16 @@ def main():
                 rel = path.relative_to(root).as_posix()
                 files[rel] = strip_code(path.read_text(errors="replace"))
 
-    # name -> file -> number of uses (occurrences not in declaration
-    # position).
+    # name -> file -> number of uses (occurrences that can name a function,
+    # not in declaration position).
     uses = defaultdict(lambda: defaultdict(int))
     for rel, code in files.items():
         decl = {offset for _, offset in declared_names(code)}
         for m in TOKEN.finditer(code):
-            if m.start() not in decl:
+            if m.start() in decl:
+                continue
+            if CALL_AFTER.match(code, m.end()) or REF_BEFORE.search(
+                    code, max(0, m.start() - 64), m.start()):
                 uses[m.group(0)][rel] += 1
 
     report = []
