@@ -12,6 +12,7 @@
 // cache disabled, and every job's to_string(RunResult) must match byte for
 // byte — determinism across scheduling AND across the caching layer.
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,7 +20,7 @@
 #include "campaign/campaign.hpp"
 #include "core/table.hpp"
 #include "env/environment.hpp"
-#include "fault/injector.hpp"
+#include "fault/schedule.hpp"
 #include "harvest/harvester.hpp"
 #include "storage/fuel_cell.hpp"
 #include "systems/catalog.hpp"
@@ -46,15 +47,20 @@ const char* name(Reaction r) {
 /// One seeded campaign: both PVs die on day 1, the wind turbine's converter
 /// overheats on day 2, the supercap springs a leak, and the telemetry bus
 /// takes NAK bursts and a bit-error window.
-void schedule_faults(fault::FaultInjector& inj, systems::Platform& a) {
-  inj.harvester_stuck_short(Seconds{1.0 * kDay}, a.input(0));
-  inj.harvester_intermittent(Seconds{1.0 * kDay}, a.input(1), 0.7);
-  inj.converter_thermal_shutdown(Seconds{2.0 * kDay}, a.input(2),
-                                 Seconds{6.0 * 3600.0});
-  inj.storage_leakage_spike(Seconds{1.5 * kDay}, a.store(0), 25.0,
-                            Seconds{12.0 * 3600.0});
-  inj.bus_nak_burst(Seconds{1.2 * kDay}, a.i2c(), 20);
-  inj.bus_bit_errors(Seconds{2.2 * kDay}, a.i2c(), 0.05, Seconds{3600.0});
+fault::Schedule fault_schedule() {
+  const double unset = std::numeric_limits<double>::quiet_NaN();
+  fault::Schedule schedule;
+  schedule.add({Seconds{1.0 * kDay}, "harvester_stuck_short", "input:0", unset,
+                unset});
+  schedule.add({Seconds{1.0 * kDay}, "harvester_intermittent", "input:1", 0.7,
+                unset});
+  schedule.add({Seconds{2.0 * kDay}, "converter_thermal_shutdown", "input:2",
+                unset, 6.0 * 3600.0});
+  schedule.add({Seconds{1.5 * kDay}, "storage_leakage_spike", "storage:0", 25.0,
+                12.0 * 3600.0});
+  schedule.add({Seconds{1.2 * kDay}, "bus_nak_burst", "bus", 20, unset});
+  schedule.add({Seconds{2.2 * kDay}, "bus_bit_errors", "bus", 0.05, 3600.0});
+  return schedule;
 }
 
 std::unique_ptr<systems::Platform> build_reaction(Reaction reaction,
@@ -91,11 +97,8 @@ campaign::CampaignSpec make_spec(unsigned threads) {
   sc.duration = Seconds{3.0 * kDay};
   sc.options.dt = Seconds{5.0};
   sc.options.management_period = Seconds{60.0};
-  sc.injector = [](std::uint64_t seed, systems::Platform& platform) {
-    auto inj = std::make_unique<fault::FaultInjector>(seed);
-    schedule_faults(*inj, platform);
-    return inj;
-  };
+  sc.injector = campaign::schedule_injector(
+      std::make_shared<const fault::Schedule>(fault_schedule()));
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {kSeed};
   spec.threads = threads;

@@ -91,7 +91,6 @@ class I2cBus {
   /// Holds the bus electrically stuck: every transaction fails until
   /// released. Models a slave clamping SDA low.
   void set_stuck(bool stuck);
-  [[nodiscard]] bool stuck() const { return stuck_; }
 
   /// Transactions NAKed and bytes corrupted by injected faults.
   [[nodiscard]] std::uint64_t fault_hits() const { return fault_hits_; }

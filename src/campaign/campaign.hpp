@@ -47,8 +47,9 @@ using PlatformFactory =
 using EnvironmentFactory =
     std::function<std::unique_ptr<env::EnvironmentModel>(std::uint64_t seed)>;
 
-/// Builds (and schedules) a fresh fault injector against the job's own
-/// platform. Optional; a default-constructed function means no faults.
+/// Builds a fresh fault injector against the job's own platform (from a
+/// fault::Schedule; see schedule_injector). Optional; a default-constructed
+/// function means no faults.
 using InjectorFactory = std::function<std::unique_ptr<fault::FaultInjector>(
     std::uint64_t seed, systems::Platform& platform)>;
 

@@ -38,8 +38,6 @@ class SolarChannel {
   /// tests and for analytic baselines.
   [[nodiscard]] WattsPerSquareMeter clear_sky(Seconds now) const;
 
-  [[nodiscard]] bool cloudy() const { return cloudy_; }
-
  private:
   Params params_;
   Pcg32 rng_;

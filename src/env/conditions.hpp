@@ -56,7 +56,7 @@ struct AmbientConditions {
 }
 
 /// @p c with every channel multiplied by @p gain — a uniformly miscalibrated
-/// ambient-sensing front end (fault::FaultKind::kSensorDrift). Used to feed
+/// ambient-sensing front end (the `sensor_drift` fault). Used to feed
 /// operating-point trackers a skewed view of the environment while the
 /// physics keeps seeing the true conditions. gain == 1 returns @p c exactly
 /// (bit-identical, so the unfaulted path is unchanged).

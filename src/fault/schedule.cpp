@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -16,22 +17,46 @@ namespace msehsim::fault {
 
 namespace {
 
-/// Which component class a fault keyword targets.
-enum class TargetClass { kInput, kStorage, kBus, kNode };
+/// Which component a fault keyword acts on. kHarvester and kChain both take
+/// an "input:N" / "input:*" token: a kHarvester fault acts on the chain's
+/// transducer, wrapped once in a FaultyHarvester; a kChain fault on the
+/// chain itself.
+enum class TargetClass { kHarvester, kChain, kStorage, kBus, kNode };
 
 /// Parameter contract of one fault keyword: `a` is the magnitude, `b` the
 /// duration. kForbidden cells must be empty, kRequired cells must parse.
 enum class Cell { kForbidden, kRequired, kOptional };
 
+/// One resolved target; the keyword's target class says which pointer is set.
+struct Target {
+  power::InputChain* chain{nullptr};
+  FaultyHarvester* harvester{nullptr};
+  storage::StorageDevice* store{nullptr};
+  bus::I2cBus* bus{nullptr};
+  node::SensorNode* node{nullptr};
+};
+
+/// What one fault instance does to one resolved target: `fire` runs at the
+/// instance's time and counts one fault in `counter` (null for a repair);
+/// `release`, when set, ends the fault `b` seconds later and never counts.
+struct Effect {
+  std::function<void()> fire;
+  std::uint64_t InjectionCounters::*counter{nullptr};
+  std::function<void()> release{};
+};
+
+/// One fault keyword, defined once: target, cells, range check, effect.
 struct KeywordSpec {
   std::string_view keyword;
   TargetClass target;
   Cell a;
   Cell b;
-  /// Validates magnitude/duration ranges; mirrors the FaultInjector
-  /// preconditions so a bad value is diagnosed with its line number instead
-  /// of deep inside build_injector. Empty-optional cells arrive as NaN.
+  /// Validates magnitude/duration ranges. It is the only gate before the
+  /// component setters, so a bad value is diagnosed with its line number
+  /// instead of deep inside build_injector. Empty-optional cells arrive as
+  /// NaN.
   void (*check)(double a, double b);
+  Effect (*effect)(const Target& target, double a, double b);
 };
 
 void check_fraction_a(double a, double) {
@@ -69,34 +94,102 @@ void check_drift_ab(double a, double b) {
 }
 
 constexpr KeywordSpec kKeywords[] = {
-    {"harvester_degrade", TargetClass::kInput, Cell::kRequired,
-     Cell::kForbidden, check_fraction_a},
-    {"harvester_intermittent", TargetClass::kInput, Cell::kRequired,
-     Cell::kForbidden, check_fraction_a},
-    {"harvester_stuck_short", TargetClass::kInput, Cell::kForbidden,
-     Cell::kForbidden, check_none},
-    {"harvester_heal", TargetClass::kInput, Cell::kForbidden, Cell::kForbidden,
-     check_none},
-    {"converter_droop", TargetClass::kInput, Cell::kRequired, Cell::kForbidden,
-     check_droop_a},
-    {"converter_thermal_shutdown", TargetClass::kInput, Cell::kForbidden,
-     Cell::kRequired, check_duration_b},
+    {"harvester_degrade", TargetClass::kHarvester, Cell::kRequired,
+     Cell::kForbidden, check_fraction_a,
+     [](const Target& t, double a, double) -> Effect {
+       return {[h = t.harvester, a] { h->degrade(a); },
+               &InjectionCounters::harvester};
+     }},
+    {"harvester_intermittent", TargetClass::kHarvester, Cell::kRequired,
+     Cell::kForbidden, check_fraction_a,
+     [](const Target& t, double a, double) -> Effect {
+       return {[h = t.harvester, a] { h->set_intermittent(a); },
+               &InjectionCounters::harvester};
+     }},
+    {"harvester_stuck_short", TargetClass::kHarvester, Cell::kForbidden,
+     Cell::kForbidden, check_none,
+     [](const Target& t, double, double) -> Effect {
+       return {[h = t.harvester] { h->stick_short(); },
+               &InjectionCounters::harvester};
+     }},
+    // Healing is a repair, not a fault: it counts nothing.
+    {"harvester_heal", TargetClass::kHarvester, Cell::kForbidden,
+     Cell::kForbidden, check_none,
+     [](const Target& t, double, double) -> Effect {
+       return {[h = t.harvester] { h->heal(); }};
+     }},
+    {"converter_droop", TargetClass::kChain, Cell::kRequired, Cell::kForbidden,
+     check_droop_a,
+     [](const Target& t, double a, double) -> Effect {
+       return {[c = t.chain, a] { c->set_efficiency_droop(a); },
+               &InjectionCounters::converter};
+     }},
+    {"converter_thermal_shutdown", TargetClass::kChain, Cell::kForbidden,
+     Cell::kRequired, check_duration_b,
+     [](const Target& t, double, double) -> Effect {
+       return {[c = t.chain] { c->set_thermal_shutdown(true); },
+               &InjectionCounters::converter,
+               [c = t.chain] { c->set_thermal_shutdown(false); }};
+     }},
     {"storage_capacity_fade", TargetClass::kStorage, Cell::kRequired,
-     Cell::kForbidden, check_fade_a},
+     Cell::kForbidden, check_fade_a,
+     [](const Target& t, double a, double) -> Effect {
+       return {[d = t.store, a] { d->inject_capacity_fade(a); },
+               &InjectionCounters::storage};
+     }},
     {"storage_leakage_spike", TargetClass::kStorage, Cell::kRequired,
-     Cell::kRequired, check_spike_ab},
+     Cell::kRequired, check_spike_ab,
+     [](const Target& t, double a, double) -> Effect {
+       return {[d = t.store, a] { d->set_leakage_multiplier(a); },
+               &InjectionCounters::storage,
+               [d = t.store] { d->set_leakage_multiplier(1.0); }};
+     }},
     {"bus_nak_burst", TargetClass::kBus, Cell::kRequired, Cell::kForbidden,
-     check_nak_a},
+     check_nak_a,
+     [](const Target& t, double a, double) -> Effect {
+       return {[bus = t.bus, n = static_cast<std::uint32_t>(a)] {
+                 bus->inject_nak_burst(n);
+               },
+               &InjectionCounters::bus};
+     }},
     {"bus_bit_errors", TargetClass::kBus, Cell::kRequired, Cell::kRequired,
-     check_bits_ab},
+     check_bits_ab,
+     [](const Target& t, double a, double) -> Effect {
+       return {[bus = t.bus, a] { bus->set_bit_error_rate(a); },
+               &InjectionCounters::bus,
+               [bus = t.bus] { bus->set_bit_error_rate(0.0); }};
+     }},
     {"bus_stuck", TargetClass::kBus, Cell::kForbidden, Cell::kRequired,
-     check_duration_b},
+     check_duration_b,
+     [](const Target& t, double, double) -> Effect {
+       return {[bus = t.bus] { bus->set_stuck(true); }, &InjectionCounters::bus,
+               [bus = t.bus] { bus->set_stuck(false); }};
+     }},
+    // Flash wear and PA aging are permanent: neither heals.
     {"node_flash_wear", TargetClass::kNode, Cell::kRequired, Cell::kForbidden,
-     check_wear_a},
+     check_wear_a,
+     [](const Target& t, double a, double) -> Effect {
+       return {[n = t.node, a] { n->inject_flash_wear(a); },
+               &InjectionCounters::node};
+     }},
     {"node_radio_pa_degrade", TargetClass::kNode, Cell::kRequired,
-     Cell::kForbidden, check_wear_a},
-    {"sensor_drift", TargetClass::kInput, Cell::kRequired, Cell::kOptional,
-     check_drift_ab},
+     Cell::kForbidden, check_wear_a,
+     [](const Target& t, double a, double) -> Effect {
+       return {[n = t.node, a] { n->inject_radio_pa_degradation(a); },
+               &InjectionCounters::node};
+     }},
+    // The tracker sees the ambient conditions scaled by `a`; the transducer
+    // keeps the true curve. A gain of 1 is a recalibration, and so is the
+    // self-clearing `b` seconds later (b > 0); neither counts.
+    {"sensor_drift", TargetClass::kChain, Cell::kRequired, Cell::kOptional,
+     check_drift_ab,
+     [](const Target& t, double a, double b) -> Effect {
+       Effect effect{[c = t.chain, a] { c->set_sense_gain(a); }};
+       if (a == 1.0) return effect;
+       effect.counter = &InjectionCounters::environment;
+       if (b > 0.0) effect.release = [c = t.chain] { c->set_sense_gain(1.0); };
+       return effect;
+     }},
 };
 
 const KeywordSpec* find_keyword(std::string_view keyword) {
@@ -154,7 +247,8 @@ void validate_entry(const ScheduleEntry& entry) {
   const KeywordSpec* spec = find_keyword(entry.fault);
   require_spec(spec != nullptr, "unknown fault keyword '" + entry.fault + "'");
   switch (spec->target) {
-    case TargetClass::kInput:
+    case TargetClass::kHarvester:
+    case TargetClass::kChain:
       parse_input_target(entry.target);
       break;
     case TargetClass::kStorage:
@@ -186,74 +280,52 @@ void validate_entry(const ScheduleEntry& entry) {
                "spread_s must be finite and >= 0");
 }
 
-/// Registers one concrete instance of @p entry on @p injector.
-void apply_entry(FaultInjector& injector, const ScheduleEntry& entry,
-                 Seconds when, const ScheduleTargets& targets) {
-  const KeywordSpec* spec = find_keyword(entry.fault);  // validated earlier
-  std::vector<power::InputChain*> chains;
-  if (spec->target == TargetClass::kInput) {
-    const auto index = parse_input_target(entry.target);
-    if (index.has_value()) {
-      require_spec(*index < targets.inputs.size(),
-                   "schedule targets " + entry.target + " but the platform has " +
-                       std::to_string(targets.inputs.size()) + " input chains");
-      chains.push_back(targets.inputs[*index]);
-    } else {
-      require_spec(!targets.inputs.empty(),
-                   "schedule targets input:* but the platform has no input chains");
-      chains = targets.inputs;
+/// The components @p entry names on @p targets (a kHarvester target comes
+/// back unwrapped, with only `chain` set).
+std::vector<Target> resolve(const ScheduleEntry& entry, TargetClass target,
+                            const ScheduleTargets& targets) {
+  std::vector<Target> resolved;
+  switch (target) {
+    case TargetClass::kHarvester:
+    case TargetClass::kChain: {
+      const auto index = parse_input_target(entry.target);
+      if (index.has_value()) {
+        require_spec(*index < targets.inputs.size(),
+                     "schedule targets " + entry.target +
+                         " but the platform has " +
+                         std::to_string(targets.inputs.size()) +
+                         " input chains");
+        resolved.push_back({.chain = targets.inputs[*index]});
+      } else {
+        require_spec(
+            !targets.inputs.empty(),
+            "schedule targets input:* but the platform has no input chains");
+        for (auto* chain : targets.inputs) resolved.push_back({.chain = chain});
+      }
+      break;
     }
+    case TargetClass::kStorage: {
+      const std::size_t index = parse_storage_target(entry.target);
+      require_spec(index < targets.stores.size(),
+                   "schedule targets " + entry.target +
+                       " but the platform has " +
+                       std::to_string(targets.stores.size()) +
+                       " storage slots");
+      resolved.push_back({.store = targets.stores[index]});
+      break;
+    }
+    case TargetClass::kBus:
+      require_spec(targets.bus != nullptr,
+                   "schedule targets the bus but the platform has none");
+      resolved.push_back({.bus = targets.bus});
+      break;
+    case TargetClass::kNode:
+      require_spec(targets.node != nullptr,
+                   "schedule targets the node but the platform has none");
+      resolved.push_back({.node = targets.node});
+      break;
   }
-
-  if (entry.fault == "harvester_degrade") {
-    for (auto* chain : chains) injector.harvester_degrade(when, *chain, entry.a);
-  } else if (entry.fault == "harvester_intermittent") {
-    for (auto* chain : chains)
-      injector.harvester_intermittent(when, *chain, entry.a);
-  } else if (entry.fault == "harvester_stuck_short") {
-    for (auto* chain : chains) injector.harvester_stuck_short(when, *chain);
-  } else if (entry.fault == "harvester_heal") {
-    for (auto* chain : chains) injector.harvester_heal(when, *chain);
-  } else if (entry.fault == "converter_droop") {
-    for (auto* chain : chains) injector.converter_droop(when, *chain, entry.a);
-  } else if (entry.fault == "converter_thermal_shutdown") {
-    for (auto* chain : chains)
-      injector.converter_thermal_shutdown(when, *chain, Seconds{entry.b});
-  } else if (entry.fault == "sensor_drift") {
-    const Seconds duration{std::isnan(entry.b) ? 0.0 : entry.b};
-    for (auto* chain : chains)
-      injector.sensor_drift(when, *chain, entry.a, duration);
-  } else if (entry.fault == "storage_capacity_fade" ||
-             entry.fault == "storage_leakage_spike") {
-    const std::size_t index = parse_storage_target(entry.target);
-    require_spec(index < targets.stores.size(),
-                 "schedule targets " + entry.target + " but the platform has " +
-                     std::to_string(targets.stores.size()) + " storage slots");
-    storage::StorageDevice& device = *targets.stores[index];
-    if (entry.fault == "storage_capacity_fade")
-      injector.storage_capacity_fade(when, device, entry.a);
-    else
-      injector.storage_leakage_spike(when, device, entry.a, Seconds{entry.b});
-  } else if (entry.fault == "bus_nak_burst" ||
-             entry.fault == "bus_bit_errors" || entry.fault == "bus_stuck") {
-    require_spec(targets.bus != nullptr,
-                 "schedule targets the bus but the platform has none");
-    if (entry.fault == "bus_nak_burst")
-      injector.bus_nak_burst(when, *targets.bus,
-                             static_cast<std::uint32_t>(entry.a));
-    else if (entry.fault == "bus_bit_errors")
-      injector.bus_bit_errors(when, *targets.bus, entry.a, Seconds{entry.b});
-    else
-      injector.bus_stuck(when, *targets.bus, Seconds{entry.b});
-  } else if (entry.fault == "node_flash_wear" ||
-             entry.fault == "node_radio_pa_degrade") {
-    require_spec(targets.node != nullptr,
-                 "schedule targets the node but the platform has none");
-    if (entry.fault == "node_flash_wear")
-      injector.node_flash_wear(when, *targets.node, entry.a);
-    else
-      injector.node_radio_pa_degrade(when, *targets.node, entry.a);
-  }
+  return resolved;
 }
 
 }  // namespace
@@ -370,10 +442,15 @@ Schedule Schedule::load(const std::string& path) {
 
 std::unique_ptr<FaultInjector> Schedule::build_injector(
     std::uint64_t seed, const ScheduleTargets& targets) const {
-  auto injector = std::make_unique<FaultInjector>(seed);
+  std::unique_ptr<FaultInjector> injector(new FaultInjector(seed));
+  auto& schedule = injector->schedule_;
   const std::uint64_t base = seed ^ stream_key("fault.schedule");
   for (std::size_t ordinal = 0; ordinal < entries_.size(); ++ordinal) {
     const ScheduleEntry& entry = entries_[ordinal];
+    const KeywordSpec& spec = *find_keyword(entry.fault);  // validated by add()
+    std::vector<Target> resolved = resolve(entry, spec.target, targets);
+    if (spec.target == TargetClass::kHarvester)
+      for (Target& t : resolved) t.harvester = &injector->ensure_faulty(*t.chain);
     // One independent stream per entry: inserting a row never perturbs the
     // draws of the rows around it.
     Pcg32 rng(base, static_cast<std::uint64_t>(ordinal));
@@ -381,7 +458,13 @@ std::unique_ptr<FaultInjector> Schedule::build_injector(
       Seconds when = entry.when;
       if (entry.spread.value() > 0.0)
         when += Seconds{rng.next_double() * entry.spread.value()};
-      apply_entry(*injector, entry, when, targets);
+      for (const Target& t : resolved) {
+        Effect effect = spec.effect(t, entry.a, entry.b);
+        schedule.push_back({when, effect.counter, std::move(effect.fire)});
+        if (effect.release)
+          schedule.push_back(
+              {when + Seconds{entry.b}, nullptr, std::move(effect.release)});
+      }
     }
   }
   return injector;

@@ -1,18 +1,20 @@
 // Declarative fault campaigns: a versioned, seed-expandable schedule file.
 //
-// PR 1's FaultInjector made fault runs reproducible, but every experiment
-// still wired its schedule in code. A Schedule is the data form of that
-// schedule: a line-based CSV spec (versioned header, strict locale-safe
-// parsing via core/fmt, '#' comments) naming when each fault fires, what it
-// does, and which component it hits. Entries may be stochastic — a count
-// and a spread window expand into N instances at seeded-uniform offsets —
-// so one file describes a whole family of campaigns, and (file, seed)
-// replays bit-identically. build_injector() compiles the schedule against a
-// platform's injectable surface (systems::Platform::fault_targets()), so
-// experiment binaries and campaign::Campaign share schedule files instead
-// of code.
+// A Schedule is the declared form of a fault campaign and the only way to
+// build a FaultInjector: a line-based CSV spec (versioned header, strict
+// locale-safe parsing via core/fmt, '#' comments) naming when each fault
+// fires, what it does, and which component it hits. Each fault keyword is
+// defined once, in one table row (schedule.cpp): its target class, its cell
+// contract, its range check, and its effect on one resolved target.
+// Entries may be stochastic — a count and a spread window expand into N
+// instances at seeded-uniform offsets — so one file describes a whole
+// family of campaigns, and (file, seed) replays bit-identically.
+// build_injector() compiles the schedule against a platform's injectable
+// surface (systems::Platform::fault_targets()), so experiment binaries,
+// tests and campaign::Campaign share schedule files and rows instead of
+// code.
 //
-// Format (docs/DESIGN.md §7):
+// Format (DESIGN.md §7):
 //
 //   # any comment
 //   msehsim-fault-schedule v1
@@ -35,8 +37,12 @@
 #include <string_view>
 #include <vector>
 
+#include "bus/i2c.hpp"
 #include "core/units.hpp"
 #include "fault/injector.hpp"
+#include "node/sensor_node.hpp"
+#include "power/chain.hpp"
+#include "storage/storage.hpp"
 
 namespace msehsim::fault {
 

@@ -93,8 +93,6 @@ class AnalogVoltageMonitor final : public EnergyMonitor {
   /// (what a *person* must do on non-plug-and-play systems).
   void reconfigure(AssumedDevice assumed) { assumed_ = assumed; }
 
-  [[nodiscard]] const AssumedDevice& assumed() const { return assumed_; }
-
  private:
   std::function<Volts()> voltage_source_;
   AssumedDevice assumed_;

@@ -84,11 +84,9 @@ class SensorNode {
   [[nodiscard]] bool is_up() const { return state_ == State::kUp; }
   [[nodiscard]] Joules consumed_energy() const { return consumed_; }
 
-  [[nodiscard]] const McuParams& mcu() const { return mcu_; }
-  [[nodiscard]] const RadioParams& radio() const { return radio_; }
   [[nodiscard]] const WorkloadParams& workload() const { return work_; }
 
-  // -- Fault hooks (fault::FaultInjector) -----------------------------------
+  // -- Fault hooks (fault::Schedule) ----------------------------------------
 
   /// Worn log flash: each sense cycle's sampling/logging write costs
   /// @p factor times the nominal sensor energy (>= 1; multiplicative, so

@@ -127,8 +127,6 @@ class InputChain {
   /// converter has no cold-start threshold).
   [[nodiscard]] bool started() const { return started_; }
 
-  [[nodiscard]] Seconds mppt_period() const { return mppt_period_; }
-
   // ---- Fault injection (src/fault) ---------------------------------------
   // Converter anomalies are modelled behaviour (core/error.hpp): the chain
   // keeps running and the effects show up in delivered power and counters.
@@ -146,7 +144,7 @@ class InputChain {
   /// Steps spent shut down (the outage's simulated extent).
   [[nodiscard]] std::uint64_t shutdown_steps() const { return shutdown_steps_; }
 
-  /// Ambient-sensing drift (fault::FaultKind::kSensorDrift): the tracker's
+  /// Ambient-sensing drift (the `sensor_drift` fault): the tracker's
   /// view of the environment is the true conditions scaled by @p gain, while
   /// the transducer physics keeps the true curve — so the controller chases
   /// the wrong operating point and tracking_efficiency() records the loss.

@@ -104,8 +104,6 @@ class FixedPoint final : public MpptController {
   [[nodiscard]] Joules overhead_per_update() const override { return Joules{0.0}; }
   [[nodiscard]] bool adaptive() const override { return false; }
 
-  [[nodiscard]] Volts setpoint() const { return setpoint_; }
-
  private:
   Volts setpoint_;
 };

@@ -52,7 +52,6 @@ class Supercapacitor final : public StorageDevice {
   [[nodiscard]] Volts slow_branch_voltage() const { return v_slow_; }
 
   [[nodiscard]] const Params& params() const { return params_; }
-  [[nodiscard]] Volts min_voltage() const { return min_voltage_; }
 
   /// Factory for a lithium-ion capacitor (survey ref [10]): higher energy
   /// density but a minimum-voltage floor below which it must not discharge.

@@ -56,7 +56,6 @@ class SwitchedStorage final : public StorageDevice {
     if (connected && !connected_) ++connect_count_;
     connected_ = connected;
   }
-  [[nodiscard]] bool connected() const { return connected_; }
 
   /// Times the switch was closed.
   [[nodiscard]] std::uint64_t connect_count() const { return connect_count_; }

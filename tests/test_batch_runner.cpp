@@ -49,9 +49,16 @@
 #include "systems/runner.hpp"
 #include "counting_new.hpp"
 #include "live_grid.hpp"
+#include "schedule_rows.hpp"
 
 namespace msehsim::campaign {
 namespace {
+
+/// A campaign injector factory built from inline schedule rows.
+InjectorFactory rows_injector(std::string_view rows) {
+  return schedule_injector(
+      std::make_shared<const fault::Schedule>(reference::schedule_rows(rows)));
+}
 
 EnvironmentFactory outdoor_factory() {
   return [](std::uint64_t seed) {
@@ -113,13 +120,9 @@ TEST(BatchRunner, ByteIdenticalUnderFaultSchedules) {
   sc.environment = outdoor_factory();
   sc.duration = Seconds{7200.0};
   sc.options.dt = Seconds{5.0};
-  sc.injector = [](std::uint64_t seed, systems::Platform& platform) {
-    auto inj = std::make_unique<fault::FaultInjector>(seed);
-    inj->harvester_intermittent(Seconds{600.0}, platform.input(0), 0.5);
-    inj->harvester_heal(Seconds{3600.0}, platform.input(0));
-    inj->harvester_stuck_short(Seconds{5400.0}, platform.input(1));
-    return inj;
-  };
+  sc.injector = rows_injector("600,harvester_intermittent,input:0,0.5,,,\n"
+                              "3600,harvester_heal,input:0,,,,\n"
+                              "5400,harvester_stuck_short,input:1,,,,\n");
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {5, 9, 13};
   expect_matches_one_lane_runs(spec);
@@ -150,13 +153,7 @@ CampaignSpec backup_chain_grid() {
   sc.environment = outdoor_factory();
   sc.duration = Seconds{21600.0};
   sc.options.dt = Seconds{5.0};
-  sc.injector = [](std::uint64_t seed, systems::Platform& platform) {
-    auto inj = std::make_unique<fault::FaultInjector>(seed);
-    inj->harvester_stuck_short(Seconds{3600.0}, platform.input(0));
-    inj->harvester_stuck_short(Seconds{3600.0}, platform.input(1));
-    inj->harvester_stuck_short(Seconds{3600.0}, platform.input(2));
-    return inj;
-  };
+  sc.injector = rows_injector("3600,harvester_stuck_short,input:*,,,,\n");
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {11, 23};
   return spec;
@@ -485,14 +482,15 @@ TEST(RunPlatform, OneLaneRunMatchesTheReferenceHarness) {
                             Build{systems::build_system_b}}) {
     const auto run = [&](bool live) {
       auto p = build(9);
-      fault::FaultInjector inj(9);
-      inj.harvester_intermittent(Seconds{600.0}, p->input(0), 0.5);
-      inj.harvester_heal(Seconds{3000.0}, p->input(0));
-      inj.storage_leakage_spike(Seconds{1800.0}, p->store(0), 25.0,
-                                Seconds{1200.0});
-      if (!live) return one_lane_run(trace, duration, options, *p, &inj);
+      auto inj = reference::schedule_rows(
+                     "600,harvester_intermittent,input:0,0.5,,,\n"
+                     "3000,harvester_heal,input:0,,,,\n"
+                     "1800,storage_leakage_spike,storage:0,25,1200,,\n")
+                     .build_injector(9, p->fault_targets());
+      if (!live) return one_lane_run(trace, duration, options, *p, inj.get());
       auto environment = env::Environment::outdoor(9);
-      return systems::run_platform(*p, environment, duration, options, &inj);
+      return systems::run_platform(*p, environment, duration, options,
+                                   inj.get());
     };
     const auto got = run(true);
     const auto want = run(false);
@@ -528,17 +526,12 @@ TEST(BatchRunner, ByteIdenticalUnderFaultsOnSupercapBatteryLanes) {
   sc.duration = Seconds{7200.0};
   sc.options.dt = Seconds{5.0};
   sc.options.mean_query_interval = Seconds{120.0};
-  sc.injector = [](std::uint64_t seed, systems::Platform& platform) {
-    auto inj = std::make_unique<fault::FaultInjector>(seed);
-    inj->harvester_intermittent(Seconds{600.0}, platform.input(0), 0.4);
-    inj->harvester_heal(Seconds{2400.0}, platform.input(0));
-    inj->storage_leakage_spike(Seconds{1800.0}, platform.store(0), 25.0,
-                               Seconds{1200.0});
-    inj->converter_droop(Seconds{3000.0}, platform.input(0), 0.85);
-    inj->converter_thermal_shutdown(Seconds{4200.0}, platform.input(0),
-                                    Seconds{600.0});
-    return inj;
-  };
+  sc.injector =
+      rows_injector("600,harvester_intermittent,input:0,0.4,,,\n"
+                    "2400,harvester_heal,input:0,,,,\n"
+                    "1800,storage_leakage_spike,storage:0,25,1200,,\n"
+                    "3000,converter_droop,input:0,0.85,,,\n"
+                    "4200,converter_thermal_shutdown,input:0,,600,,\n");
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {5, 9, 13};
   expect_matches_one_lane_runs(spec);
@@ -678,16 +671,11 @@ TEST(RunTimeline, FaultedGridByteIdenticalWithSamplingOn) {
   sc.options.dt = Seconds{5.0};
   sc.options.timeline_dt = Seconds{120.0};
   sc.options.mean_query_interval = Seconds{120.0};
-  sc.injector = [](std::uint64_t seed, systems::Platform& platform) {
-    auto inj = std::make_unique<fault::FaultInjector>(seed);
-    inj->harvester_intermittent(Seconds{600.0}, platform.input(0), 0.4);
-    inj->harvester_heal(Seconds{2400.0}, platform.input(0));
-    inj->storage_leakage_spike(Seconds{1800.0}, platform.store(0), 25.0,
-                               Seconds{1200.0});
-    inj->converter_thermal_shutdown(Seconds{4200.0}, platform.input(0),
-                                    Seconds{600.0});
-    return inj;
-  };
+  sc.injector =
+      rows_injector("600,harvester_intermittent,input:0,0.4,,,\n"
+                    "2400,harvester_heal,input:0,,,,\n"
+                    "1800,storage_leakage_spike,storage:0,25,1200,,\n"
+                    "4200,converter_thermal_shutdown,input:0,,600,,\n");
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {5, 9};
   expect_matches_one_lane_runs(spec);
@@ -899,12 +887,11 @@ systems::RunOptions block_options() {
 /// The System A lane's injector: an intermittent PV1 that heals, and a
 /// leakage spike on its supercapacitor.
 std::unique_ptr<fault::FaultInjector> block_injector(systems::Platform& p) {
-  auto inj = std::make_unique<fault::FaultInjector>(kBlockSeed);
-  inj->harvester_intermittent(Seconds{1800.0}, p.input(0), 0.5);
-  inj->harvester_heal(Seconds{9000.0}, p.input(0));
-  inj->storage_leakage_spike(Seconds{3600.0}, p.store(0), 25.0,
-                             Seconds{1800.0});
-  return inj;
+  return reference::schedule_rows(
+             "1800,harvester_intermittent,input:0,0.5,,,\n"
+             "9000,harvester_heal,input:0,,,,\n"
+             "3600,storage_leakage_spike,storage:0,25,1800,,\n")
+      .build_injector(kBlockSeed, p.fault_targets());
 }
 
 /// to_string of @p platform's one-lane run over @p trace.
@@ -1150,9 +1137,10 @@ TEST(BatchRunner, EventsFireBeforeTheStepTheyFallIn) {
   auto p = pv_platform({});
   std::vector<double> at_tick;
   p->set_monitor(std::make_unique<HarvestAtTick>(*p, at_tick));
-  fault::FaultInjector inj(1);
-  inj.harvester_stuck_short(Seconds{400.5}, p->input(0));  // step [399, 406)
-  systems::run_platform(*p, sun, Seconds{420.0}, options, &inj);
+  auto inj = reference::schedule_rows(
+                 "400.5,harvester_stuck_short,input:0,,,,\n")  // step [399, 406)
+                 .build_injector(1, p->fault_targets());
+  systems::run_platform(*p, sun, Seconds{420.0}, options, inj.get());
 
   ASSERT_EQ(at_tick.size(), 7u);  // t = 0, 60, ..., 360
   for (std::size_t k = 0; k < at_tick.size(); ++k) {
@@ -1160,7 +1148,7 @@ TEST(BatchRunner, EventsFireBeforeTheStepTheyFallIn) {
     EXPECT_NEAR(at_tick[k], steps_behind * step_j, 1e-9 * step_j)
         << "tick at " << 60 * k << " s";
   }
-  EXPECT_EQ(inj.counters().harvester, 1u);
+  EXPECT_EQ(inj->counters().harvester, 1u);
   EXPECT_NEAR(p->harvested_energy().value(), 57.0 * step_j, 1e-9 * step_j);
 }
 

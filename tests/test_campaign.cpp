@@ -24,7 +24,7 @@
 #include "env/trace_cache.hpp"
 #include "obs/prometheus.hpp"
 #include "serve/json.hpp"
-#include "fault/injector.hpp"
+#include "fault/schedule.hpp"
 #include "harvest/harvester.hpp"
 #include "harvest/transducers.hpp"
 #include "node/sensor_node.hpp"
@@ -37,6 +37,7 @@
 #include "systems/platform.hpp"
 #include "systems/runner.hpp"
 #include "live_grid.hpp"
+#include "schedule_rows.hpp"
 
 namespace msehsim::campaign {
 namespace {
@@ -100,13 +101,10 @@ CampaignSpec faulted_grid(unsigned threads) {
   sc.environment = outdoor_factory();
   sc.duration = Seconds{7200.0};
   sc.options.dt = Seconds{5.0};
-  sc.injector = [](std::uint64_t seed, systems::Platform& platform) {
-    auto inj = std::make_unique<fault::FaultInjector>(seed);
-    inj->harvester_intermittent(Seconds{600.0}, platform.input(0), 0.5);
-    inj->harvester_heal(Seconds{3600.0}, platform.input(0));
-    inj->harvester_stuck_short(Seconds{5400.0}, platform.input(0));
-    return inj;
-  };
+  sc.injector = schedule_injector(std::make_shared<const fault::Schedule>(
+      reference::schedule_rows("600,harvester_intermittent,input:0,0.5,,,\n"
+                               "3600,harvester_heal,input:0,,,,\n"
+                               "5400,harvester_stuck_short,input:0,,,,\n")));
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {3, 5, 9};
   spec.threads = threads;

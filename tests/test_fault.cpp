@@ -15,6 +15,7 @@
 #include "env/environment.hpp"
 #include "fault/faulty_harvester.hpp"
 #include "fault/injector.hpp"
+#include "fault/schedule.hpp"
 #include "harvest/transducers.hpp"
 #include "manager/monitor.hpp"
 #include "manager/policies.hpp"
@@ -24,11 +25,14 @@
 #include "storage/supercapacitor.hpp"
 #include "systems/catalog.hpp"
 #include "systems/runner.hpp"
+#include "schedule_rows.hpp"
 
 namespace msehsim::fault {
 namespace {
 
 constexpr std::uint64_t kSeed = 42;
+
+using reference::schedule_rows;
 
 env::AmbientConditions sunny(double g = 800.0) {
   env::AmbientConditions c;
@@ -44,6 +48,13 @@ std::unique_ptr<power::InputChain> pv_chain(const char* name = "pv") {
   return std::make_unique<power::InputChain>(
       pv(name), std::make_unique<power::OracleMppt>(),
       power::Converter::smart_buck_boost("fe"), Seconds{10.0});
+}
+
+/// The injectable surface of a standalone @p chain: it is "input:0".
+ScheduleTargets chain_targets(power::InputChain& chain) {
+  ScheduleTargets targets;
+  targets.inputs = {&chain};
+  return targets;
 }
 
 /// Steps @p chain once under full sun and returns the delivered power.
@@ -449,11 +460,11 @@ TEST(FailoverPolicy, LowSocTriggersEvenWithHealthyPrimaries) {
 
 TEST(FaultInjector, FiresAtScheduledTimesInOrder) {
   auto chain = pv_chain();
-  FaultInjector inj(kSeed);
-  inj.harvester_degrade(Seconds{5.0}, *chain, 0.5);
-  inj.harvester_heal(Seconds{10.0}, *chain);
+  auto inj = schedule_rows("5,harvester_degrade,input:0,0.5,,,\n"
+                           "10,harvester_heal,input:0,,,,\n")
+                 .build_injector(kSeed, chain_targets(*chain));
   EventQueue events;
-  inj.arm(events);
+  inj->arm(events);
   const env::AmbientConditions sun = sunny();
   std::vector<double> delivered;
   const auto step = [&](Seconds now, Seconds dt) {
@@ -467,45 +478,52 @@ TEST(FaultInjector, FiresAtScheduledTimesInOrder) {
   EXPECT_GT(delivered[7], 0.35 * delivered[0]);
   EXPECT_LT(delivered[7], 0.65 * delivered[0]);
   EXPECT_NEAR(delivered[12], delivered[0], 0.05 * delivered[0]);
-  EXPECT_EQ(inj.counters().harvester, 1u);  // the heal is not a fault
+  EXPECT_EQ(inj->counters().harvester, 1u);  // the heal is not a fault
 }
 
 TEST(FaultInjector, WrapsEachChainOnce) {
   auto chain = pv_chain();
-  FaultInjector inj(kSeed);
-  auto& first = inj.harvester_degrade(Seconds{1.0}, *chain, 0.5);
-  auto& second = inj.harvester_stuck_short(Seconds{2.0}, *chain);
-  EXPECT_EQ(&first, &second);
-  EXPECT_EQ(&chain->harvester(), &first);
+  auto inj = schedule_rows("1,harvester_degrade,input:0,0.5,,,\n"
+                           "2,harvester_stuck_short,input:0,,,,\n")
+                 .build_injector(kSeed, chain_targets(*chain));
+  auto& wrapper = dynamic_cast<FaultyHarvester&>(chain->harvester());
+  // Both rows share one wrapper around the bare transducer...
+  EXPECT_EQ(dynamic_cast<FaultyHarvester*>(&wrapper.inner()), nullptr);
+  // ...and a second schedule on the same chain reuses it.
+  auto again = schedule_rows("3,harvester_heal,input:0,,,,\n")
+                   .build_injector(kSeed, chain_targets(*chain));
+  EXPECT_EQ(&chain->harvester(), &wrapper);
 }
 
 TEST(FaultInjector, ScheduleFreezesOnArm) {
   auto chain = pv_chain();
-  FaultInjector inj(kSeed);
-  inj.harvester_degrade(Seconds{1.0}, *chain, 0.5);
+  auto inj = schedule_rows("1,harvester_degrade,input:0,0.5,,,\n")
+                 .build_injector(kSeed, chain_targets(*chain));
+  EXPECT_FALSE(inj->armed());
   EventQueue events;
-  inj.arm(events);
-  EXPECT_TRUE(inj.armed());
-  EXPECT_THROW(inj.harvester_heal(Seconds{2.0}, *chain), SpecError);
+  inj->arm(events);
+  EXPECT_TRUE(inj->armed());
   EventQueue other;
-  EXPECT_THROW(inj.arm(other), SpecError);
+  EXPECT_THROW(inj->arm(other), SpecError);
 }
 
 TEST(FaultInjector, CountersTallyOnlyFiredFaults) {
   auto chain = pv_chain();
   storage::FuelCell cell("fc", storage::FuelCell::Params{});
-  FaultInjector inj(kSeed);
-  inj.harvester_degrade(Seconds{2.0}, *chain, 0.5);
-  inj.storage_capacity_fade(Seconds{100.0}, cell, 0.5);  // beyond the horizon
+  ScheduleTargets targets = chain_targets(*chain);
+  targets.stores = {&cell};
+  auto inj = schedule_rows("2,harvester_degrade,input:0,0.5,,,\n"
+                           "100,storage_capacity_fade,storage:0,0.5,,,\n")
+                 .build_injector(kSeed, targets);  // the fade: past the horizon
   EventQueue events;
-  inj.arm(events);
+  inj->arm(events);
   const auto step = [&](Seconds now, Seconds dt) {
     chain->step(sunny(), Volts{3.3}, now, dt);
   };
   run_steps(events, Seconds{0.0}, Seconds{1.0}, 10, step);
-  EXPECT_EQ(inj.counters().harvester, 1u);
-  EXPECT_EQ(inj.counters().storage, 0u);  // never fired
-  EXPECT_EQ(inj.counters().total(), 1u);
+  EXPECT_EQ(inj->counters().harvester, 1u);
+  EXPECT_EQ(inj->counters().storage, 0u);  // never fired
+  EXPECT_EQ(inj->counters().total(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -545,10 +563,10 @@ TEST(SensorDrift, GainValidation) {
 
 TEST(SensorDrift, InjectorAppliesAndAutoHeals) {
   auto chain = pv_chain();
-  FaultInjector inj(kSeed);
-  inj.sensor_drift(Seconds{5.0}, *chain, 1.3, Seconds{10.0});
+  auto inj = schedule_rows("5,sensor_drift,input:0,1.3,10,,\n")
+                 .build_injector(kSeed, chain_targets(*chain));
   EventQueue events;
-  inj.arm(events);
+  inj->arm(events);
   const auto step = [&](Seconds now, Seconds dt) {
     chain->step(sunny(), Volts{3.3}, now, dt);
   };
@@ -560,8 +578,8 @@ TEST(SensorDrift, InjectorAppliesAndAutoHeals) {
   run_steps(events, now, dt, 10, step);  // drift window over: gain self-heals
   EXPECT_DOUBLE_EQ(chain->sense_gain(), 1.0);
   // One environment fault; the scheduled self-heal is repair, not a fault.
-  EXPECT_EQ(inj.counters().environment, 1u);
-  EXPECT_EQ(inj.counters().total(), 1u);
+  EXPECT_EQ(inj->counters().environment, 1u);
+  EXPECT_EQ(inj->counters().total(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -603,14 +621,16 @@ TEST(NodeFaults, RejectImprovingFactors) {
 
 TEST(NodeFaults, InjectorCountsNodeBucket) {
   auto n = wearable_node();
-  FaultInjector inj(kSeed);
-  inj.node_flash_wear(Seconds{2.0}, n, 2.0);
-  inj.node_radio_pa_degrade(Seconds{3.0}, n, 1.2);
+  ScheduleTargets targets;
+  targets.node = &n;
+  auto inj = schedule_rows("2,node_flash_wear,node,2,,,\n"
+                           "3,node_radio_pa_degrade,node,1.2,,,\n")
+                 .build_injector(kSeed, targets);
   EventQueue events;
-  inj.arm(events);
+  inj->arm(events);
   run_steps(events, Seconds{0.0}, Seconds{1.0}, 5, [](Seconds, Seconds) {});
-  EXPECT_EQ(inj.counters().node, 2u);
-  EXPECT_EQ(inj.counters().total(), 2u);
+  EXPECT_EQ(inj->counters().node, 2u);
+  EXPECT_EQ(inj->counters().total(), 2u);
   EXPECT_DOUBLE_EQ(n.flash_wear_factor(), 2.0);
   EXPECT_DOUBLE_EQ(n.radio_pa_factor(), 1.2);
 }
@@ -622,17 +642,17 @@ TEST(NodeFaults, InjectorCountsNodeBucket) {
 systems::RunResult faulted_system_a_run(std::uint64_t seed) {
   auto a = systems::build_system_a(seed);
   auto env = env::Environment::outdoor(seed);
-  FaultInjector inj(seed);
-  inj.harvester_intermittent(Seconds{3600.0}, a->input(0), 0.3);
-  inj.harvester_degrade(Seconds{7200.0}, a->input(1), 0.4);
-  inj.converter_thermal_shutdown(Seconds{10000.0}, a->input(2), Seconds{2000.0});
-  inj.storage_leakage_spike(Seconds{12000.0}, a->store(0), 20.0, Seconds{4000.0});
-  inj.bus_nak_burst(Seconds{14000.0}, a->i2c(), 5);
-  inj.bus_bit_errors(Seconds{15000.0}, a->i2c(), 0.02, Seconds{1000.0});
+  auto inj = schedule_rows("3600,harvester_intermittent,input:0,0.3,,,\n"
+                           "7200,harvester_degrade,input:1,0.4,,,\n"
+                           "10000,converter_thermal_shutdown,input:2,,2000,,\n"
+                           "12000,storage_leakage_spike,storage:0,20,4000,,\n"
+                           "14000,bus_nak_burst,bus,5,,,\n"
+                           "15000,bus_bit_errors,bus,0.02,1000,,\n")
+                 .build_injector(seed, a->fault_targets());
   systems::RunOptions o;
   o.dt = Seconds{5.0};
   o.management_period = Seconds{60.0};
-  return systems::run_platform(*a, env, Seconds{6.0 * 3600.0}, o, &inj);
+  return systems::run_platform(*a, env, Seconds{6.0 * 3600.0}, o, inj.get());
 }
 
 TEST(FaultDeterminism, SeededScheduleReplaysByteForByte) {
@@ -669,16 +689,14 @@ TEST(FailoverAcceptance, SystemAStaysAliveOnFuelCellWhenAmbientSourcesDie) {
   a->set_failover_policy(manager::FailoverPolicy(fp), fuel_cell_slot);
 
   auto env = env::Environment::outdoor(seed);
-  FaultInjector inj(seed);
   // Both PV panels and the wind turbine: every ambient source dead at t=2h.
-  inj.harvester_stuck_short(Seconds{7200.0}, a->input(0));
-  inj.harvester_stuck_short(Seconds{7200.0}, a->input(1));
-  inj.harvester_stuck_short(Seconds{7200.0}, a->input(2));
+  auto inj = schedule_rows("7200,harvester_stuck_short,input:*,,,,\n")
+                 .build_injector(seed, a->fault_targets());
 
   systems::RunOptions o;
   o.dt = Seconds{5.0};
   o.management_period = Seconds{60.0};
-  const auto r = systems::run_platform(*a, env, Seconds{86400.0}, o, &inj);
+  const auto r = systems::run_platform(*a, env, Seconds{86400.0}, o, inj.get());
 
   EXPECT_EQ(r.faults.injected.harvester, 3u);
   EXPECT_GE(r.faults.failovers, 1u);
@@ -701,13 +719,11 @@ TEST(FailoverAcceptance, WithoutFailoverTheSameOutageHurtsMore) {
       a->set_failover_policy(manager::FailoverPolicy(fp), 2);
     }
     auto env = env::Environment::outdoor(seed);
-    FaultInjector inj(seed);
-    inj.harvester_stuck_short(Seconds{7200.0}, a->input(0));
-    inj.harvester_stuck_short(Seconds{7200.0}, a->input(1));
-    inj.harvester_stuck_short(Seconds{7200.0}, a->input(2));
+    auto inj = schedule_rows("7200,harvester_stuck_short,input:*,,,,\n")
+                   .build_injector(seed, a->fault_targets());
     systems::RunOptions o;
     o.dt = Seconds{5.0};
-    return systems::run_platform(*a, env, Seconds{86400.0}, o, &inj);
+    return systems::run_platform(*a, env, Seconds{86400.0}, o, inj.get());
   };
   const auto with = run(true);
   const auto without = run(false);
@@ -730,12 +746,12 @@ TEST(HotSwapUnderFault, DetachingModuleWhileHarvesterFaultedDegradesGracefully) 
   constexpr std::uint64_t seed = 55;
   auto b = systems::build_system_b(seed);
   auto env = env::Environment::indoor_industrial(seed);
-  FaultInjector inj(seed);
-  inj.harvester_intermittent(Seconds{600.0}, b->input(0), 0.6);
+  auto inj = schedule_rows("600,harvester_intermittent,input:0,0.6,,,\n")
+                 .build_injector(seed, b->fault_targets());
 
   EventQueue events;
   events.every(Seconds{60.0}, [&](Seconds now) { b->management_tick(now); });
-  inj.arm(events);
+  inj->arm(events);
   // Mid-run, while input 0 is intermittently open, its module is unplugged
   // from the bus (port 0x10): the monitor must re-enumerate and carry on.
   events.at(Seconds{1800.0}, [&](Seconds) {

@@ -13,12 +13,18 @@
 #include <memory>
 #include <string>
 
+#include "bus/i2c.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/export.hpp"
 #include "core/error.hpp"
+#include "core/event_queue.hpp"
 #include "env/environment.hpp"
 #include "fault/injector.hpp"
 #include "fault/schedule.hpp"
+#include "harvest/transducers.hpp"
+#include "node/sensor_node.hpp"
+#include "power/chain.hpp"
+#include "storage/supercapacitor.hpp"
 #include "systems/catalog.hpp"
 #include "systems/runner.hpp"
 
@@ -199,18 +205,78 @@ TEST(ScheduleParse, CellContractRejections) {
 }
 
 TEST(ScheduleParse, RangeRejections) {
-  EXPECT_FALSE(
-      parse_error(doc("10,harvester_degrade,input:0,1.5,,,\n")).empty());
-  EXPECT_FALSE(parse_error(doc("10,converter_droop,input:0,0,,,\n")).empty());
-  EXPECT_FALSE(
-      parse_error(doc("10,storage_capacity_fade,storage:0,1,,,\n")).empty());
-  EXPECT_FALSE(parse_error(doc("10,bus_nak_burst,bus,2.5,,,\n")).empty());
-  EXPECT_FALSE(parse_error(doc("10,node_flash_wear,node,0.5,,,\n")).empty());
-  EXPECT_FALSE(parse_error(doc("10,sensor_drift,input:0,0,,,\n")).empty());
-  EXPECT_FALSE(parse_error(doc("-1,harvester_heal,input:0,,,,\n")).empty());
-  EXPECT_FALSE(parse_error(doc("10,harvester_heal,input:0,,,0,\n")).empty());
-  EXPECT_FALSE(
-      parse_error(doc("10,harvester_heal,input:0,,,1,-5\n")).empty());
+  // The keyword table's range checks are the only gate before the component
+  // setters, so each bound of each keyword (and of time, count and spread)
+  // is pinned here: the value at the bound is accepted (or, for an open
+  // bound, the nearest one inside it) and the value just past it is
+  // rejected, naming the row's line (3: magic, header, row) and the
+  // offending cell.
+  struct Case {
+    const char* row;
+    const char* rejected_cell;  ///< nullptr: the row is accepted
+  };
+  const Case cases[] = {
+      {"10,harvester_degrade,input:0,0,,,", nullptr},
+      {"10,harvester_degrade,input:0,-0.0001,,,", "'a'"},
+      {"10,harvester_degrade,input:0,1,,,", nullptr},
+      {"10,harvester_degrade,input:0,1.0001,,,", "'a'"},
+      {"10,harvester_intermittent,input:0,0,,,", nullptr},
+      {"10,harvester_intermittent,input:0,-0.0001,,,", "'a'"},
+      {"10,harvester_intermittent,input:0,1,,,", nullptr},
+      {"10,harvester_intermittent,input:0,1.0001,,,", "'a'"},
+      {"10,converter_droop,input:0,0,,,", "'a'"},
+      {"10,converter_droop,input:0,0.0001,,,", nullptr},
+      {"10,converter_droop,input:0,1,,,", nullptr},
+      {"10,converter_droop,input:0,1.0001,,,", "'a'"},
+      {"10,converter_thermal_shutdown,input:0,,0,,", "'b'"},
+      {"10,converter_thermal_shutdown,input:0,,0.0001,,", nullptr},
+      {"10,storage_capacity_fade,storage:0,0,,,", nullptr},
+      {"10,storage_capacity_fade,storage:0,-0.0001,,,", "'a'"},
+      {"10,storage_capacity_fade,storage:0,0.9999,,,", nullptr},
+      {"10,storage_capacity_fade,storage:0,1,,,", "'a'"},
+      {"10,storage_leakage_spike,storage:0,1,60,,", nullptr},
+      {"10,storage_leakage_spike,storage:0,0.99,60,,", "'a'"},
+      {"10,storage_leakage_spike,storage:0,2,0,,", "'b'"},
+      {"10,storage_leakage_spike,storage:0,2,0.0001,,", nullptr},
+      {"10,bus_nak_burst,bus,0,,,", "'a'"},
+      {"10,bus_nak_burst,bus,1,,,", nullptr},
+      {"10,bus_nak_burst,bus,4294967295,,,", nullptr},
+      {"10,bus_nak_burst,bus,4294967296,,,", "'a'"},
+      {"10,bus_nak_burst,bus,2.5,,,", "'a'"},
+      {"10,bus_bit_errors,bus,0,60,,", "'a'"},
+      {"10,bus_bit_errors,bus,0.0001,60,,", nullptr},
+      {"10,bus_bit_errors,bus,1,60,,", nullptr},
+      {"10,bus_bit_errors,bus,1.0001,60,,", "'a'"},
+      {"10,bus_bit_errors,bus,0.5,0,,", "'b'"},
+      {"10,bus_bit_errors,bus,0.5,0.0001,,", nullptr},
+      {"10,bus_stuck,bus,,0,,", "'b'"},
+      {"10,bus_stuck,bus,,0.0001,,", nullptr},
+      {"10,node_flash_wear,node,1,,,", nullptr},
+      {"10,node_flash_wear,node,0.99,,,", "'a'"},
+      {"10,node_radio_pa_degrade,node,1,,,", nullptr},
+      {"10,node_radio_pa_degrade,node,0.99,,,", "'a'"},
+      {"10,sensor_drift,input:0,0,,,", "'a'"},
+      {"10,sensor_drift,input:0,0.0001,,,", nullptr},
+      {"10,sensor_drift,input:0,1.2,0,,", nullptr},
+      {"10,sensor_drift,input:0,1.2,-1,,", "'b'"},
+      {"10,sensor_drift,input:0,1.2,,,", nullptr},
+      {"0,harvester_heal,input:0,,,,", nullptr},
+      {"-1,harvester_heal,input:0,,,,", "time_s"},
+      {"10,harvester_heal,input:0,,,0,", "count"},
+      {"10,harvester_heal,input:0,,,1,0", nullptr},
+      {"10,harvester_heal,input:0,,,1,-5", "spread_s"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.row);
+    const std::string text = doc(std::string(c.row) + "\n");
+    if (c.rejected_cell == nullptr) {
+      EXPECT_EQ(Schedule::parse(text).size(), 1u);
+      continue;
+    }
+    const std::string msg = parse_error(text);
+    EXPECT_NE(msg.find("corpus.csv line 3"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(c.rejected_cell), std::string::npos) << msg;
+  }
 }
 
 TEST(ScheduleParse, DiagnosticsNameOriginAndLine) {
@@ -259,6 +325,71 @@ TEST(ScheduleBuild, MissingBusOrNodeThrows) {
   const auto store_sched =
       Schedule::parse(doc("10,storage_capacity_fade,storage:0,0.5,,,\n"));
   EXPECT_THROW(store_sched.build_injector(1, empty), SpecError);
+}
+
+TEST(ScheduleBuild, EachKeywordCountsInItsOwnBucket) {
+  // One row at a time on hand-filled targets, fired and (for a timed fault)
+  // released: the fault counts once in its layer's bucket, while repairs (a
+  // heal, a unity drift gain) and the releases count nothing.
+  using Bucket = std::uint64_t InjectionCounters::*;
+  struct Case {
+    const char* row;
+    Bucket counted;         ///< nullptr: nothing counts
+    std::size_t scheduled;  ///< 2 when a release follows the fault
+  };
+  const Case cases[] = {
+      {"10,harvester_degrade,input:0,0.5,,,", &InjectionCounters::harvester, 1},
+      {"10,harvester_intermittent,input:0,0.5,,,", &InjectionCounters::harvester,
+       1},
+      {"10,harvester_stuck_short,input:0,,,,", &InjectionCounters::harvester, 1},
+      {"10,harvester_heal,input:0,,,,", nullptr, 1},
+      {"10,converter_droop,input:0,0.8,,,", &InjectionCounters::converter, 1},
+      {"10,converter_thermal_shutdown,input:0,,5,,",
+       &InjectionCounters::converter, 2},
+      {"10,storage_capacity_fade,storage:0,0.2,,,", &InjectionCounters::storage,
+       1},
+      {"10,storage_leakage_spike,storage:0,4,5,,", &InjectionCounters::storage,
+       2},
+      {"10,bus_nak_burst,bus,3,,,", &InjectionCounters::bus, 1},
+      {"10,bus_bit_errors,bus,0.1,5,,", &InjectionCounters::bus, 2},
+      {"10,bus_stuck,bus,,5,,", &InjectionCounters::bus, 2},
+      {"10,node_flash_wear,node,2,,,", &InjectionCounters::node, 1},
+      {"10,node_radio_pa_degrade,node,1.5,,,", &InjectionCounters::node, 1},
+      {"10,sensor_drift,input:0,1.2,5,,", &InjectionCounters::environment, 2},
+      {"10,sensor_drift,input:0,1.2,,,", &InjectionCounters::environment, 1},
+      {"10,sensor_drift,input:0,1,5,,", nullptr, 1},
+  };
+  const Bucket buckets[] = {
+      &InjectionCounters::harvester, &InjectionCounters::converter,
+      &InjectionCounters::storage,   &InjectionCounters::bus,
+      &InjectionCounters::node,      &InjectionCounters::environment,
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.row);
+    power::InputChain chain(
+        std::make_unique<harvest::PvPanel>("pv", harvest::PvPanel::Params{}),
+        std::make_unique<power::OracleMppt>(),
+        power::Converter::smart_buck_boost("fe"), Seconds{10.0});
+    storage::Supercapacitor cap("sc", storage::Supercapacitor::Params{});
+    bus::I2cBus bus;
+    node::SensorNode node("n", node::McuParams{}, node::RadioParams{},
+                          node::WorkloadParams{});
+    ScheduleTargets targets;
+    targets.inputs = {&chain};
+    targets.stores = {&cap};
+    targets.bus = &bus;
+    targets.node = &node;
+
+    auto injector = Schedule::parse(doc(std::string(c.row) + "\n"))
+                        .build_injector(1, targets);
+    EXPECT_EQ(injector->scheduled(), c.scheduled);
+    EventQueue events;
+    injector->arm(events);
+    events.dispatch(Seconds{0.0}, Seconds{20.0});  // the fault and its release
+    for (const Bucket bucket : buckets)
+      EXPECT_EQ(injector->counters().*bucket, bucket == c.counted ? 1u : 0u);
+    EXPECT_EQ(injector->counters().total(), c.counted != nullptr ? 1u : 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------

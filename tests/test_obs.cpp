@@ -14,7 +14,6 @@
 
 #include "core/error.hpp"
 #include "env/environment.hpp"
-#include "fault/injector.hpp"
 #include "manager/policies.hpp"
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
@@ -23,6 +22,7 @@
 #include "storage/fuel_cell.hpp"
 #include "systems/catalog.hpp"
 #include "systems/runner.hpp"
+#include "schedule_rows.hpp"
 
 namespace msehsim {
 namespace {
@@ -229,17 +229,16 @@ TEST(EnergyLedger, SystemBConservesEnergyOverSixHours) {
 TEST(EnergyLedger, SystemAConservesEnergyUnderFaultInjection) {
   auto a = systems::build_system_a(kSeed);
   auto env = env::Environment::outdoor(kSeed);
-  fault::FaultInjector inj(kSeed);
-  inj.harvester_intermittent(Seconds{3600.0}, a->input(0), 0.3);
-  inj.harvester_degrade(Seconds{7200.0}, a->input(1), 0.4);
-  inj.converter_thermal_shutdown(Seconds{10000.0}, a->input(2),
-                                 Seconds{2000.0});
-  inj.storage_leakage_spike(Seconds{12000.0}, a->store(0), 20.0,
-                            Seconds{4000.0});
+  auto inj = reference::schedule_rows(
+                 "3600,harvester_intermittent,input:0,0.3,,,\n"
+                 "7200,harvester_degrade,input:1,0.4,,,\n"
+                 "10000,converter_thermal_shutdown,input:2,,2000,,\n"
+                 "12000,storage_leakage_spike,storage:0,20,4000,,\n")
+                 .build_injector(kSeed, a->fault_targets());
   systems::RunOptions o;
   o.dt = Seconds{5.0};
   const auto r =
-      systems::run_platform(*a, env, Seconds{6.0 * 3600.0}, o, &inj);
+      systems::run_platform(*a, env, Seconds{6.0 * 3600.0}, o, inj.get());
   EXPECT_GT(r.faults.injected.total(), 0u);
   expect_ledger_balances(r);
 }
@@ -247,13 +246,14 @@ TEST(EnergyLedger, SystemAConservesEnergyUnderFaultInjection) {
 TEST(EnergyLedger, SystemBConservesEnergyUnderFaultInjection) {
   auto b = systems::build_system_b(kSeed);
   auto env = env::Environment::indoor_industrial(kSeed);
-  fault::FaultInjector inj(kSeed);
-  inj.harvester_intermittent(Seconds{600.0}, b->input(0), 0.6);
-  inj.harvester_stuck_short(Seconds{5400.0}, b->input(1));
+  auto inj = reference::schedule_rows(
+                 "600,harvester_intermittent,input:0,0.6,,,\n"
+                 "5400,harvester_stuck_short,input:1,,,,\n")
+                 .build_injector(kSeed, b->fault_targets());
   systems::RunOptions o;
   o.dt = Seconds{5.0};
   const auto r =
-      systems::run_platform(*b, env, Seconds{6.0 * 3600.0}, o, &inj);
+      systems::run_platform(*b, env, Seconds{6.0 * 3600.0}, o, inj.get());
   EXPECT_GT(r.faults.injected.total(), 0u);
   expect_ledger_balances(r);
 }
@@ -305,13 +305,12 @@ TEST(MeanTimeToFailover, SurfacesThroughRunResult) {
   fp.dead_time = Seconds{600.0};
   a->set_failover_policy(manager::FailoverPolicy(fp), 2);
   auto env = env::Environment::outdoor(kSeed);
-  fault::FaultInjector inj(kSeed);
-  inj.harvester_stuck_short(Seconds{7200.0}, a->input(0));
-  inj.harvester_stuck_short(Seconds{7200.0}, a->input(1));
-  inj.harvester_stuck_short(Seconds{7200.0}, a->input(2));
+  auto inj = reference::schedule_rows("7200,harvester_stuck_short,input:*,,,,\n")
+                 .build_injector(kSeed, a->fault_targets());
   systems::RunOptions o;
   o.dt = Seconds{5.0};
-  const auto r = systems::run_platform(*a, env, Seconds{86400.0}, o, &inj);
+  const auto r =
+      systems::run_platform(*a, env, Seconds{86400.0}, o, inj.get());
   ASSERT_GE(r.faults.failovers, 1u);
   ASSERT_GE(r.faults.failover_latency_count, 1u);
   // Latency is at least the debounce dead time and is the mean of totals.
@@ -729,11 +728,12 @@ TEST(RunTimeline, SamplingNeverChangesRunResultBytes) {
     auto run = [&](const systems::RunOptions& base) {
       auto b = systems::build_system_b(kSeed);
       auto env = env::Environment::indoor_industrial(kSeed);
-      fault::FaultInjector inj(kSeed);
-      inj.harvester_intermittent(Seconds{600.0}, b->input(0), 0.6);
-      inj.harvester_stuck_short(Seconds{5400.0}, b->input(1));
-      return systems::to_string(
-          systems::run_platform(*b, env, Seconds{6.0 * 3600.0}, base, &inj));
+      auto inj = reference::schedule_rows(
+                     "600,harvester_intermittent,input:0,0.6,,,\n"
+                     "5400,harvester_stuck_short,input:1,,,,\n")
+                     .build_injector(kSeed, b->fault_targets());
+      return systems::to_string(systems::run_platform(
+          *b, env, Seconds{6.0 * 3600.0}, base, inj.get()));
     };
     EXPECT_EQ(run(off_o), run(on_o));
   }

@@ -13,7 +13,6 @@
 #include "campaign/campaign.hpp"
 #include "core/error.hpp"
 #include "env/environment.hpp"
-#include "fault/injector.hpp"
 #include "harvest/transducers.hpp"
 #include "node/sensor_node.hpp"
 #include "obs/metrics.hpp"
@@ -25,6 +24,7 @@
 #include "systems/catalog.hpp"
 #include "systems/platform.hpp"
 #include "systems/runner.hpp"
+#include "schedule_rows.hpp"
 
 namespace msehsim {
 namespace {
@@ -326,11 +326,9 @@ TEST(PrometheusText, CampaignScrapeCarriesLeakRows) {
   sc.duration = Seconds{3600.0};
   sc.options.dt = Seconds{5.0};
   sc.options.timeline_dt = Seconds{300.0};
-  sc.injector = [](std::uint64_t seed, systems::Platform& platform) {
-    auto inj = std::make_unique<fault::FaultInjector>(seed);
-    inj->harvester_intermittent(Seconds{600.0}, platform.input(0), 0.5);
-    return inj;
-  };
+  sc.injector = campaign::schedule_injector(
+      std::make_shared<const fault::Schedule>(reference::schedule_rows(
+          "600,harvester_intermittent,input:0,0.5,,,\n")));
   spec.scenarios.push_back(std::move(sc));
   spec.seeds = {3, 5, 9};
   spec.threads = 2;

@@ -16,8 +16,10 @@ is listed when
 Matching is by name, so an overloaded or common name that some other code
 uses counts as used. Constructors and operators are not examined, and
 neither are private or protected class members: only their own class can
-call them, so a test-local name that shares one is not a caller. The
-report is a review aid: it always exits 0.
+call them, so a test-local name that shares one is not a caller.
+
+Exits 1 when any function is unused, so CI fails on dead code; the
+tests-only entries are a review aid and do not change the exit status.
 
 Usage: python3 tools/test_only_api.py [repo-root]
 """
@@ -113,13 +115,18 @@ def declared_names(code):
 
 def hidden_marks(code):
     """Sorted (offset, hidden) breakpoints: from each offset on, whether a
-    declaration there is a private or protected class member.
+    declaration there is hidden: a private or protected class member, or a
+    local.
 
     Each brace opens a scope. A brace whose statement names class, struct
     or union (and no parenthesis or enum) opens a class body, private by
     default for a class and public for a struct or union; an access label
-    changes the access of the class body it sits in."""
-    stack = []  # per open brace: a class body's current access, else None
+    changes the access of the class body it sits in. A brace whose
+    statement names namespace (or extern, for a linkage block) opens a
+    namespace. Any other brace opens a function body, a block or an
+    initializer, where "Type name(args)" declares a local
+    (`std::lock_guard<std::mutex> lock(mutex_)`), not a function."""
+    stack = []  # per open brace: a class body's current access, else its kind
     marks = [(0, False)]
     last = 0
     for m in SCOPE_EVENT.finditer(code):
@@ -128,15 +135,18 @@ def hidden_marks(code):
             keys = re.findall(r"\b(class|struct|union)\b", head)
             if keys and "(" not in head and not re.search(r"\benum\b", head):
                 stack.append("private" if keys[-1] == "class" else "public")
+            elif re.search(r"\b(namespace|extern)\b", head):
+                stack.append("namespace")
             else:
-                stack.append(None)
+                stack.append("local")
         elif m.group(0) == "}":
             if stack:
                 stack.pop()
-        elif stack and stack[-1] is not None:
+        elif stack and stack[-1] not in ("namespace", "local"):
             stack[-1] = m.group(1)
         last = m.end()
-        marks.append((last, bool(stack) and stack[-1] not in (None, "public")))
+        marks.append((last, bool(stack) and
+                      stack[-1] not in ("public", "namespace")))
     return marks
 
 
@@ -193,7 +203,7 @@ def main():
             line += " " + ", ".join(c[len("tests/"):] for c in callers)
         print(line)
     print(f"{len(report)} function(s) reached only from tests/ or not at all")
-    return 0
+    return 1 if any(kind == "unused" for _, _, kind, _ in report) else 0
 
 
 if __name__ == "__main__":
